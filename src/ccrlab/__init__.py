@@ -37,7 +37,6 @@ from .heisenberg import (
     wick_value,
 )
 from .montecarlo import (
-    KernelParams,
     McConfig,
     McEstimate,
     kernel_value,
@@ -47,8 +46,6 @@ from .montecarlo import (
     mc_krein_moment,
     mc_moment,
     mc_weyl_schwinger,
-    sample_complex_gauss,
-    sample_two_sided_bm,
     wick_moment,
 )
 from .nelson import (

@@ -1,8 +1,9 @@
 """Verification matrix: every acceptance criterion with its pinned tolerance.
 
 Each criterion is a callable returning a :class:`CriterionResult` whose
-sub-checks carry (value, target, tolerance, pass).  ``quick`` mode divides
-Monte Carlo sample counts by 100 and widens the sigma gate from 3 to 5.
+sub-checks carry (value, target, tolerance, pass) and whose provenance names
+the source of its numbers: exact-symbolic, mc or analytic.  ``quick`` mode
+divides Monte Carlo sample counts by 100 and widens the sigma gate from 3 to 5.
 The default seed makes every numeric in the matrix reproducible bit-for-bit.
 """
 
@@ -33,6 +34,7 @@ class CriterionResult:
     passed: bool
     seconds: float
     checks: list[dict] = field(default_factory=list)
+    provenance: str = "analytic"
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -75,13 +77,16 @@ def _sigma_check(name: str, estimate: mc.McEstimate, target: float, n_sigma: flo
     }
 
 
-def _result(number: int, name: str, checks: list[dict], started: float) -> CriterionResult:
+def _result(
+    number: int, name: str, checks: list[dict], started: float, provenance: str = "analytic"
+) -> CriterionResult:
     return CriterionResult(
         number=number,
         name=name,
         passed=all(c["pass"] for c in checks),
         seconds=time.perf_counter() - started,
         checks=checks,
+        provenance=provenance,
     )
 
 
@@ -107,7 +112,7 @@ def criterion_01(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
     checks.append(
         _check("qp-moments-exact", f"mismatch at {worst}" if worst else "all equal", "all equal", 0, ok=worst is None)
     )
-    return _result(1, "exact qp moments", checks, started)
+    return _result(1, "exact qp moments", checks, started, "exact-symbolic")
 
 
 def criterion_02(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
@@ -124,7 +129,7 @@ def criterion_02(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         if direct != termwise:
             bad += 1
     checks = [_check("wick-vs-normal-order", bad, 0, 0, ok=bad == 0)]
-    return _result(2, "Wick vs normal-ordering oracle", checks, started)
+    return _result(2, "Wick vs normal-ordering oracle", checks, started, "exact-symbolic")
 
 
 def criterion_03(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
@@ -188,7 +193,7 @@ def criterion_03(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         if hb.gns_inner(mono, hamiltonian, table) != ZERO:
             bad += 1
     checks.append(_check("a|0> = b*|0> = H|0> = 0 against degree <= 6", bad, 0, 0, ok=bad == 0))
-    return _result(3, "structure identities", checks, started)
+    return _result(3, "structure identities", checks, started, "exact-symbolic")
 
 
 def _extended_monomials(max_degree: int) -> list[hb.AlgebraElement]:
@@ -207,7 +212,7 @@ def criterion_04(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
     gram = hb.moment_matrix(4, hb.CovarianceTable())
     det = gram.det_exact
     checks = [_check("det(moment matrix, N=4) != 0", str(det), "nonzero", 0, ok=det != ZERO)]
-    return _result(4, "faithfulness witness", checks, started)
+    return _result(4, "faithfulness witness", checks, started, "exact-symbolic")
 
 
 def criterion_05(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
@@ -231,7 +236,7 @@ def criterion_06(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
     checks.append(
         _check("charge != 0 is exact 0", zero.mean, 0.0, 0, ok=zero.mean == 0.0 and zero.stderr == 0.0)
     )
-    return _result(6, "Weyl Schwinger MC", checks, started)
+    return _result(6, "Weyl Schwinger MC", checks, started, "mc")
 
 
 def criterion_07(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
@@ -245,7 +250,7 @@ def criterion_07(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         est = mc.mc_moment(taus, cfg)
         target = mc.wick_moment(taus)
         checks.append(_sigma_check(f"indefinite mc {taus}", est, target, sigma))
-    return _result(7, "indefinite functional integral", checks, started)
+    return _result(7, "indefinite functional integral", checks, started, "mc")
 
 
 def criterion_07_binomial(
@@ -264,7 +269,7 @@ def criterion_07_binomial(
                 ok = False
         hits += ok
     checks = [_check("3-sigma pass rate over seeds", hits, runs, runs - 99, ok=hits >= 99)]
-    return _result(7, "indefinite MC binomial (long)", checks, started)
+    return _result(7, "indefinite MC binomial (long)", checks, started, "mc")
 
 
 def criterion_08(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
@@ -402,7 +407,7 @@ def criterion_14(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         _sigma_check("krein mc (0,0)", est0, 0.5, sigma),
         _sigma_check("krein mc (1,1)", est1, 2.0, sigma),
     ]
-    return _result(14, "Krein MC", checks, started)
+    return _result(14, "Krein MC", checks, started, "mc")
 
 
 def criterion_15(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
@@ -424,7 +429,7 @@ def criterion_15(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         ),
         _check("chunk-size relative drift", drift, 0.0, 1e-12),
     ]
-    return _result(15, "determinism", checks, started)
+    return _result(15, "determinism", checks, started, "mc")
 
 
 CRITERIA = {

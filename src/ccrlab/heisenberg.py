@@ -384,34 +384,45 @@ class CovarianceTable:
         )
 
 
+def pair_partition_sum(items, pair, zero, one):
+    """Sum over the perfect matchings of ``items`` of the products of pair values.
+
+    Each pair contributes ``pair(earlier, later)``; pairs whose value is zero
+    are skipped and an odd number of items gives ``zero``.  Memoized on the
+    remaining subsequence, which collapses the exponentially many matchings
+    of repeated items.  Generic over the scalar type: ``zero`` and ``one``
+    are its additive and multiplicative units.
+    """
+    items = tuple(items)
+    if len(items) % 2 == 1:
+        return zero
+    memo = {(): one}
+
+    def rec(sub: tuple):
+        cached = memo.get(sub)
+        if cached is not None:
+            return cached
+        first = sub[0]
+        total = zero
+        for pos in range(1, len(sub)):
+            value = pair(first, sub[pos])
+            if not value:
+                continue
+            total = total + value * rec(sub[1:pos] + sub[pos + 1 :])
+        memo[sub] = total
+        return total
+
+    return rec(items)
+
+
 def wick_value(word, table: CovarianceTable) -> ComplexRational:
     """Evaluate the state on an ordered generator word by pair partitions.
 
     Sums over perfect matchings of the word, each pair contributing the
     ordered two-point value of its (earlier, later) generators; odd words
-    vanish.  Memoized on the remaining subword, which collapses the
-    exponentially many matchings of repeated generators.
+    vanish.
     """
-    word = tuple(Generator(g) for g in word)
-    if len(word) % 2 == 1:
-        return ZERO
-    memo: dict[tuple, ComplexRational] = {(): ONE}
-
-    def rec(sub: tuple) -> ComplexRational:
-        cached = memo.get(sub)
-        if cached is not None:
-            return cached
-        first = sub[0]
-        total = ZERO
-        for pos in range(1, len(sub)):
-            pair = table.value(first, sub[pos])
-            if not pair:
-                continue
-            total = total + pair * rec(sub[1:pos] + sub[pos + 1 :])
-        memo[sub] = total
-        return total
-
-    return rec(word)
+    return pair_partition_sum((Generator(g) for g in word), table.value, ZERO, ONE)
 
 
 def _word_of_key(key: MonomialKey) -> tuple[Generator, ...]:

@@ -2,12 +2,14 @@
 
 The euclidean position kernel is ``S(tau, sigma) = c - |tau - sigma|/2``.
 Its moments are indefinite, so no probability measure reproduces them; the
-sampled representation (for c = 0) combines a two-sided Brownian path with a
-centered complex Gaussian variable z of component variance 1/4:
+sampled representation (of the c = 0 kernel: c is an argument of the
+analytic oracle only) combines a two-sided Brownian path with a centered
+complex Gaussian variable z = z1 + i z2 of component variance 1/4:
 
     x(tau)  ~  xi(tau) + z - |tau| zbar.
 
-Replacing (z, zbar) by the real variables (z1 + z2)/alpha and
+Every estimator runs one core on (xi, z1, z2) and differs only in its
+integrand.  Replacing (z, zbar) by the real variables (z1 + z2)/alpha and
 -alpha (z1 - z2) turns the same construction into a genuine Gaussian measure
 whose kernel carries a rank-one positive correction (the Krein variant).
 
@@ -26,20 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .heisenberg import pair_partition_sum
+
 BLOCK = 16384
 PAIR_MOMENT_LIMIT = 20
-_MASK64 = (1 << 64) - 1
-
-
-class UnsupportedParameterError(ValueError):
-    """Raised when a sampler is asked for a regime it does not represent."""
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Constant part of the euclidean kernel c - |tau - sigma|/2."""
-
-    c: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -54,8 +46,10 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64)")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
         if self.chunk < 1:
             raise ValueError("chunk must be >= 1")
 
@@ -73,32 +67,12 @@ class McEstimate:
     samples: int
 
 
-@dataclass
-class PathSample:
-    """Two-sided Brownian path on a grid containing 0 (xi(0) = 0)."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class ComplexGauss:
-    """Complex Gaussian z = z1 + i z2 with independent N(0, 1/4) components."""
-
-    z1: float
-    z2: float
-
-    @property
-    def z(self) -> complex:
-        return complex(self.z1, self.z2)
-
-
 # -- kernels and the pair-partition oracle ---------------------------------------
 
 
-def kernel_value(tau: float, sigma: float, params: KernelParams = KernelParams()) -> float:
+def kernel_value(tau: float, sigma: float, c: float = 0.0) -> float:
     """Euclidean two-point kernel c - |tau - sigma|/2."""
-    return params.c - abs(tau - sigma) / 2.0
+    return c - abs(tau - sigma) / 2.0
 
 
 def bm_covariance(tau: float, sigma: float) -> float:
@@ -126,30 +100,12 @@ def pair_moment(taus, kernel) -> float:
     taus = tuple(float(t) for t in taus)
     if len(taus) > PAIR_MOMENT_LIMIT:
         raise ValueError(f"pair-partition moment limited to n <= {PAIR_MOMENT_LIMIT}")
-    if len(taus) % 2 == 1:
-        return 0.0
-    memo: dict[tuple, float] = {(): 1.0}
-
-    def rec(sub: tuple) -> float:
-        cached = memo.get(sub)
-        if cached is not None:
-            return cached
-        total = 0.0
-        first = sub[0]
-        for pos in range(1, len(sub)):
-            value = kernel(first, sub[pos])
-            if value == 0.0:
-                continue
-            total += value * rec(sub[1:pos] + sub[pos + 1 :])
-        memo[sub] = total
-        return total
-
-    return rec(taus)
+    return pair_partition_sum(taus, kernel, 0.0, 1.0)
 
 
-def wick_moment(taus, params: KernelParams = KernelParams()) -> float:
+def wick_moment(taus, c: float = 0.0) -> float:
     """Moment <x(tau_1) ... x(tau_n)> of the indefinite Gaussian functional."""
-    return pair_moment(taus, lambda t, s: kernel_value(t, s, params))
+    return pair_moment(taus, lambda t, s: kernel_value(t, s, c))
 
 
 def krein_pair_moment(taus, alpha: float) -> float:
@@ -170,49 +126,32 @@ def characteristic_target(taus, weights, step: float, c: float = 0.0) -> float:
 
 def substream(seed: int, block: int) -> np.random.Generator:
     """Counter-based generator for one block; parallel-safe and reproducible."""
-    key = np.array([seed & _MASK64, block & _MASK64], dtype=np.uint64)
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_complex_gauss(rng: np.random.Generator) -> ComplexGauss:
-    z1, z2 = 0.5 * rng.standard_normal(2)
-    return ComplexGauss(float(z1), float(z2))
+def _split_gaps(taus) -> np.ndarray:
+    """Lower-triangular map from unit normals to two-sided Brownian values at taus.
 
-
-def _split_gaps(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower-triangular map from unit normals to path values on the grid."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or not np.any(grid == 0.0):
-        raise ValueError("grid must be one-dimensional and contain 0")
-    pos = np.sort(np.unique(grid[grid > 0]))
-    neg = np.sort(np.unique(-grid[grid < 0]))
-    transform = np.zeros((grid.size, pos.size + neg.size))
+    One normal per gap between consecutive distinct |tau| on each side of 0.
+    """
+    taus = np.asarray(taus, dtype=float)
+    pos = np.unique(taus[taus > 0])
+    neg = np.unique(-taus[taus < 0])
+    transform = np.zeros((taus.size, pos.size + neg.size))
     sq_pos = np.sqrt(np.diff(np.concatenate(([0.0], pos))))
     sq_neg = np.sqrt(np.diff(np.concatenate(([0.0], neg))))
-    for row, tau in enumerate(grid):
+    for row, tau in enumerate(taus):
         if tau > 0:
             idx = int(np.searchsorted(pos, tau))
             transform[row, : idx + 1] = sq_pos[: idx + 1]
         elif tau < 0:
             idx = int(np.searchsorted(neg, -tau))
             transform[row, pos.size : pos.size + idx + 1] = sq_neg[: idx + 1]
-    return transform, pos, neg
+    return transform
 
 
-def sample_paths(grid, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent two-sided Brownian paths, shape (n, len(grid))."""
-    transform, pos, neg = _split_gaps(grid)
-    normals = rng.standard_normal((pos.size + neg.size, n))
-    return (transform @ normals).T
-
-
-def sample_two_sided_bm(grid, rng: np.random.Generator) -> PathSample:
-    grid = np.asarray(grid, dtype=float)
-    values = sample_paths(grid, 1, rng)[0]
-    return PathSample(grid=grid, values=values)
-
-
-# -- chunked compensated reduction --------------------------------------------------
+# -- the estimator core --------------------------------------------------------------
 
 
 class _NeumaierSum:
@@ -232,56 +171,43 @@ class _NeumaierSum:
         return self._sum + self._comp
 
 
-def _run_estimator(values_of_normals, rows: int, cfg: McConfig) -> np.ndarray:
-    """Accumulate (sum re, sum im, sum re^2, sum im^2, n) over all samples."""
+def _estimate(taus, cfg: McConfig, integrand) -> tuple[McEstimate, McEstimate]:
+    """Real and imaginary estimates of E[integrand(paths, z1, z2)].
+
+    Each block of samples draws (n_bm + 2, BLOCK) normals from its substream:
+    the path rows give ``paths`` (one row per tau, one column per sample) and
+    the last two rows give z1 and z2.  The integrand returns one real or
+    complex value per sample; sums of the values and their squares are
+    reduced in chunks of cfg.chunk samples into a compensated accumulator.
+    """
+    transform = _split_gaps(taus)
+    n_bm = transform.shape[1]
     acc = _NeumaierSum(4)
     partial = np.zeros(4)
-    produced = 0
-    global_index = 0
-    block = 0
-    while produced < cfg.samples:
-        normals = substream(cfg.seed, block).standard_normal((rows, BLOCK))
-        take = min(BLOCK, cfg.samples - produced)
-        values = values_of_normals(normals[:, :take])
-        stats = np.stack(
-            [values.real, values.imag, values.real**2, values.imag**2]
-        )
+    for start in range(0, cfg.samples, BLOCK):
+        take = min(BLOCK, cfg.samples - start)
+        normals = substream(cfg.seed, start // BLOCK).standard_normal((n_bm + 2, BLOCK))[:, :take]
+        values = integrand(transform @ normals[:n_bm], 0.5 * normals[n_bm], 0.5 * normals[n_bm + 1])
+        stats = np.stack([values.real, values.imag, values.real**2, values.imag**2])
+        # segments end where the global sample index reaches a multiple of cfg.chunk
         i = 0
         while i < take:
-            room = cfg.chunk - (global_index % cfg.chunk)
-            seg = min(room, take - i)
-            partial += stats[:, i : i + seg].sum(axis=1)
-            i += seg
-            global_index += seg
-            if global_index % cfg.chunk == 0:
+            end = min(take, i + cfg.chunk - (start + i) % cfg.chunk)
+            partial += stats[:, i:end].sum(axis=1)
+            i = end
+            if (start + i) % cfg.chunk == 0:
                 acc.add(partial)
                 partial = np.zeros(4)
-        produced += take
-        block += 1
     if np.any(partial):
         acc.add(partial)
-    return acc.total()
-
-
-def _estimates(totals: np.ndarray, n: int) -> tuple[McEstimate, McEstimate]:
-    s_re, s_im, s_re2, s_im2 = totals
+    n = cfg.samples
+    s_re, s_im, s_re2, s_im2 = acc.total()
 
     def one(s, s2) -> McEstimate:
-        mean = s / n
-        if n > 1:
-            var = max((s2 - s * s / n) / (n - 1), 0.0)
-        else:
-            var = 0.0
-        return McEstimate(mean=float(mean), stderr=math.sqrt(var / n), samples=n)
+        var = max((s2 - s * s / n) / (n - 1), 0.0) if n > 1 else 0.0
+        return McEstimate(mean=float(s / n), stderr=math.sqrt(var / n), samples=n)
 
     return one(s_re, s_re2), one(s_im, s_im2)
-
-
-def _layout(taus):
-    """Rows of the per-sample normal matrix: path rows then the two z rows."""
-    transform, pos, neg = _split_gaps(np.concatenate((np.asarray(taus, float), [0.0])))
-    transform = transform[:-1]  # drop the helper 0 row
-    return transform, pos.size + neg.size
 
 
 # -- estimators ----------------------------------------------------------------------
@@ -289,31 +215,21 @@ def _layout(taus):
 
 def mc_moment_components(taus, cfg: McConfig) -> tuple[McEstimate, McEstimate]:
     """Real and imaginary estimates of <prod_k (xi(tau_k) + z - |tau_k| zbar)>."""
-    taus = [float(t) for t in taus]
-    transform, n_bm = _layout(taus)
-    abs_taus = np.abs(np.asarray(taus))
+    abs_taus = np.abs(np.asarray(taus, dtype=float))
 
-    def values(normals):
-        paths = transform @ normals[:n_bm]
-        z1 = 0.5 * normals[n_bm]
-        z2 = 0.5 * normals[n_bm + 1]
+    def integrand(paths, z1, z2):
         z = z1 + 1j * z2
         zbar = z1 - 1j * z2
-        prod = np.ones(normals.shape[1], dtype=complex)
-        for k in range(len(taus)):
-            prod *= paths[k] + z - abs_taus[k] * zbar
+        prod = np.ones(z1.size, dtype=complex)
+        for k, abs_tau in enumerate(abs_taus):
+            prod *= paths[k] + z - abs_tau * zbar
         return prod
 
-    totals = _run_estimator(values, n_bm + 2, cfg)
-    return _estimates(totals, cfg.samples)
+    return _estimate(taus, cfg, integrand)
 
 
-def mc_moment(taus, cfg: McConfig, c: float = 0.0) -> McEstimate:
+def mc_moment(taus, cfg: McConfig) -> McEstimate:
     """Sampled moment of the indefinite functional (real part reported)."""
-    if c != 0.0:
-        raise UnsupportedParameterError(
-            "the complex-variable representation covers the c = 0 kernel only"
-        )
     real, _imag = mc_moment_components(taus, cfg)
     return real
 
@@ -325,22 +241,15 @@ def mc_characteristic(taus, weights, cfg: McConfig) -> McEstimate:
     cfg.step; the estimate converges to exp(-<f,f>/2), whose modulus exceeds 1
     for mean-nonzero f (indefiniteness witness).
     """
-    taus = [float(t) for t in taus]
     w = np.asarray(weights, dtype=float) * cfg.step
-    transform, n_bm = _layout(taus)
     a = float(w.sum())
-    b = float((np.abs(np.asarray(taus)) * w).sum())
+    b = float((np.abs(np.asarray(taus, dtype=float)) * w).sum())
 
-    def values(normals):
-        paths = transform @ normals[:n_bm]
-        z1 = 0.5 * normals[n_bm]
-        z2 = 0.5 * normals[n_bm + 1]
-        smeared = w @ paths
+    def integrand(paths, z1, z2):
         # i(x(f)) with x(f) = xi(f) + a z - b zbar
-        return np.exp(1j * (smeared + (a - b) * z1) - (a + b) * z2)
+        return np.exp(1j * (w @ paths + (a - b) * z1) - (a + b) * z2)
 
-    totals = _run_estimator(values, n_bm + 2, cfg)
-    real, imag = _estimates(totals, cfg.samples)
+    real, imag = _estimate(taus, cfg, integrand)
     return McEstimate(
         mean=complex(real.mean, imag.mean),
         stderr=math.hypot(real.stderr, imag.stderr),
@@ -363,16 +272,8 @@ def mc_weyl_schwinger(alphas, taus, cfg: McConfig) -> McEstimate:
     ]
     if sum(fractions) != 0:
         return McEstimate(mean=0.0, stderr=0.0, samples=0)
-    taus = [float(t) for t in taus]
     coeffs = np.array([float(a) for a in fractions])
-    transform, n_bm = _layout(taus)
-
-    def values(normals):
-        paths = transform @ normals[:n_bm]
-        return np.exp(1j * (coeffs @ paths))
-
-    totals = _run_estimator(values, n_bm + 2, cfg)
-    real, _imag = _estimates(totals, cfg.samples)
+    real, _imag = _estimate(taus, cfg, lambda paths, z1, z2: np.exp(1j * (coeffs @ paths)))
     return real
 
 
@@ -380,21 +281,15 @@ def mc_krein_moment(taus, alpha: float, cfg: McConfig) -> McEstimate:
     """Sampled moment of the Krein measure: z, zbar replaced by real variables."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    taus = [float(t) for t in taus]
-    transform, n_bm = _layout(taus)
-    abs_taus = np.abs(np.asarray(taus))
+    abs_taus = np.abs(np.asarray(taus, dtype=float))
 
-    def values(normals):
-        paths = transform @ normals[:n_bm]
-        z1 = 0.5 * normals[n_bm]
-        z2 = 0.5 * normals[n_bm + 1]
+    def integrand(paths, z1, z2):
         x = (z1 + z2) / alpha
         v = -alpha * (z1 - z2)
-        prod = np.ones(normals.shape[1])
-        for k in range(len(taus)):
-            prod *= paths[k] + x - abs_taus[k] * v
-        return prod.astype(complex)
+        prod = np.ones(z1.size)
+        for k, abs_tau in enumerate(abs_taus):
+            prod *= paths[k] + x - abs_tau * v
+        return prod
 
-    totals = _run_estimator(values, n_bm + 2, cfg)
-    real, _imag = _estimates(totals, cfg.samples)
+    real, _imag = _estimate(taus, cfg, integrand)
     return real

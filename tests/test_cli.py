@@ -19,6 +19,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def one_line_usage_error(capsys, *argv) -> str:
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1, err
+    return err
+
+
 def last_json(stdout: str) -> dict:
     start = stdout.index("{")
     return json.loads(stdout[start:])
@@ -119,6 +126,19 @@ def test_mc_usage_errors(capsys):
     assert run_cli(capsys, "mc", "--mode", "weyl", "--alphas", "1,-1", "--taus", "1")[0] == 2
     assert run_cli(capsys, "mc", "--mode", "indefinite", "--taus", "x,y")[0] == 2
     assert run_cli(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--samples", "0")[0] == 2
+    one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "nan,1")
+    one_line_usage_error(capsys, "mc", "--mode", "krein", "--taus", "inf,1", "--alpha", "1")
+    one_line_usage_error(capsys, "mc", "--mode", "krein", "--taus", "1,1", "--alpha", "nan")
+    one_line_usage_error(capsys, "mc", "--mode", "weyl", "--alphas", "1,-inf", "--taus", "0,1")
+    one_line_usage_error(capsys, "mc", "--mode", "characteristic", "--taus", "0,1", "--weights", "1,nan")
+    one_line_usage_error(
+        capsys, "mc", "--mode", "characteristic", "--taus", "0,1", "--weights", "1,1", "--step", "1e10"
+    )
+    one_line_usage_error(
+        capsys, "mc", "--mode", "characteristic", "--taus", "0,1", "--weights", "1,1", "--step", "inf"
+    )
+    one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--seed", "-1")
+    one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--seed", str(2**64))
 
 
 def test_mc_csv_format(capsys):
@@ -247,6 +267,16 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     )
     assert code == 2
     assert "bogus_knob" in err
+
+
+def test_config_rejects_mistyped_values(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    for value in ("abc", 1.5):
+        config.write_text(json.dumps({"samples": value}))
+        err = one_line_usage_error(
+            capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--config", str(config)
+        )
+        assert "'samples'" in err
 
 
 def test_output_file(tmp_path, capsys):
