@@ -17,6 +17,8 @@ import time
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
+
 from . import acceptance, heisenberg as hb, montecarlo as mc, nelson as ne, weyl as wy
 from .acceptance import DEFAULT_SEED
 from .expr import ExprError, parse_element
@@ -53,7 +55,7 @@ def _report(command: str, inputs: dict, results: list[dict], passed: bool, start
 
 def _emit(report: dict, fmt: str, output: str | None):
     if fmt == "json":
-        text = json.dumps(report, indent=2, default=str)
+        text = json.dumps(report, indent=2, default=str, allow_nan=False)
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
@@ -117,6 +119,8 @@ def _run_mc(args) -> tuple[dict, bool]:
     started = time.perf_counter()
     if args.mode not in MC_MODES:
         raise UsageError(f"invalid mode {args.mode!r}; choose from {MC_MODES}")
+    if args.samples < 2:
+        raise UsageError("--samples must be >= 2: the standard error needs two samples")
     try:
         cfg = mc.McConfig(samples=args.samples, seed=args.seed, step=args.step, chunk=args.chunk)
     except ValueError as err:
@@ -166,7 +170,10 @@ def _run_mc(args) -> tuple[dict, bool]:
         analytic = target()
     except OverflowError:
         raise UsageError(f"the analytic target of mode={args.mode} overflows for these inputs") from None
-    estimate = sample()
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = sample()
+    if not all(np.isfinite([estimate.mean, estimate.stderr, analytic])):
+        raise UsageError(f"mode={args.mode} gives a non-finite estimate or target for these inputs")
 
     mean = estimate.mean
     deviation = abs(mean - analytic)
@@ -199,6 +206,8 @@ def _run_gram(args) -> tuple[dict, bool]:
     started = time.perf_counter()
     if args.kind not in ("nelson", "os", "markov"):
         raise UsageError(f"invalid gram kind {args.kind!r}")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     inputs = {"kind": args.kind, "family": args.family, "grid": args.grid, "seed": args.seed}
     try:
         grid = ne.Grid.parse(args.grid)
@@ -367,13 +376,13 @@ def main(argv=None) -> int:
     try:
         _apply_config(args, parser)
         report, passed = args.handler(args)
+        _emit(report, args.format, args.output)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (ne.DegenerateGramError, ne.GridMismatchError, ne.SupportError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    _emit(report, args.format, args.output)
     return 0 if passed else 1
 
 

@@ -165,4 +165,3 @@ def parse_complex_rational(text: str) -> ComplexRational:
 ZERO = ComplexRational(0)
 ONE = ComplexRational(1)
 I = ComplexRational(0, 1)
-HALF_I = ComplexRational(0, Fraction(1, 2))

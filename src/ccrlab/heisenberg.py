@@ -17,7 +17,7 @@ phases diagonal in the ``p``-before-``q`` basis, and the metric conjugation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
@@ -158,9 +158,6 @@ class AlgebraElement:
 
     def coefficient(self, key: MonomialKey) -> ComplexRational:
         return self._terms.get(tuple(key), ZERO)
-
-    def is_unprimed(self) -> bool:
-        return all(l == 0 and m == 0 for (_, _, l, m) in self._terms)
 
     # -- algebra --------------------------------------------------------------
 
@@ -364,24 +361,23 @@ class CovarianceTable:
     """
 
     c: Fraction = Fraction(0)
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", Fraction(self.c))
-
-    def value(self, x: Generator, y: Generator) -> ComplexRational:
-        return self._matrix()[x][y]
-
-    @lru_cache(maxsize=None)
-    def _matrix(self):
         c = ComplexRational(self.c)
         half = ComplexRational(Fraction(1, 2))
         ihalf = ComplexRational(0, Fraction(1, 2))
-        return (
+        table = (
             (c, ihalf, ZERO, half),
             (-ihalf, ZERO, half, ZERO),
             (ZERO, half, c, -ihalf),
             (half, ZERO, ihalf, ZERO),
         )
+        object.__setattr__(self, "_table", table)
+
+    def value(self, x: Generator, y: Generator) -> ComplexRational:
+        return self._table[x][y]
 
 
 def pair_partition_sum(items, pair, zero, one):

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .heisenberg import pair_partition_sum
+from .weyl import to_label_fraction
 
 BLOCK = 16384
 PAIR_MOMENT_LIMIT = 20
@@ -130,25 +130,24 @@ def substream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _split_gaps(taus) -> np.ndarray:
-    """Lower-triangular map from unit normals to two-sided Brownian values at taus.
+def brownian_gaps(taus):
+    """The two-sided Brownian gap construction at taus.
 
-    One normal per gap between consecutive distinct |tau| on each side of 0.
+    Yields, for the positive side of 0 and then the negative side, the square
+    roots of the gaps between consecutive distinct |tau| (counted from 0) and,
+    for each tau, the index of its last gap, or -1 if tau is not on that side.
     """
     taus = np.asarray(taus, dtype=float)
-    pos = np.unique(taus[taus > 0])
-    neg = np.unique(-taus[taus < 0])
-    transform = np.zeros((taus.size, pos.size + neg.size))
-    sq_pos = np.sqrt(np.diff(np.concatenate(([0.0], pos))))
-    sq_neg = np.sqrt(np.diff(np.concatenate(([0.0], neg))))
-    for row, tau in enumerate(taus):
-        if tau > 0:
-            idx = int(np.searchsorted(pos, tau))
-            transform[row, : idx + 1] = sq_pos[: idx + 1]
-        elif tau < 0:
-            idx = int(np.searchsorted(neg, -tau))
-            transform[row, pos.size : pos.size + idx + 1] = sq_neg[: idx + 1]
-    return transform
+    for side in (taus, -taus):
+        edges = np.unique(side[side > 0])
+        last = np.where(side > 0, np.searchsorted(edges, side), -1)
+        yield np.sqrt(np.diff(edges, prepend=0.0)), last
+
+
+def _split_gaps(taus) -> np.ndarray:
+    """Lower-triangular map from unit normals (one per gap) to Brownian values at taus."""
+    blocks = [np.where(np.arange(sq.size) <= last[:, None], sq, 0.0) for sq, last in brownian_gaps(taus)]
+    return np.hstack(blocks)
 
 
 # -- the estimator core --------------------------------------------------------------
@@ -266,10 +265,7 @@ def mc_weyl_schwinger(alphas, taus, cfg: McConfig) -> McEstimate:
     over two-sided Brownian paths converges to the closed-form Schwinger
     value.
     """
-    fractions = [
-        Fraction(a) if isinstance(a, (int, Fraction, str)) else Fraction(a).limit_denominator(10**9)
-        for a in alphas
-    ]
+    fractions = [to_label_fraction(a) for a in alphas]
     if sum(fractions) != 0:
         return McEstimate(mean=0.0, stderr=0.0, samples=0)
     coeffs = np.array([float(a) for a in fractions])

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .gram import GramMatrix, gram_signature, numerical_rank
-from .montecarlo import krein_kernel
+from .montecarlo import brownian_gaps, krein_kernel
 
 FAMILY_LIMIT = 200
 PROJECTION_CONDITION_LIMIT = 1e8
@@ -73,7 +72,7 @@ class Grid:
 
     @property
     def points(self) -> np.ndarray:
-        return _grid_points(self)
+        return self.start + self.step * np.arange(self.n)
 
     @property
     def stop(self) -> float:
@@ -89,16 +88,8 @@ class Grid:
         return None
 
 
-@lru_cache(maxsize=None)
-def _grid_points(grid: Grid) -> np.ndarray:
-    pts = grid.start + grid.step * np.arange(grid.n)
-    pts.setflags(write=False)
-    return pts
-
-
-@lru_cache(maxsize=None)
 def metric_matrix(grid: Grid) -> np.ndarray:
-    """Coordinate metric over (grid values, a, b); real symmetric."""
+    """Dense coordinate metric over (grid values, a, b): the reference for the factored product."""
     pts = grid.points
     n = grid.n
     h = grid.step
@@ -107,8 +98,43 @@ def metric_matrix(grid: Grid) -> np.ndarray:
     m[:n, n] = m[n, :n] = -0.5 * h * np.abs(pts)
     m[:n, n + 1] = m[n + 1, :n] = -0.5 * h
     m[n, n + 1] = m[n + 1, n] = -0.5
-    m.setflags(write=False)
     return m
+
+
+def _product(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Products <u_i, v_j> of coordinate rows (values, a, b) in O(n) per row.
+
+    -|t - s|/2 is the Brownian covariance minus (|t| + |s|)/2, so <u, v> =
+    W_u^H W_v - (A_u^* B_v + B_u^* A_v)/2: W holds the grid part's tail sums over
+    the Brownian gaps, A = a + h sum f and B = b + h sum |t| f the d0 and w content.
+    """
+    w_left, a_left, b_left = _factors(grid, left)
+    w_right, a_right, b_right = _factors(grid, right)
+    singular = np.outer(a_left.conj(), b_right) + np.outer(b_left.conj(), a_right)
+    return w_left.conj() @ w_right.T - singular / 2.0
+
+
+def _factors(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    h = grid.step
+    pts = grid.points
+    values = rows[:, :-2]
+    tails = []
+    for sq, last in brownian_gaps(pts):
+        on = np.flatnonzero(last >= 0)
+        ends = on[np.argsort(last[on])]  # grid points are distinct: one ends each gap
+        tails.append(h * sq * np.cumsum(values[:, ends[::-1]], axis=1)[:, ::-1])
+    a = rows[:, -2] + h * values.sum(axis=1)
+    b = rows[:, -1] + h * (np.abs(pts) * values).sum(axis=1)
+    return np.concatenate(tails, axis=1), a, b
+
+
+def _stack(family: list[ExtendedVector]) -> np.ndarray:
+    """Coordinate rows of a family on one grid, at most FAMILY_LIMIT of them."""
+    if len(family) > FAMILY_LIMIT:
+        raise ValueError(f"family size limited to {FAMILY_LIMIT}")
+    for v in family:
+        family[0]._check(v)
+    return np.stack([v.coords() for v in family])
 
 
 @dataclass
@@ -181,21 +207,20 @@ def point_mass(grid: Grid, tau: float) -> ExtendedVector:
 def indefinite_inner(u: ExtendedVector, v: ExtendedVector) -> complex:
     """Indefinite product; conjugate-linear in the first argument."""
     u._check(v)
-    m = metric_matrix(u.grid)
-    return complex(u.coords().conj() @ m @ v.coords())
+    return complex(_product(u.grid, u.coords()[None], v.coords()[None])[0, 0])
 
 
 def decompose(u: ExtendedVector) -> tuple[complex, complex, ExtendedVector]:
     """Split off the d0 and w content: u = a d0 + b w + h with h orthogonal to both.
 
-    The coefficients are the total mass and the |tau|-weighted mass of the
-    grid part (plus any explicit coordinates); idempotent by construction.
+    The coefficients a = -2<w, u> and b = -2<d0, u> are the total mass and the
+    |tau|-weighted mass of the grid part (plus any explicit coordinates);
+    idempotent by construction.
     """
-    h = u.grid.step
-    a = complex(u.a + h * u.values.sum())
-    b = complex(u.b + h * (np.abs(u.grid.points) * u.values).sum())
+    pair = np.stack([w_vector(u.grid).coords(), delta_zero(u.grid).coords()])
+    a, b = -2.0 * _product(u.grid, pair, u.coords()[None])[:, 0]
     rest = ExtendedVector(u.grid, u.values.copy(), a=u.a - a, b=u.b - b)
-    return a, b, rest
+    return complex(a), complex(b), rest
 
 
 def krein_direction(grid: Grid, alpha: float) -> ExtendedVector:
@@ -223,15 +248,10 @@ def krein_norm(u: ExtendedVector, alpha: float) -> float:
 
 def signature_of(family: list[ExtendedVector]) -> GramMatrix:
     """Gram matrix and eigen-signature of a finite family."""
-    if len(family) > FAMILY_LIMIT:
-        raise ValueError(f"family size limited to {FAMILY_LIMIT}")
     if not family:
         return GramMatrix(entries=np.zeros((0, 0), dtype=complex), signature=(0, 0, 0))
-    for v in family:
-        family[0]._check(v)
-    m = metric_matrix(family[0].grid)
-    coords = np.stack([v.coords() for v in family])
-    entries = coords.conj() @ m @ coords.T
+    coords = _stack(family)
+    entries = _product(family[0].grid, coords, coords)
     signature, eigenvalues = gram_signature(entries)
     return GramMatrix(entries=entries, signature=signature, eigenvalues=eigenvalues)
 
@@ -240,16 +260,15 @@ def project_onto(basis: list[ExtendedVector], u: ExtendedVector) -> ExtendedVect
     """Indefinite-orthogonal projection onto the span of a nondegenerate basis."""
     if not basis:
         raise DegenerateGramError("empty projection basis")
-    gram = signature_of(basis).entries
+    coords = _stack(basis)
+    basis[0]._check(u)
+    products = _product(u.grid, coords, np.vstack((coords, u.coords())))
+    gram, moments = products[:, :-1], products[:, -1]
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > PROJECTION_CONDITION_LIMIT:
         raise DegenerateGramError(f"projection Gram is degenerate (cond {cond:.3e})")
-    moments = np.array([indefinite_inner(b, u) for b in basis])
-    weights = np.linalg.solve(gram, moments)
-    out = zero_vector(u.grid)
-    for w_i, b_i in zip(weights, basis):
-        out = out + w_i * b_i
-    return out
+    out = np.linalg.solve(gram, moments) @ coords
+    return ExtendedVector(u.grid, out[:-2], out[-2], out[-1])
 
 
 # -- Osterwalder-Schrader sector ---------------------------------------------------
@@ -272,6 +291,12 @@ def _require_positive_support(grid: Grid, values: np.ndarray):
         raise SupportError("function must be supported in tau >= 0")
 
 
+def _os_kernel(grid: Grid, c: float) -> np.ndarray:
+    """The reflected kernel c - (|tau| + |sigma|)/2 on the grid (dense)."""
+    abs_pts = np.abs(grid.points)
+    return c - (abs_pts[:, None] + abs_pts[None, :]) / 2.0
+
+
 def os_inner_routes(
     grid: Grid, f, g, c: float = 0.0
 ) -> tuple[complex, complex, complex]:
@@ -283,11 +308,8 @@ def os_inner_routes(
     g = np.asarray(g, dtype=complex)
     _require_positive_support(grid, f)
     _require_positive_support(grid, g)
-    pts = grid.points
     h = grid.step
-
-    kernel = c - (np.abs(pts)[:, None] + np.abs(pts)[None, :]) / 2.0
-    reflected = complex(h * h * (f.conj() @ kernel @ g))
+    reflected = complex(h * h * (f.conj() @ _os_kernel(grid, c) @ g))
 
     f0, f1 = _os_moments(grid, f)
     g0, g1 = _os_moments(grid, g)
@@ -311,12 +333,11 @@ def os_inner(grid: Grid, f, g, c: float = 0.0) -> complex:
 
 def os_rank(grid: Grid, family: list[np.ndarray], c: float = 0.0) -> tuple[int, np.ndarray]:
     """Numerical rank of the OS Gram of positive-support functions (codim-two law)."""
-    size = len(family)
-    entries = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(size):
-            entries[i, j] = os_inner_routes(grid, family[i], family[j], c)[0]
-    return numerical_rank(entries)
+    rows = np.array([np.asarray(f, dtype=complex) for f in family]).reshape(len(family), grid.n)
+    for f in rows:
+        _require_positive_support(grid, f)
+    h = grid.step
+    return numerical_rank(h * h * (rows.conj() @ _os_kernel(grid, c) @ rows.T))
 
 
 # -- Markov projections --------------------------------------------------------------
@@ -397,11 +418,6 @@ def markov_diagnostics(grid: Grid, n_per_side: int, alpha: float = 1.0, seed: in
         "idempotence_residual": idempotence,
         "v_fixed_residual": fixed_v,
     }
-
-
-def markov_projection_residual(grid: Grid, n_per_side: int, alpha: float = 1.0) -> float:
-    """Max relative residual of (E+ E- - E0) over the probe set."""
-    return markov_diagnostics(grid, n_per_side, alpha)["markov_residual"]
 
 
 def conditional_independence_residual(

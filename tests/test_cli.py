@@ -3,10 +3,11 @@
 import json
 import math
 import pathlib
+import warnings
 
 import pytest
 
-from ccrlab import acceptance
+from ccrlab import acceptance, cli
 from ccrlab.acceptance import CriterionResult
 from ccrlab.cli import main
 
@@ -139,6 +140,25 @@ def test_mc_usage_errors(capsys):
     )
     one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--seed", "-1")
     one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--seed", str(2**64))
+    one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--samples", "1")
+
+
+def test_mc_non_finite_estimate_is_usage_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one_line_usage_error(
+            capsys, "mc", "--mode", "indefinite", "--taus", "1e300,1e300,1e300,1e300", "--samples", "100"
+        )
+
+
+def test_non_finite_report_value_is_an_error(capsys, monkeypatch):
+    def handler(args):
+        return cli._report("mc", {}, [{"name": "estimate", "value": math.inf}], True, 0.0), True
+
+    monkeypatch.setattr(cli, "_run_mc", handler)
+    code, out, err = run_cli(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_mc_csv_format(capsys):
@@ -208,6 +228,8 @@ def test_gram_usage_errors(capsys):
     assert run_cli(capsys, "gram", "--kind", "bogus", "--family", "bumps:1", "--grid", "-1:1:0.5")[0] == 2
     assert run_cli(capsys, "gram", "--kind", "nelson", "--family", "bumps:1", "--grid", "-1:1:0.3")[0] == 2
     assert run_cli(capsys, "gram", "--kind", "nelson", "--family", "nope:1", "--grid", "-1:1:0.5")[0] == 2
+    for kind, spec in (("nelson", "bumps:1"), ("os", "possupport:1"), ("markov", "probes:3")):
+        one_line_usage_error(capsys, "gram", "--kind", kind, "--family", spec, "--grid", "-1:1:0.5", "--seed", "-1")
 
 
 # -- suite ----------------------------------------------------------------------------------

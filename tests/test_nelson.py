@@ -1,8 +1,11 @@
 """Discretized indefinite euclidean space: products, metrics, projections."""
 
+import json
+
 import numpy as np
 import pytest
 
+from ccrlab.cli import main
 from ccrlab.montecarlo import krein_kernel
 from ccrlab.nelson import (
     DegenerateGramError,
@@ -23,7 +26,6 @@ from ccrlab.nelson import (
     krein_metric_apply,
     l2_inner,
     markov_diagnostics,
-    markov_projection_residual,
     metric_matrix,
     os_inner,
     os_inner_routes,
@@ -229,6 +231,15 @@ def test_os_gram_rank_two():
     assert singular[2] / singular[0] < 1e-8
 
 
+def test_os_rank_empty_family_and_support():
+    grid = Grid.parse("0:5:0.1")
+    rank, singular = os_rank(grid, [])
+    assert rank == 0 and singular.size == 0
+    funcs = [v.values for v in family("possupport:2", GRID, seed=12)]
+    with pytest.raises(SupportError):
+        os_rank(GRID, funcs + [unit_bump(GRID, -2.0)])
+
+
 # -- signature ---------------------------------------------------------------------------
 
 
@@ -366,7 +377,6 @@ def test_markov_projection_residuals():
     assert diagnostics["markov_residual"] < 1e-6
     assert diagnostics["idempotence_residual"] < 1e-8
     assert diagnostics["v_fixed_residual"] < 1e-8
-    assert markov_projection_residual(grid, 25) == diagnostics["markov_residual"]
 
 
 def test_markov_needs_symmetric_grid():
@@ -489,8 +499,30 @@ def test_one_sided_second_derivatives_positive():
     assert value == pytest.approx(l2, rel=1e-3)
 
 
-def test_metric_matrix_cached_and_symmetric():
-    m1 = metric_matrix(GRID)
-    m2 = metric_matrix(GRID)
-    assert m1 is m2
-    assert np.abs(m1 - m1.T).max() == 0.0
+def test_factored_product_matches_dense_metric():
+    rng = np.random.default_rng(43)
+    for spec in ("-5:5:0.1", "0:5:0.01", "1:3:0.5", "-3:-1:0.25", "-10:10:0.01"):
+        grid = Grid.parse(spec)
+        vectors = [
+            ExtendedVector(
+                grid,
+                rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n),
+                a=complex(*rng.uniform(0.5, 1.5, 2)),
+                b=complex(*rng.uniform(0.5, 1.5, 2)),
+            )
+            for _ in range(12)
+        ]
+        metric = metric_matrix(grid)
+        assert np.abs(metric - metric.T).max() == 0.0
+        coords = np.stack([v.coords() for v in vectors])
+        dense = coords.conj() @ metric @ coords.T
+        entries = signature_of(vectors).entries
+        assert np.abs(entries - dense).max() <= 1e-13 * np.abs(dense).max(), spec
+
+
+def test_gram_cli_on_a_large_grid(capsys):
+    # 100001 points: a dense metric would need 80 GB
+    code = main(["gram", "--kind", "nelson", "--family", "meanzero:20", "--grid", "-5e4:5e4:1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["results"][0]["value"] == [20, 0, 0]
