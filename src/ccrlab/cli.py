@@ -26,6 +26,8 @@ from .expr import ExprError, parse_element
 SCHEMA_VERSION = "ccrlab.report.v1"
 
 MC_MODES = ("indefinite", "krein", "weyl", "characteristic")
+# Largest grid `gram --kind os` takes: os_rank's quadrature kernel is a dense n x n matrix.
+OS_GRID_LIMIT = 2001
 
 
 class UsageError(ValueError):
@@ -103,11 +105,15 @@ def _run_moments(args) -> tuple[dict, bool]:
     except ValueError:
         raise UsageError(f"--c must be rational, got {args.c!r}") from None
     value = hb.omega(element, hb.CovarianceTable(c))
+    try:
+        value_float = [float(value.re), float(value.im)]
+    except OverflowError:  # past the float range only the exact value is reported
+        value_float = None
     results = [
         {
             "name": "omega",
             "value": str(value),
-            "value_float": [float(value.re), float(value.im)],
+            "value_float": value_float,
             "provenance": "exact-symbolic",
         },
         {"name": "normal_ordered", "value": str(element), "provenance": "exact-symbolic"},
@@ -210,7 +216,18 @@ def _run_gram(args) -> tuple[dict, bool]:
         raise UsageError("--seed must be non-negative")
     inputs = {"kind": args.kind, "family": args.family, "grid": args.grid, "seed": args.seed}
     try:
+        with np.errstate(over="raise", invalid="raise"):
+            results = _gram_results(args)
+    except FloatingPointError as err:
+        raise UsageError(f"the grid or family leaves the float range ({err})") from None
+    return _report("gram", inputs, results, True, started), True
+
+
+def _gram_results(args) -> list[dict]:
+    try:
         grid = ne.Grid.parse(args.grid)
+        if args.kind == "os" and grid.n > OS_GRID_LIMIT:
+            raise ValueError(f"kind=os takes grids of at most {OS_GRID_LIMIT} points, got {grid.n}")
         if args.kind == "markov":
             # family carries the per-side point count: probes:N
             kind_name, _, count_text = args.family.partition(":")
@@ -223,14 +240,14 @@ def _run_gram(args) -> tuple[dict, bool]:
         raise UsageError(str(err)) from None
     if args.kind == "markov":
         diagnostics = ne.markov_diagnostics(grid, n_per_side, seed=args.seed)
-        results = [
+        return [
             {"name": name, "value": value, "provenance": "analytic"}
             for name, value in diagnostics.items()
         ]
-    elif args.kind == "nelson":
+    if args.kind == "nelson":
         gram = ne.signature_of(vectors)
         n_pos, n_neg, n_zero = gram.signature
-        results = [
+        return [
             {"name": "signature", "value": [n_pos, n_neg, n_zero], "provenance": "analytic"},
             {
                 "name": "spectrum",
@@ -238,13 +255,11 @@ def _run_gram(args) -> tuple[dict, bool]:
                 "provenance": "analytic",
             },
         ]
-    else:
-        rank, singular = ne.os_rank(grid, [v.values for v in vectors])
-        results = [
-            {"name": "rank", "value": rank, "provenance": "analytic"},
-            {"name": "singular_values", "value": [float(s) for s in singular], "provenance": "analytic"},
-        ]
-    return _report("gram", inputs, results, True, started), True
+    rank, singular = ne.os_rank(grid, [v.values for v in vectors])
+    return [
+        {"name": "rank", "value": rank, "provenance": "analytic"},
+        {"name": "singular_values", "value": [float(s) for s in singular], "provenance": "analytic"},
+    ]
 
 
 def _run_suite(args) -> tuple[dict, bool]:

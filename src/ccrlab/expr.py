@@ -30,6 +30,10 @@ _TOKEN_RE = re.compile(
 
 _GENERATORS = {"q": Q, "p": P, "q'": Q_PRIME, "p'": P_PRIME}
 
+# Deepest nesting of parentheses and unary minus signs the parser accepts;
+# it recurses per level, so this keeps it far below the interpreter's limit.
+NESTING_LIMIT = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -52,6 +56,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.cursor = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         if self.cursor < len(self.tokens):
@@ -113,7 +118,7 @@ class _Parser:
             raise ExprError("unexpected end of input", self.position())
         if kind == "minus":
             self.next()
-            return -self.power()
+            return -self.nested(self.power)
         kind, text, pos = self.next()
         if kind == "number":
             return UNIT * ComplexRational(Fraction(text))
@@ -122,12 +127,20 @@ class _Parser:
         if kind == "gen":
             return _GENERATORS[text]
         if kind == "lparen":
-            value = self.expression()
+            value = self.nested(self.expression)
             if self.peek() != "rparen":
                 raise ExprError("missing closing parenthesis", self.position())
             self.next()
             return value
         raise ExprError(f"unexpected token {text!r}", pos)
+
+    def nested(self, parse) -> AlgebraElement:
+        if self.depth == NESTING_LIMIT:
+            raise ExprError(f"expression nested deeper than {NESTING_LIMIT} levels", self.position())
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
 
 def parse_element(text: str) -> AlgebraElement:

@@ -62,6 +62,19 @@ def test_moments_parse_error_is_usage(capsys):
     assert "position" in err
 
 
+def test_moments_high_degree_is_exact(capsys):
+    code, out, _ = run_cli(capsys, "moments", "--expr", "q^2000", "--c", "1")
+    assert code == 0
+    row = last_json(out)["results"][0]
+    assert int(row["value"]) == math.prod(range(1, 2000, 2))  # 1999!!
+    assert row["value_float"] is None  # past the float range
+
+
+def test_moments_deep_nesting_is_usage_error(capsys):
+    one_line_usage_error(capsys, "moments", "--expr", "(" * 1200 + "q" + ")" * 1200)
+    one_line_usage_error(capsys, "moments", "--expr=" + "-" * 1200 + "q")
+
+
 # -- mc -------------------------------------------------------------------------------
 
 
@@ -230,6 +243,15 @@ def test_gram_usage_errors(capsys):
     assert run_cli(capsys, "gram", "--kind", "nelson", "--family", "nope:1", "--grid", "-1:1:0.5")[0] == 2
     for kind, spec in (("nelson", "bumps:1"), ("os", "possupport:1"), ("markov", "probes:3")):
         one_line_usage_error(capsys, "gram", "--kind", kind, "--family", spec, "--grid", "-1:1:0.5", "--seed", "-1")
+
+
+def test_gram_refuses_what_it_cannot_compute(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = one_line_usage_error(capsys, "gram", "--kind", "nelson", "--family", "bumps:2", "--grid", "0:1e300:1e299")
+        assert "float range" in err
+        err = one_line_usage_error(capsys, "gram", "--kind", "os", "--family", "possupport:3", "--grid", "0:1e5:0.5")
+        assert "at most" in err
 
 
 # -- suite ----------------------------------------------------------------------------------

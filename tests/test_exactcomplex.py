@@ -73,3 +73,105 @@ def test_to_complex():
 def test_immutability():
     with pytest.raises(AttributeError):
         I.re = Fraction(1)
+
+
+def test_constructor_takes_what_fraction_takes():
+    z = ComplexRational(Fraction(6, 4), "-2/6")
+    assert (z.re, z.im) == (Fraction(3, 2), Fraction(-1, 3))
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert ComplexRational(0.5, 0.25) == ComplexRational(Fraction(1, 2), Fraction(1, 4))
+
+
+# -- properties against a reference pair of Fractions ------------------------------
+
+
+def _pairs():
+    """(re, im) Fraction pairs, integral ones included."""
+    st = pytest.importorskip("hypothesis.strategies")
+    parts = st.fractions(max_denominator=10**6) | st.integers(-(10**9), 10**9).map(Fraction)
+    return st.tuples(parts, parts)
+
+
+def _from(pair) -> ComplexRational:
+    return ComplexRational(*pair)
+
+
+def _ref_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _ref_str(re: Fraction, im: Fraction) -> str:
+    """The serialization of the two-Fraction representation, kept as the reference."""
+    if im == 0:
+        return str(re)
+    imag = f"{abs(im)} i" if abs(im) != 1 else "i"
+    if re == 0:
+        return imag if im > 0 else "-" + imag
+    sign = "+" if im > 0 else "-"
+    return f"{re}{sign}{imag}"
+
+
+def test_field_axioms_match_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.given(_pairs(), _pairs(), _pairs())
+    def check(a, b, c):
+        x, y, z = _from(a), _from(b), _from(c)
+        assert x + y == _from((a[0] + b[0], a[1] + b[1])) == y + x
+        assert x - y == _from((a[0] - b[0], a[1] - b[1]))
+        assert x * y == _from(_ref_mul(a, b)) == y * x
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + ZERO == x and x * ONE == x and x + (-x) == ZERO
+        assert (x.re, x.im) == a
+        if x:
+            assert x * (ONE / x) == ONE
+
+    check()
+
+
+def test_division_matches_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.given(_pairs(), _pairs())
+    def check(a, b):
+        hypothesis.assume(b != (0, 0))
+        x, y = _from(a), _from(b)
+        norm = b[0] * b[0] + b[1] * b[1]
+        expected = ((a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm)
+        assert x / y == _from(expected)
+        assert (x / y) * y == x
+
+    check()
+
+
+def test_str_matches_reference_and_round_trips():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.given(_pairs())
+    def check(a):
+        x = _from(a)
+        assert str(x) == _ref_str(*a)
+        assert parse_complex_rational(str(x)) == x
+        assert repr(x) == f"ComplexRational('{x}')"
+
+    check()
+
+
+def test_eq_and_hash_consistent():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.given(_pairs(), _pairs())
+    def check(a, b):
+        x, y = _from(a), _from(b)
+        assert (x == y) == (a == b)
+        twin = ComplexRational(Fraction(a[0].numerator * 3, a[0].denominator * 3), a[1])
+        assert twin == x and hash(twin) == hash(x)
+        real = ComplexRational(a[0])
+        assert real == a[0] and hash(real) == hash(a[0])
+        integral = ComplexRational(a[0].numerator)
+        assert integral == a[0].numerator and hash(integral) == hash(a[0].numerator)
+        assert (x == a[0]) == (a[1] == 0)
+
+    check()

@@ -1,6 +1,7 @@
 """Exact checks of the symbolic algebra, the indefinite state, and its modular maps."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -246,6 +247,18 @@ def test_wick_vs_normal_order_random_words(c):
         length = int(rng.integers(1, 9))
         word = [Generator(int(g)) for g in rng.integers(0, 4, length)]
         assert wick_value(word, table) == omega(normal_order(word), table)
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(2, 7)])
+def test_moment_engine_matches_wick_value(c):
+    table = CovarianceTable(c)
+    for key in itertools.product(range(5), repeat=4):
+        if sum(key) <= 10:
+            word = [g for g, exp in zip(Generator, key) for _ in range(exp)]
+            assert table.moment(key) == wick_value(word, table), key
+    # the filled memo stays out of equality, hashing and repr
+    assert table == CovarianceTable(c) and hash(table) == hash(CovarianceTable(c))
+    assert repr(table) == repr(CovarianceTable(c))
 
 
 def test_moments_diagonal_closed_form():
