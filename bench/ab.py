@@ -1,0 +1,185 @@
+"""Paired timing of one benchmark workload: a base revision against the working tree.
+
+    python3 bench/ab.py --workload nelson [--base HEAD] [--pairs 10]
+
+Run from anywhere inside a checkout.  The base revision is exported with
+``git archive`` into a temporary directory; the working tree is used as it
+stands, uncommitted edits included.  Each pair runs
+``perfbench/run.py --workload W --seconds 0`` (one untraced pass in a fresh
+interpreter, at perfbench's default seed) once on each side, the base first in
+even pairs and the working tree first in odd ones, so a drift in machine speed
+falls on both sides alike.
+
+Per run it records the pass's ``wall_s``, ``setup_s``, ``peak_rss_mb``, digest
+and ``source_sha256`` (the hash of the ccrlab sources that run imported, from
+run.py's own stamp), and the CPU seconds of the child processes (``getrusage``
+of the waited-for children, before and after).  ``BENCH_<workload>.json`` at
+the root of the checkout holds every run, each side's median and quartiles and
+source hashes, the median ratio of paired ``wall_s`` (working tree over base),
+the wins of the working tree, both digests, the host part of perfbench's
+environment stamp, and whether a gain may be claimed: wins in at least nine
+tenths of the pairs and a median gap larger than the base's interquartile
+range.  The script changes no machine setting and writes nothing but that file
+and perfbench's own gitignored results.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+from perfbench.run import DEFAULT_SEED, WORKLOADS, environment_stamp  # noqa: E402
+
+METRICS = ("wall_s", "setup_s", "peak_rss_mb", "cpu_s")
+RUN_TIMEOUT_S = 600.0
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: quartiles need two runs a side")
+    return args
+
+
+def export_revision(revision: str, target: str) -> str:
+    """Write the tree of a git revision into target and return its full commit id."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{revision}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    archive = os.path.join(target, "tree.tar")
+    subprocess.run(["git", "archive", "--output", archive, commit], cwd=ROOT, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(os.path.join(target, "tree"), filter="data")
+    os.remove(archive)
+    return commit
+
+
+def run_once(root: str, workload: str) -> dict:
+    """One pass of the workload in the checkout at root."""
+    command = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload]
+    command += ["--seed", str(DEFAULT_SEED), "--seconds", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(command, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{workload} in {root} exited with {proc.returncode}:\n{proc.stderr[-4000:]}")
+    summary, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+    values = summary["pass_values"]
+    return {
+        "wall_s": values["wall_s"][0],
+        "setup_s": values["setup_s"][0],
+        "peak_rss_mb": values["peak_rss_mb"][0],
+        "cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
+        "digest": summary["digest"],
+        "source_sha256": summary["stamp"]["source_sha256"],
+        "correct": result["correct"],
+    }
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict]) -> dict:
+    sides = {}
+    for side in ("base", "change"):
+        runs = [pair[side] for pair in pairs]
+        sides[side] = {metric: spread([run[metric] for run in runs]) for metric in METRICS}
+        sides[side]["digests"] = sorted({run["digest"] for run in runs})
+        sides[side]["source_sha256"] = sorted({run["source_sha256"] for run in runs})
+        sides[side]["all_correct"] = all(run["correct"] for run in runs)
+    ratios = [pair["change"]["wall_s"] / pair["base"]["wall_s"] for pair in pairs]
+    wins = sum(pair["change"]["wall_s"] < pair["base"]["wall_s"] for pair in pairs)
+    base_wall, change_wall = sides["base"]["wall_s"], sides["change"]["wall_s"]
+    gap = base_wall["median"] - change_wall["median"]
+    iqr = base_wall["q3"] - base_wall["q1"]
+    return {
+        "sides": sides,
+        "wall_s_ratio_median": statistics.median(ratios),
+        "wins": wins,
+        "pairs": len(pairs),
+        "digests_equal": sides["base"]["digests"] == sides["change"]["digests"],
+        "gain_rule": {
+            "wins_needed": math.ceil(0.9 * len(pairs)),
+            "median_gap_s": gap,
+            "base_iqr_s": iqr,
+            "holds": wins >= math.ceil(0.9 * len(pairs)) and gap > iqr,
+        },
+    }
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    out = os.path.join(ROOT, f"BENCH_{args.workload}.json")
+    with tempfile.TemporaryDirectory(prefix="ab-base-") as workdir:
+        try:
+            base_commit = export_revision(args.base, workdir)
+        except subprocess.CalledProcessError as err:
+            print(f"cannot export revision {args.base!r}: {err}", file=sys.stderr)
+            return 2
+        roots = {"base": os.path.join(workdir, "tree"), "change": ROOT}
+        pairs = []
+        for index in range(args.pairs):
+            order = ("base", "change") if index % 2 == 0 else ("change", "base")
+            try:
+                pair = {side: run_once(roots[side], args.workload) for side in order}
+            except (RuntimeError, subprocess.TimeoutExpired, ValueError) as err:
+                print(f"pair {index} failed: {err}", file=sys.stderr)
+                return 1
+            pair["first"] = order[0]
+            pairs.append(pair)
+            print(
+                f"pair {index}: base {pair['base']['wall_s']:.3f} s, change {pair['change']['wall_s']:.3f} s",
+                file=sys.stderr,
+            )
+    # the sources of each side are in its runs; this stamp describes only the host
+    host = {k: v for k, v in environment_stamp(DEFAULT_SEED).items() if k not in ("git_commit", "source_sha256")}
+    report = {
+        "workload": args.workload,
+        "seed": DEFAULT_SEED,
+        "base": {"revision": args.base, "commit": base_commit},
+        "change": "working tree",
+        "host": host,
+        **summarize(pairs),
+        "runs": pairs,
+    }
+    with open(out, "w") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")
+    rule = report["gain_rule"]
+    print(
+        json.dumps(
+            {
+                "workload": args.workload,
+                "wall_s_base": report["sides"]["base"]["wall_s"],
+                "wall_s_change": report["sides"]["change"]["wall_s"],
+                "ratio_median": report["wall_s_ratio_median"],
+                "wins": f"{report['wins']}/{report['pairs']}",
+                "digests_equal": report["digests_equal"],
+                "gain_rule_holds": rule["holds"],
+                "out": out,
+            }
+        )
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

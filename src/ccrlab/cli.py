@@ -109,10 +109,17 @@ def _run_moments(args) -> tuple[dict, bool]:
         value_float = [float(value.re), float(value.im)]
     except OverflowError:  # past the float range only the exact value is reported
         value_float = None
+    try:
+        value_text = str(value)
+    except ValueError:  # str(int) refuses past the interpreter's digit limit
+        raise UsageError(
+            f"the exact value has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for printing an integer"
+        ) from None
     results = [
         {
             "name": "omega",
-            "value": str(value),
+            "value": value_text,
             "value_float": value_float,
             "provenance": "exact-symbolic",
         },
@@ -239,7 +246,10 @@ def _gram_results(args) -> list[dict]:
     except ValueError as err:
         raise UsageError(str(err)) from None
     if args.kind == "markov":
-        diagnostics = ne.markov_diagnostics(grid, n_per_side, seed=args.seed)
+        try:
+            diagnostics = ne.markov_diagnostics(grid, n_per_side, seed=args.seed)
+        except ne.MarkovSetupError as err:
+            raise UsageError(str(err)) from None
         return [
             {"name": name, "value": value, "provenance": "analytic"}
             for name, value in diagnostics.items()

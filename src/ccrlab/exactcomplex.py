@@ -30,6 +30,9 @@ class ComplexRational:
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
 
+    def __reduce__(self):
+        return _make, (self._x, self._y, self._d)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._x, self._d)

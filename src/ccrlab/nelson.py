@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,10 @@ class SupportError(ValueError):
 
 class DegenerateGramError(ValueError):
     """Raised when a projection basis has a (numerically) degenerate Gram."""
+
+
+class MarkovSetupError(ValueError):
+    """Raised when a grid or per-side count cannot carry the Markov projections."""
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,22 @@ class Grid:
             return idx
         return None
 
+    @cached_property
+    def gap_tails(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per side of 0: h times the square roots of the Brownian gaps, and the
+        indices of the grid points that end them in reverse gap order (read-only).
+
+        Computed once per grid; not a field, so eq, hash and repr ignore it.
+        """
+        sides = []
+        for sq, last in brownian_gaps(self.points):
+            on = np.flatnonzero(last >= 0)
+            ends = on[np.argsort(last[on])][::-1].copy()  # grid points are distinct: one ends each gap
+            scaled = self.step * sq
+            scaled.flags.writeable = ends.flags.writeable = False
+            sides.append((scaled, ends))
+        return tuple(sides)
+
 
 def metric_matrix(grid: Grid) -> np.ndarray:
     """Dense coordinate metric over (grid values, a, b): the reference for the factored product."""
@@ -108,23 +129,27 @@ def _product(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     W_u^H W_v - (A_u^* B_v + B_u^* A_v)/2: W holds the grid part's tail sums over
     the Brownian gaps, A = a + h sum f and B = b + h sum |t| f the d0 and w content.
     """
-    w_left, a_left, b_left = _factors(grid, left)
-    w_right, a_right, b_right = _factors(grid, right)
-    singular = np.outer(a_left.conj(), b_right) + np.outer(b_left.conj(), a_right)
-    return w_left.conj() @ w_right.T - singular / 2.0
+    return _paired(_conj(_factors(grid, left)), _factors(grid, right))
+
+
+def _paired(left_conj, right) -> np.ndarray:
+    """The products from conjugated left factors and right factors (W, A, B)."""
+    w_left, a_left, b_left = left_conj
+    w_right, a_right, b_right = right
+    singular = np.outer(a_left, b_right) + np.outer(b_left, a_right)
+    return w_left @ w_right.T - singular / 2.0
+
+
+def _conj(factors):
+    return tuple(f.conj() for f in factors)
 
 
 def _factors(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     h = grid.step
-    pts = grid.points
     values = rows[:, :-2]
-    tails = []
-    for sq, last in brownian_gaps(pts):
-        on = np.flatnonzero(last >= 0)
-        ends = on[np.argsort(last[on])]  # grid points are distinct: one ends each gap
-        tails.append(h * sq * np.cumsum(values[:, ends[::-1]], axis=1)[:, ::-1])
+    tails = [scaled * np.cumsum(values[:, ends], axis=1)[:, ::-1] for scaled, ends in grid.gap_tails]
     a = rows[:, -2] + h * values.sum(axis=1)
-    b = rows[:, -1] + h * (np.abs(pts) * values).sum(axis=1)
+    b = rows[:, -1] + h * (np.abs(grid.points) * values).sum(axis=1)
     return np.concatenate(tails, axis=1), a, b
 
 
@@ -250,25 +275,44 @@ def signature_of(family: list[ExtendedVector]) -> GramMatrix:
     """Gram matrix and eigen-signature of a finite family."""
     if not family:
         return GramMatrix(entries=np.zeros((0, 0), dtype=complex), signature=(0, 0, 0))
-    coords = _stack(family)
-    entries = _product(family[0].grid, coords, coords)
+    factors = _factors(family[0].grid, _stack(family))
+    entries = _paired(_conj(factors), factors)
     signature, eigenvalues = gram_signature(entries)
     return GramMatrix(entries=entries, signature=signature, eigenvalues=eigenvalues)
 
 
+class Projector:
+    """Indefinite-orthogonal projection onto the span of a nondegenerate basis.
+
+    The basis is stacked and factored, and its Gram checked, once; a call
+    factors only the projected vector and solves the k x k system.
+    """
+
+    def __init__(self, basis: list[ExtendedVector]):
+        if not basis:
+            raise DegenerateGramError("empty projection basis")
+        self._coords = _stack(basis)
+        self._member = basis[0]
+        self._factors = _factors(self._member.grid, self._coords)
+        self._conj = _conj(self._factors)
+        cond = np.linalg.cond(_paired(self._conj, self._factors))
+        if not np.isfinite(cond) or cond > PROJECTION_CONDITION_LIMIT:
+            raise DegenerateGramError(f"projection Gram is degenerate (cond {cond:.3e})")
+
+    def __call__(self, u: ExtendedVector) -> ExtendedVector:
+        self._member._check(u)
+        # one k x (k+1) block of products with (basis, u), not a stored k x k Gram:
+        # solve then sees the same bits as on the unfactored route
+        right = zip(self._factors, _factors(u.grid, u.coords()[None]))
+        products = _paired(self._conj, [np.concatenate(pair) for pair in right])
+        gram, moments = products[:, :-1], products[:, -1]
+        out = np.linalg.solve(gram, moments) @ self._coords
+        return ExtendedVector(u.grid, out[:-2], out[-2], out[-1])
+
+
 def project_onto(basis: list[ExtendedVector], u: ExtendedVector) -> ExtendedVector:
     """Indefinite-orthogonal projection onto the span of a nondegenerate basis."""
-    if not basis:
-        raise DegenerateGramError("empty projection basis")
-    coords = _stack(basis)
-    basis[0]._check(u)
-    products = _product(u.grid, coords, np.vstack((coords, u.coords())))
-    gram, moments = products[:, :-1], products[:, -1]
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > PROJECTION_CONDITION_LIMIT:
-        raise DegenerateGramError(f"projection Gram is degenerate (cond {cond:.3e})")
-    out = np.linalg.solve(gram, moments) @ coords
-    return ExtendedVector(u.grid, out[:-2], out[-2], out[-1])
+    return Projector(basis)(u)
 
 
 # -- Osterwalder-Schrader sector ---------------------------------------------------
@@ -347,10 +391,12 @@ def _side_basis(grid: Grid, side: int, n_per_side: int) -> list[ExtendedVector]:
     pts = grid.points
     chosen = pts[pts * side > GRID_POINT_TOL]
     if chosen.size == 0:
-        raise ValueError("grid has no points on the requested side")
+        raise MarkovSetupError("grid has no points on the requested side")
     if n_per_side < chosen.size:
         picks = np.unique(np.linspace(0, chosen.size - 1, n_per_side).round().astype(int))
         chosen = chosen[picks]
+    if chosen.size + 2 > FAMILY_LIMIT:
+        raise MarkovSetupError(f"family size limited to {FAMILY_LIMIT}")
     return [delta_zero(grid)] + [point_mass(grid, float(t)) for t in chosen] + [w_vector(grid)]
 
 
@@ -382,21 +428,13 @@ def markov_diagnostics(grid: Grid, n_per_side: int, alpha: float = 1.0, seed: in
     the positive product at scale alpha.
     """
     if n_per_side < 2:
-        raise ValueError("need at least two points per side")
+        raise MarkovSetupError("need at least two points per side")
     if not grid.is_symmetric():
-        raise ValueError("Markov projections need a symmetric grid containing 0")
-    plus_basis = _side_basis(grid, +1, n_per_side)
-    minus_basis = _side_basis(grid, -1, n_per_side)
+        raise MarkovSetupError("Markov projections need a symmetric grid containing 0")
+    e_plus = Projector(_side_basis(grid, +1, n_per_side))
+    e_minus = Projector(_side_basis(grid, -1, n_per_side))
     v_basis = [delta_zero(grid), w_vector(grid)]
-
-    def e_plus(u):
-        return project_onto(plus_basis, u)
-
-    def e_minus(u):
-        return project_onto(minus_basis, u)
-
-    def e_zero(u):
-        return project_onto(v_basis, u)
+    e_zero = Projector(v_basis)
 
     markov = 0.0
     idempotence = 0.0

@@ -3,11 +3,13 @@
 import json
 import math
 import pathlib
+import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from ccrlab import acceptance, cli
+from ccrlab import acceptance, cli, nelson
 from ccrlab.acceptance import CriterionResult
 from ccrlab.cli import main
 
@@ -68,6 +70,11 @@ def test_moments_high_degree_is_exact(capsys):
     row = last_json(out)["results"][0]
     assert int(row["value"]) == math.prod(range(1, 2000, 2))  # 1999!!
     assert row["value_float"] is None  # past the float range
+
+
+def test_moments_past_the_digit_limit_is_usage_error(capsys):
+    err = one_line_usage_error(capsys, "moments", "--expr", "q^3000", "--c", "1")  # 2999!! has 4455 digits
+    assert str(sys.get_int_max_str_digits()) in err
 
 
 def test_moments_deep_nesting_is_usage_error(capsys):
@@ -226,6 +233,45 @@ def test_gram_markov_residuals(capsys):
         capsys, "gram", "--kind", "markov", "--family", "bumps:3", "--grid", "-5:5:0.2"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "family, grid, message",
+    [
+        ("probes:1", "-1:1:0.5", "at least two points per side"),
+        ("probes:2", "0:1:0.5", "symmetric grid containing 0"),
+        ("probes:2", "-1:2:0.5", "symmetric grid containing 0"),
+        ("probes:500", "-1:1:0.001", "family size limited to 200"),
+        ("probes:2", "-1e-12:1e-12:1e-12", "no points on the requested side"),
+    ],
+)
+def test_gram_markov_bad_arguments_are_usage_errors(capsys, family, grid, message):
+    err = one_line_usage_error(capsys, "gram", "--kind", "markov", "--family", family, "--grid", grid)
+    assert message in err
+
+
+def test_gram_markov_degenerate_projection_exits_one(capsys):
+    code, out, err = run_cli(
+        capsys, "gram", "--kind", "markov", "--family", "probes:150", "--grid", "-1e5:1e5:100"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: projection Gram is degenerate") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [np.linalg.LinAlgError("SVD did not converge"), nelson.GridMismatchError("vectors live on different grids")],
+)
+def test_gram_markov_numeric_failures_exit_one(capsys, monkeypatch, failure):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(nelson, "markov_diagnostics", fail)
+    code, out, err = run_cli(
+        capsys, "gram", "--kind", "markov", "--family", "probes:2", "--grid", "-1:1:0.5"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {failure}\n"
 
 
 def test_suite_csv_flattens_checks(capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -73,6 +75,17 @@ def test_to_complex():
 def test_immutability():
     with pytest.raises(AttributeError):
         I.re = Fraction(1)
+
+
+@pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda z: pickle.loads(pickle.dumps(z))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_copies_and_pickles_rebuild_the_value(duplicate):
+    z = ComplexRational(1, 2)
+    twin = duplicate(z)
+    assert twin == z and hash(twin) == hash(z) and str(twin) == str(z)
+    with pytest.raises(AttributeError):
+        twin._x = 0
 
 
 def test_constructor_takes_what_fraction_takes():

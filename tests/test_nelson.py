@@ -1,17 +1,21 @@
 """Discretized indefinite euclidean space: products, metrics, projections."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from ccrlab import nelson
 from ccrlab.cli import main
-from ccrlab.montecarlo import krein_kernel
+from ccrlab.montecarlo import brownian_gaps, krein_kernel
 from ccrlab.nelson import (
+    PROJECTION_CONDITION_LIMIT,
     DegenerateGramError,
     ExtendedVector,
     Grid,
     GridMismatchError,
+    Projector,
     SupportError,
     conditional_independence_residual,
     decompose,
@@ -366,6 +370,102 @@ def test_project_neutral_direction_errors():
         project_onto([delta_zero(GRID)], point_mass(GRID, 1.0))
     with pytest.raises(DegenerateGramError):
         project_onto([], point_mass(GRID, 1.0))
+    with pytest.raises(DegenerateGramError):  # refused when built, before any vector
+        Projector([delta_zero(GRID)])
+    with pytest.raises(DegenerateGramError):
+        Projector([])
+
+
+# -- factored once: the per-call route as the bit-for-bit reference ----------------------------
+
+
+def per_call_factors(grid, rows):
+    """_factors as it was before the grid kept its gaps: brownian_gaps on every call."""
+    h = grid.step
+    pts = grid.points
+    values = rows[:, :-2]
+    tails = []
+    for sq, last in brownian_gaps(pts):
+        on = np.flatnonzero(last >= 0)
+        ends = on[np.argsort(last[on])]
+        tails.append(h * sq * np.cumsum(values[:, ends[::-1]], axis=1)[:, ::-1])
+    a = rows[:, -2] + h * values.sum(axis=1)
+    b = rows[:, -1] + h * (np.abs(pts) * values).sum(axis=1)
+    return np.concatenate(tails, axis=1), a, b
+
+
+def per_call_project(basis, u):
+    """Restack the basis, factor (basis, u), check the Gram's cond, solve: every call."""
+    coords = np.stack([v.coords() for v in basis])
+    w_left, a_left, b_left = per_call_factors(u.grid, coords)
+    w_right, a_right, b_right = per_call_factors(u.grid, np.vstack((coords, u.coords())))
+    singular = np.outer(a_left.conj(), b_right) + np.outer(b_left.conj(), a_right)
+    products = w_left.conj() @ w_right.T - singular / 2.0
+    gram, moments = products[:, :-1], products[:, -1]
+    cond = np.linalg.cond(gram)
+    assert np.isfinite(cond) and cond <= PROJECTION_CONDITION_LIMIT
+    return np.linalg.solve(gram, moments) @ coords
+
+
+@pytest.mark.parametrize("spec, per_side", [("-5:5:0.2", 25), ("-5:5:0.05", 50)])
+def test_projector_matches_per_call_route_bit_for_bit(spec, per_side):
+    grid = Grid.parse(spec)
+    bases = [
+        nelson._side_basis(grid, +1, per_side),
+        nelson._side_basis(grid, -1, per_side),
+        [delta_zero(grid), w_vector(grid)],
+    ]
+    probes = nelson._probe_set(grid, 11)
+    for basis in bases:
+        project = Projector(basis)
+        for u in probes:
+            assert np.array_equal(project(u).coords(), per_call_project(basis, u))
+            assert np.array_equal(project_onto(basis, u).coords(), per_call_project(basis, u))
+
+
+@pytest.mark.parametrize("spec", ["-3:-1:0.25", "-5:-0.5:0.1", "1:3:0.5", "0.3:2.3:0.2", "-1.05:2.95:0.1", "-5:5:0.1"])
+def test_cached_gaps_give_the_per_call_factors_bit_for_bit(spec):
+    grid = Grid.parse(spec)
+    rng = np.random.default_rng(17)
+    rows = rng.standard_normal((6, grid.n + 2)) + 1j * rng.standard_normal((6, grid.n + 2))
+    for _ in range(2):  # the second call reads the filled cache
+        for got, want in zip(nelson._factors(grid, rows), per_call_factors(grid, rows)):
+            assert np.array_equal(got, want), spec
+
+
+def test_projector_checks_the_grid():
+    project = Projector([delta_zero(GRID), w_vector(GRID)])
+    with pytest.raises(GridMismatchError):
+        project(point_mass(Grid.parse("-1:1:0.5"), 0.5))
+
+
+def test_cached_gaps_are_read_only_and_outside_eq_and_hash():
+    filled, empty = Grid.parse("-2:2:0.5"), Grid.parse("-2:2:0.5")
+    for scaled, ends in filled.gap_tails:
+        with pytest.raises(ValueError):
+            scaled[0] = 1.0
+        with pytest.raises(ValueError):
+            ends[0] = 0
+    assert "gap_tails" in vars(filled) and "gap_tails" not in vars(empty)
+    assert filled == empty and hash(filled) == hash(empty) and repr(filled) == repr(empty)
+
+
+def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
+    counts = {"brownian_gaps": 0, "_stack": 0}
+
+    def counted(name):
+        original = getattr(nelson, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(nelson, name, counted(name))
+    markov_diagnostics(Grid.parse("-5:5:0.2"), 25)
+    assert counts == {"brownian_gaps": 1, "_stack": 3}
 
 
 # -- Markov identity ----------------------------------------------------------------------------
@@ -518,6 +618,53 @@ def test_factored_product_matches_dense_metric():
         dense = coords.conj() @ metric @ coords.T
         entries = signature_of(vectors).entries
         assert np.abs(entries - dense).max() <= 1e-13 * np.abs(dense).max(), spec
+
+
+def test_factored_product_matches_dense_metric_on_random_grids():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficient = st.builds(
+        lambda modulus, phase: modulus * complex(math.cos(phase), math.sin(phase)),
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 2 * math.pi),
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        n=st.integers(2, 60),
+        start=st.floats(-10.0, 10.0),
+        step=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        a=st.one_of(st.just(0j), coefficient),
+        b=st.one_of(st.just(0j), coefficient),
+    )
+    def check(n, start, step, seed, a, b):
+        grid = Grid(start=start, step=step, n=n)
+        rng = np.random.default_rng(seed)
+        coords = np.stack(
+            [
+                ExtendedVector(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n), a=a, b=b).coords(),
+                ExtendedVector(grid, rng.standard_normal(n), a=b, b=a).coords(),
+            ]
+        )
+        dense = coords.conj() @ metric_matrix(grid) @ coords.T
+        factored = nelson._product(grid, coords, coords)
+        # the Brownian and |t| parts are of size |start| + span and cancel down to
+        # the span's size, so the factored form keeps 1e-12 only relative to them
+        span = step * (n - 1)
+        cancellation = (abs(start) + span) / span
+        assert np.abs(factored - dense).max() <= 1e-12 * cancellation * np.abs(dense).max()
+
+    check()
+
+
+@pytest.mark.xfail(strict=True, reason="the factored product cancels on grids far from 0 against their span")
+def test_factored_product_keeps_relative_accuracy_far_from_zero():
+    grid = Grid(start=10.0, step=0.001, n=2)
+    coords = ExtendedVector(grid, np.ones(2)).coords()[None, :]
+    dense = coords @ metric_matrix(grid) @ coords.T
+    factored = nelson._product(grid, coords, coords)
+    assert np.abs(factored - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_gram_cli_on_a_large_grid(capsys):
