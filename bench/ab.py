@@ -1,26 +1,30 @@
 """Paired timing of one benchmark workload: a base revision against the working tree.
 
-    python3 bench/ab.py --workload nelson [--base HEAD] [--pairs 10]
+    python3 bench/ab.py --workload nelson [--base HEAD] [--pairs 10] [--seed N]
 
 Run from anywhere inside a checkout.  The base revision is exported with
 ``git archive`` into a temporary directory; the working tree is used as it
 stands, uncommitted edits included.  Each pair runs
 ``perfbench/run.py --workload W --seconds 0`` (one untraced pass in a fresh
-interpreter, at perfbench's default seed) once on each side, the base first in
-even pairs and the working tree first in odd ones, so a drift in machine speed
-falls on both sides alike.
+interpreter, at the workload seed ``--seed``, perfbench's default unless given)
+once on each side, the base first in even pairs and the working tree first in
+odd ones, so a drift in machine speed falls on both sides alike.  A claim made
+at the default seed can be checked again at a seed not used while writing the
+change.
 
 Per run it records the pass's ``wall_s``, ``setup_s``, ``peak_rss_mb``, digest
 and ``source_sha256`` (the hash of the ccrlab sources that run imported, from
 run.py's own stamp), and the CPU seconds of the child processes (``getrusage``
 of the waited-for children, before and after).  ``BENCH_<workload>.json`` at
 the root of the checkout holds every run, each side's median and quartiles and
-source hashes, the median ratio of paired ``wall_s`` (working tree over base),
-the wins of the working tree, both digests, the host part of perfbench's
-environment stamp, and whether a gain may be claimed: wins in at least nine
-tenths of the pairs and a median gap larger than the base's interquartile
-range.  The script changes no machine setting and writes nothing but that file
-and perfbench's own gitignored results.
+source hashes, the median ratio of paired ``wall_s`` (working tree over base)
+with a 95% bootstrap interval (pairs resampled with a fixed seed, so the
+interval is reproducible from the runs in the file), the wins of the working
+tree, both digests, the host part of perfbench's environment stamp, and
+whether a gain may be claimed: wins in at least nine tenths of the pairs and a
+median gap larger than the base's interquartile range.  The script changes no
+machine setting and writes nothing but that file and perfbench's own
+gitignored results.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import argparse
 import json
 import math
 import os
+import random
 import resource
 import statistics
 import subprocess
@@ -43,6 +48,8 @@ from perfbench.run import DEFAULT_SEED, WORKLOADS, environment_stamp  # noqa: E4
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "cpu_s")
 RUN_TIMEOUT_S = 600.0
+BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 20131104
 
 
 def parse_args(argv):
@@ -50,9 +57,12 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"workload seed (default {DEFAULT_SEED})")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2: quartiles need two runs a side")
+    if args.seed < 0:
+        parser.error("--seed must be nonnegative")
     return args
 
 
@@ -70,10 +80,10 @@ def export_revision(revision: str, target: str) -> str:
     return commit
 
 
-def run_once(root: str, workload: str) -> dict:
+def run_once(root: str, workload: str, seed: int) -> dict:
     """One pass of the workload in the checkout at root."""
     command = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload]
-    command += ["--seed", str(DEFAULT_SEED), "--seconds", "0"]
+    command += ["--seed", str(seed), "--seconds", "0"]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(command, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -97,6 +107,16 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def bootstrap_median_ci(ratios: list[float], level: float = 0.95) -> list[float]:
+    """Percentile bootstrap interval of the median of ratios, from a fixed seed."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(
+        statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(BOOTSTRAP_RESAMPLES)
+    )
+    tail = (1.0 - level) / 2.0
+    return [medians[int(tail * BOOTSTRAP_RESAMPLES)], medians[math.ceil((1.0 - tail) * BOOTSTRAP_RESAMPLES) - 1]]
+
+
 def summarize(pairs: list[dict]) -> dict:
     sides = {}
     for side in ("base", "change"):
@@ -113,6 +133,8 @@ def summarize(pairs: list[dict]) -> dict:
     return {
         "sides": sides,
         "wall_s_ratio_median": statistics.median(ratios),
+        "wall_s_ratio_ci95": bootstrap_median_ci(ratios),
+        "bootstrap": {"resamples": BOOTSTRAP_RESAMPLES, "seed": BOOTSTRAP_SEED, "method": "percentile, pairs resampled"},
         "wins": wins,
         "pairs": len(pairs),
         "digests_equal": sides["base"]["digests"] == sides["change"]["digests"],
@@ -139,7 +161,7 @@ def main(argv=None) -> int:
         for index in range(args.pairs):
             order = ("base", "change") if index % 2 == 0 else ("change", "base")
             try:
-                pair = {side: run_once(roots[side], args.workload) for side in order}
+                pair = {side: run_once(roots[side], args.workload, args.seed) for side in order}
             except (RuntimeError, subprocess.TimeoutExpired, ValueError) as err:
                 print(f"pair {index} failed: {err}", file=sys.stderr)
                 return 1
@@ -150,10 +172,10 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
     # the sources of each side are in its runs; this stamp describes only the host
-    host = {k: v for k, v in environment_stamp(DEFAULT_SEED).items() if k not in ("git_commit", "source_sha256")}
+    host = {k: v for k, v in environment_stamp(args.seed).items() if k not in ("git_commit", "source_sha256")}
     report = {
         "workload": args.workload,
-        "seed": DEFAULT_SEED,
+        "seed": args.seed,
         "base": {"revision": args.base, "commit": base_commit},
         "change": "working tree",
         "host": host,
@@ -171,6 +193,7 @@ def main(argv=None) -> int:
                 "wall_s_base": report["sides"]["base"]["wall_s"],
                 "wall_s_change": report["sides"]["change"]["wall_s"],
                 "ratio_median": report["wall_s_ratio_median"],
+                "ratio_ci95": report["wall_s_ratio_ci95"],
                 "wins": f"{report['wins']}/{report['pairs']}",
                 "digests_equal": report["digests_equal"],
                 "gain_rule_holds": rule["holds"],

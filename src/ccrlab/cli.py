@@ -28,6 +28,9 @@ SCHEMA_VERSION = "ccrlab.report.v1"
 MC_MODES = ("indefinite", "krein", "weyl", "characteristic")
 # Largest grid `gram --kind os` takes: os_rank's quadrature kernel is a dense n x n matrix.
 OS_GRID_LIMIT = 2001
+# Most `mc --taus` takes: the path transform is dense n x n, and each sampling
+# worker holds an (n + 6) x BLOCK float buffer (about 130 MB at this limit).
+MC_TAUS_LIMIT = 1000
 
 
 class UsageError(ValueError):
@@ -139,6 +142,8 @@ def _run_mc(args) -> tuple[dict, bool]:
     except ValueError as err:
         raise UsageError(str(err)) from None
     taus = _float_list(args.taus) if args.taus else []
+    if len(taus) > MC_TAUS_LIMIT:
+        raise UsageError(f"--taus takes at most {MC_TAUS_LIMIT} points, got {len(taus)}")
     inputs = {
         "mode": args.mode,
         "taus": taus,

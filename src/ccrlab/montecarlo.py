@@ -15,14 +15,20 @@ whose kernel carries a rank-one positive correction (the Krein variant).
 
 Sampling is deterministic: sample i is produced by the counter-based
 substream keyed (seed, i // BLOCK), so the estimate depends only on the seed
-and sample count.  The chunk size of :class:`McConfig` only batches the
-reduction, which is compensated; regrouping changes results at roundoff
-level.
+and sample count.  A block draws only the prefix of its substream that it
+reads.  Blocks run on one worker per CPU (the calling thread and a thread
+for each other CPU), each making BLAS calls small enough to stay on its own
+thread, and the calling thread adds their sums in block order, so the
+estimate does not depend on the number of CPUs or workers.  The chunk size
+of :class:`McConfig` only batches the reduction, which is compensated;
+regrouping changes results at roundoff level.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +38,9 @@ from .weyl import to_label_fraction
 
 BLOCK = 16384
 PAIR_MOMENT_LIMIT = 20
+# OpenBLAS's single-thread size for a gemm (m*n*k), and the widest path-product tile.
+BLAS_LOCAL_MNK = 4 * 65536
+TILE_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -170,33 +179,147 @@ class _NeumaierSum:
         return self._sum + self._comp
 
 
-def _estimate(taus, cfg: McConfig, integrand) -> tuple[McEstimate, McEstimate]:
+def _cpu_count() -> int:
+    """CPUs this process may run on; the sampler starts at most one worker per CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _tile_columns(n_taus: int, n_bm: int) -> int:
+    """Columns per path-product tile: a multiple of 64 up to TILE_LIMIT.
+
+    OpenBLAS runs a gemm of m*n*k <= BLAS_LOCAL_MNK on the calling thread; a
+    larger one may go to its shared thread pool, which serializes the workers.
+    The tiles start at multiples of 64 columns, so the BLAS and numpy kernels
+    give every column the same bits as in one whole-block call.
+    """
+    fit = BLAS_LOCAL_MNK // max(n_taus * n_bm, 1)
+    return max(64, min(TILE_LIMIT, fit // 64 * 64))
+
+
+def _run_blocks(blocks: int, seed: int, work, size: int, consume) -> None:
+    """consume(work(block, substream(seed, block), buffer)) for each block, on one worker per CPU.
+
+    work runs on the workers: the calling thread and a thread for each other
+    CPU, each with its own scratch buffer of ``size`` floats.  The calling
+    thread makes every substream, in block order, and queues it for the
+    threads (up to two blocks per thread), or works the block itself while
+    the queue is full; it consumes the results in block order as they come.
+    The threads run under the caller's numpy error state.  An exception
+    raised by work is re-raised here once every thread has joined; when
+    several blocks fail, the lowest one's, as in a serial loop.
+    """
+    workers = min(_cpu_count(), blocks)
+    own, *buffers = (np.empty(size) for _ in range(workers))
+    if not buffers:
+        for block in range(blocks):
+            consume(work(block, substream(seed, block), own))
+        return
+    import queue  # here: one-block calls, and importing ccrlab, need no queue
+
+    finished = {}
+    errors = {}
+    consumed = 0
+    tasks = queue.Queue(maxsize=2 * (workers - 1))
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def run(block, generator, buffer):
+        try:
+            finished[block] = work(block, generator, buffer)
+        except BaseException as err:  # re-raised on the calling thread
+            errors[block] = err
+
+    def thread_main(buffer):
+        with np.errstate(**errstate):
+            while (task := tasks.get()) is not None:
+                run(*task, buffer)
+
+    def consume_ready():
+        nonlocal consumed
+        while consumed in finished:
+            consume(finished.pop(consumed))
+            consumed += 1
+
+    threads = [threading.Thread(target=thread_main, args=(buffer,)) for buffer in buffers]
+    for thread in threads:
+        thread.start()
+    try:
+        for block in range(blocks):
+            if errors:  # every block below a failed one is already queued or done
+                break
+            task = (block, substream(seed, block))
+            try:
+                tasks.put_nowait(task)
+            except queue.Full:
+                run(*task, own)
+            consume_ready()
+    finally:
+        for _ in threads:
+            tasks.put(None)
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    consume_ready()
+
+
+def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEstimate, McEstimate]:
     """Real and imaginary estimates of E[integrand(paths, z1, z2)].
 
-    Each block of samples draws (n_bm + 2, BLOCK) normals from its substream:
-    the path rows give ``paths`` (one row per tau, one column per sample) and
-    the last two rows give z1 and z2.  The integrand returns one real or
-    complex value per sample; sums of the values and their squares are
-    reduced in chunks of cfg.chunk samples into a compensated accumulator.
+    Block b holds samples [b BLOCK, (b + 1) BLOCK) and reads the (rows, BLOCK)
+    normals of substream (seed, b) in row-major order: n_bm path rows, which
+    give ``paths`` (one row per tau, one column per sample), then z1 and z2.
+    It draws only the prefix it reads, (rows - 1) BLOCK + take normals, and
+    with ``uses_z=False`` it drops the z rows and calls integrand(paths).  The
+    integrand returns one real or complex value per sample; the path product
+    and the integrand run in column tiles (see _tile_columns), which leave
+    every value bit-identical to whole-block products.
+
+    Blocks run on up to one worker per CPU (_run_blocks), each with a buffer
+    for the normals and four rows of per-sample statistics (the values and
+    their squares, real and imaginary).  A block sums the statistics over its
+    segments of cfg.chunk samples (counted from sample 0), and the calling
+    thread adds the chunk sums to a compensated accumulator in block order,
+    so the estimate does not depend on the number of workers.
     """
     transform = _split_gaps(taus)
-    n_bm = transform.shape[1]
-    acc = _NeumaierSum(4)
-    partial = np.zeros(4)
-    for start in range(0, cfg.samples, BLOCK):
+    n_taus, n_bm = transform.shape
+    rows = n_bm + 2 if uses_z else n_bm
+    tile = _tile_columns(n_taus, n_bm)
+
+    def block_sums(block, generator, buffer):
+        start = block * BLOCK
         take = min(BLOCK, cfg.samples - start)
-        normals = substream(cfg.seed, start // BLOCK).standard_normal((n_bm + 2, BLOCK))[:, :take]
-        values = integrand(transform @ normals[:n_bm], 0.5 * normals[n_bm], 0.5 * normals[n_bm + 1])
-        stats = np.stack([values.real, values.imag, values.real**2, values.imag**2])
+        generator.standard_normal(out=buffer[: (rows - 1) * BLOCK + take if rows else 0])
+        normals = buffer[: rows * BLOCK].reshape(rows, BLOCK)
+        stats = buffer[rows * BLOCK :].reshape(4, BLOCK)[:, :take]
+        for lo in range(0, take, tile):
+            cols = slice(lo, min(lo + tile, take))
+            values = integrand(transform @ normals[:n_bm, cols], *(0.5 * normals[n_bm:, cols]))
+            stats[0, cols], stats[1, cols] = values.real, values.imag
+            np.square(stats[:2, cols], out=stats[2:, cols])
         # segments end where the global sample index reaches a multiple of cfg.chunk
+        sums = []
         i = 0
         while i < take:
             end = min(take, i + cfg.chunk - (start + i) % cfg.chunk)
-            partial += stats[:, i:end].sum(axis=1)
+            sums.append((start + end, stats[:, i:end].sum(axis=1)))
             i = end
-            if (start + i) % cfg.chunk == 0:
+        return sums
+
+    acc = _NeumaierSum(4)
+    partial = np.zeros(4)
+
+    def add(sums):
+        nonlocal partial
+        for stop, segment in sums:
+            partial += segment
+            if stop % cfg.chunk == 0:
                 acc.add(partial)
                 partial = np.zeros(4)
+
+    _run_blocks(-(-cfg.samples // BLOCK), cfg.seed, block_sums, (rows + 4) * BLOCK, add)
     if np.any(partial):
         acc.add(partial)
     n = cfg.samples
@@ -269,7 +392,7 @@ def mc_weyl_schwinger(alphas, taus, cfg: McConfig) -> McEstimate:
     if sum(fractions) != 0:
         return McEstimate(mean=0.0, stderr=0.0, samples=0)
     coeffs = np.array([float(a) for a in fractions])
-    real, _imag = _estimate(taus, cfg, lambda paths, z1, z2: np.exp(1j * (coeffs @ paths)))
+    real, _imag = _estimate(taus, cfg, lambda paths: np.exp(1j * (coeffs @ paths)), uses_z=False)
     return real
 
 

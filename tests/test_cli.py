@@ -163,12 +163,35 @@ def test_mc_usage_errors(capsys):
     one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--samples", "1")
 
 
-def test_mc_non_finite_estimate_is_usage_error(capsys):
+def test_mc_non_finite_estimate_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli.mc, "_cpu_count", lambda: 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        one_line_usage_error(
-            capsys, "mc", "--mode", "indefinite", "--taus", "1e300,1e300,1e300,1e300", "--samples", "100"
-        )
+        for samples in ("100", "40000"):  # one block, and three on worker threads
+            one_line_usage_error(
+                capsys, "mc", "--mode", "indefinite", "--taus", "1e300,1e300,1e300,1e300",
+                "--samples", samples,
+            )
+
+
+@pytest.mark.parametrize(
+    "mode_args",
+    [["indefinite"], ["krein", "--alpha", "1"], ["weyl", "--alphas"], ["characteristic", "--weights"]],
+    ids=lambda args: args[0],
+)
+def test_mc_refuses_too_many_taus_before_sampling(capsys, monkeypatch, mode_args):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled or built a target past the taus limit")
+
+    for name in ("_estimate", "wick_moment", "krein_pair_moment", "characteristic_target"):
+        monkeypatch.setattr(cli.mc, name, refuse)
+    monkeypatch.setattr(cli.wy, "schwinger_npoint", refuse)
+    points = ",".join(["0"] * (cli.MC_TAUS_LIMIT + 1))
+    argv = ["mc", "--mode", mode_args[0], "--taus", points, *mode_args[1:]]
+    if argv[-1].startswith("--"):
+        argv.append(points)
+    err = one_line_usage_error(capsys, *argv)
+    assert f"at most {cli.MC_TAUS_LIMIT} points" in err
 
 
 def test_non_finite_report_value_is_an_error(capsys, monkeypatch):

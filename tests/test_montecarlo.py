@@ -5,10 +5,14 @@ Sample counts here are reduced but every comparison still uses the stated
 """
 
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from ccrlab import montecarlo
 from ccrlab.montecarlo import (
     BLOCK,
     McConfig,
@@ -256,3 +260,172 @@ def test_substreams_differ_between_blocks():
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
 
+
+# -- parallel blocks against the serial loop -----------------------------------------------------
+
+
+def _serial_estimate(taus, cfg, integrand, uses_z=True):
+    """The sampler as a serial loop: each block draws its whole (n_bm + 2, BLOCK)
+    normals and forms one whole-block path product (uses_z only drops z1, z2
+    from the integrand's arguments)."""
+    transform = montecarlo._split_gaps(taus)
+    n_bm = transform.shape[1]
+    acc = montecarlo._NeumaierSum(4)
+    partial = np.zeros(4)
+    for start in range(0, cfg.samples, BLOCK):
+        take = min(BLOCK, cfg.samples - start)
+        normals = substream(cfg.seed, start // BLOCK).standard_normal((n_bm + 2, BLOCK))[:, :take]
+        z = (0.5 * normals[n_bm], 0.5 * normals[n_bm + 1]) if uses_z else ()
+        values = integrand(transform @ normals[:n_bm], *z)
+        stats = np.stack([values.real, values.imag, values.real**2, values.imag**2])
+        i = 0
+        while i < take:
+            end = min(take, i + cfg.chunk - (start + i) % cfg.chunk)
+            partial += stats[:, i:end].sum(axis=1)
+            i = end
+            if (start + i) % cfg.chunk == 0:
+                acc.add(partial)
+                partial = np.zeros(4)
+    if np.any(partial):
+        acc.add(partial)
+    n = cfg.samples
+    s_re, s_im, s_re2, s_im2 = acc.total()
+
+    def one(s, s2) -> McEstimate:
+        var = max((s2 - s * s / n) / (n - 1), 0.0) if n > 1 else 0.0
+        return McEstimate(mean=float(s / n), stderr=math.sqrt(var / n), samples=n)
+
+    return one(s_re, s_re2), one(s_im, s_im2)
+
+
+def _neutral_labels(count):
+    return [0.5 * (-1) ** k for k in range(count - count % 2)] + [0.0] * (count % 2)
+
+
+ESTIMATORS = {
+    "indefinite": lambda taus, cfg: mc_moment_components(taus, cfg),
+    "krein": lambda taus, cfg: mc_krein_moment(taus, 1.3, cfg),
+    "weyl": lambda taus, cfg: mc_weyl_schwinger(_neutral_labels(len(taus)), taus, cfg),
+    "characteristic": lambda taus, cfg: mc_characteristic(taus, [0.3 * math.cos(t) for t in taus], cfg),
+}
+TAUS_SETS = {
+    "empty": [],
+    "all zero": [0.0, 0.0, 0.0],  # no path rows: weyl draws nothing at all
+    "repeated": [1.0, -0.5, 1.0, -0.5],
+    "one-sided": [0.25, 1.5, 0.5],
+    "linspace": [float(t) for t in np.linspace(-2, 2, 21)],  # tiles of 576 columns, odd remainders
+}
+
+
+def _assert_matches_serial(monkeypatch, taus, cfg, worker_counts=(1, 2, 3)):
+    for name, run in ESTIMATORS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_estimate", _serial_estimate)
+            expected = repr(run(taus, cfg))
+        for workers in worker_counts:
+            monkeypatch.setattr(montecarlo, "_cpu_count", lambda workers=workers: workers)
+            assert repr(run(taus, cfg)) == expected, (name, workers)
+
+
+# chunk 1 costs one compensated add per sample, so it runs at the smallest counts only
+@pytest.mark.parametrize(
+    "samples, chunk",
+    [
+        (samples, chunk)
+        for samples in (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 10000, 3 * BLOCK + 7)
+        for chunk in (1, BLOCK - 1, 50000, 65536)
+        if chunk > 1 or samples <= 2
+    ],
+)
+def test_estimates_match_serial_loop(monkeypatch, samples, chunk):
+    cfg = McConfig(samples=samples, seed=61, chunk=chunk)
+    _assert_matches_serial(monkeypatch, TAUS_SETS["repeated"], cfg)
+
+
+@pytest.mark.parametrize("taus", TAUS_SETS.values(), ids=TAUS_SETS.keys())
+def test_estimates_match_serial_loop_for_any_taus(monkeypatch, taus):
+    _assert_matches_serial(monkeypatch, taus, McConfig(samples=3 * BLOCK + 7, seed=62, chunk=50000))
+
+
+def test_blocks_draw_only_the_prefix_they_read(monkeypatch):
+    drawn = {}
+
+    class Recorder:
+        def __init__(self, seed, block):
+            self.generator, self.block = substream(seed, block), block
+
+        def standard_normal(self, out):
+            drawn[self.block] = out.size
+            return self.generator.standard_normal(out=out)
+
+    monkeypatch.setattr(montecarlo, "substream", Recorder)
+    cfg = McConfig(samples=BLOCK + 3, seed=66)
+    cases = [
+        (lambda: mc_moment([1.0], cfg), [3 * BLOCK, 2 * BLOCK + 3]),  # a path row, then z1, z2
+        (lambda: mc_weyl_schwinger([1, -1], [1.0, -1.0], cfg), [2 * BLOCK, BLOCK + 3]),  # no z rows
+        (lambda: mc_weyl_schwinger([1, -1], [0.0, 0.0], cfg), [0, 0]),  # no rows at all
+    ]
+    for run, expected in cases:
+        drawn.clear()
+        run()
+        assert [drawn[block] for block in range(2)] == expected
+
+
+def test_many_workers_with_rapid_switching(monkeypatch):
+    # more workers than CPUs, switching every microsecond: a lost block would change the bits
+    cfg = McConfig(samples=12 * BLOCK, seed=63, chunk=3 * BLOCK)
+    expected = repr(_serial_estimate([0.5, -1.0], cfg, lambda paths, z1, z2: paths[0] * paths[1] + z1))
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = repr(montecarlo._estimate([0.5, -1.0], cfg, lambda paths, z1, z2: paths[0] * paths[1] + z1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert threading.active_count() == before
+
+
+def _block_marker(seed, block):
+    """z1 of the first sample of a block at taus [1.0] (one path row)."""
+    return 0.5 * substream(seed, block).standard_normal(2 * BLOCK)[BLOCK]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_exception_reaches_the_caller(monkeypatch, workers):
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
+    made = []
+
+    def counted(seed, block):
+        made.append(block)
+        return substream(seed, block)
+
+    monkeypatch.setattr(montecarlo, "substream", counted)
+    cfg = McConfig(samples=200 * BLOCK, seed=64)
+    before = threading.active_count()
+    # the lowest failing block's exception, as a serial loop would raise it
+    for failing, message in (((1,), "block 1"), ((2, 1), "block 1"), ((2,), "block 2")):
+        markers = {_block_marker(cfg.seed, block): f"block {block}" for block in failing}
+
+        def integrand(paths, z1, z2):
+            if z1[0] in markers:
+                raise ValueError(markers[z1[0]])
+            return paths[0] + z1
+
+        made.clear()
+        with pytest.raises(ValueError, match=message):
+            montecarlo._estimate([1.0], cfg, integrand)
+        assert threading.active_count() == before
+        # hand-out stops soon after a failure; how soon depends on scheduling
+        assert len(made) < 100
+
+
+def test_workers_run_under_the_callers_error_state(monkeypatch):
+    # threads start with numpy's default state, which would warn here
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 3)
+    cfg = McConfig(samples=6 * BLOCK, seed=65)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        real, _imag = montecarlo._estimate([1.0], cfg, lambda paths, z1, z2: np.exp(1e3 + paths[0] ** 2))
+    assert not math.isfinite(real.mean)
