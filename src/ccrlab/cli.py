@@ -107,6 +107,8 @@ def _run_moments(args) -> tuple[dict, bool]:
         c = Fraction(args.c)
     except ValueError:
         raise UsageError(f"--c must be rational, got {args.c!r}") from None
+    except ZeroDivisionError:
+        raise UsageError(f"--c has a zero denominator: {args.c!r}") from None
     value = hb.omega(element, hb.CovarianceTable(c))
     try:
         value_float = [float(value.re), float(value.im)]

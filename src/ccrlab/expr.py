@@ -106,10 +106,7 @@ class _Parser:
             _, text, pos = self.next()
             if "/" in text:
                 raise ExprError("exponent must be an integer", pos)
-            result = UNIT
-            for _ in range(int(text)):
-                result = result * base
-            base = result
+            base = base ** int(text)
         return base
 
     def primary(self) -> AlgebraElement:
@@ -121,7 +118,10 @@ class _Parser:
             return -self.nested(self.power)
         kind, text, pos = self.next()
         if kind == "number":
-            return UNIT * ComplexRational(Fraction(text))
+            try:
+                return UNIT * ComplexRational(Fraction(text))
+            except ZeroDivisionError:
+                raise ExprError(f"zero denominator in {text!r}", pos) from None
         if kind == "i":
             return UNIT * ComplexRational(0, 1)
         if kind == "gen":

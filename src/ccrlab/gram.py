@@ -8,6 +8,7 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 SIGNATURE_TOL_FACTOR = 1e-9
+RANK_TOL = 1e-8
 
 
 @dataclass
@@ -29,12 +30,10 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def gram_signature(
-    entries: np.ndarray, tol_factor: float = SIGNATURE_TOL_FACTOR
-) -> tuple[tuple[int, int, int], np.ndarray]:
+def gram_signature(entries: np.ndarray) -> tuple[tuple[int, int, int], np.ndarray]:
     """Eigen-signature (n+, n-, n0) of a Hermitian matrix.
 
-    The zero tolerance is ``tol_factor`` times the spectral radius.  Raises if
+    The zero tolerance is SIGNATURE_TOL_FACTOR times the spectral radius.  Raises if
     the input fails hermiticity beyond HERMITICITY_TOL (relative).
     """
     entries = np.asarray(entries, dtype=complex)
@@ -46,18 +45,18 @@ def gram_signature(
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} at scale {scale:.3e}")
     eigenvalues = np.linalg.eigvalsh((entries + entries.conj().T) / 2.0)
     radius = float(np.abs(eigenvalues).max()) if eigenvalues.size else 0.0
-    tol = tol_factor * max(radius, np.finfo(float).tiny)
+    tol = SIGNATURE_TOL_FACTOR * max(radius, np.finfo(float).tiny)
     n_pos = int((eigenvalues > tol).sum())
     n_neg = int((eigenvalues < -tol).sum())
     n_zero = eigenvalues.size - n_pos - n_neg
     return (n_pos, n_neg, n_zero), eigenvalues
 
 
-def numerical_rank(entries: np.ndarray, rel_tol: float = 1e-8) -> tuple[int, np.ndarray]:
-    """Rank by singular values relative to the largest one."""
+def numerical_rank(entries: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank by singular values above RANK_TOL times the largest one."""
     entries = np.asarray(entries, dtype=complex)
     if entries.size == 0:
         return 0, np.array([])
     singular = np.linalg.svd(entries, compute_uv=False)
     top = singular[0] if singular[0] > 0 else 1.0
-    return int((singular > rel_tol * top).sum()), singular
+    return int((singular > RANK_TOL * top).sum()), singular

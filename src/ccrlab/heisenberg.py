@@ -10,7 +10,7 @@ The indefinite ground state is encoded by a :class:`CovarianceTable` of
 ordered two-point values; all higher moments are evaluated by the Gaussian
 pair-partition rule (truncated correlations vanish).  On top of the state sit
 the GNS-label operations: the adjoint map ``A |0> -> A* |0>``, the modular
-phases diagonal in the ``p``-before-``q`` basis, and the metric conjugation
+phases, diagonal on canonical monomials, and the metric conjugation
 ``q <-> p'``, ``p <-> q'``.
 """
 
@@ -87,7 +87,7 @@ def _reorder_coeffs(k: int, j: int, sign_im: int) -> tuple[tuple[int, ComplexRat
 
 @lru_cache(maxsize=8192)
 def _mul_keys(a: MonomialKey, b: MonomialKey) -> tuple[tuple[MonomialKey, ComplexRational], ...]:
-    """Product of canonical monomials, reduced to canonical form."""
+    """Product of canonical monomials, reduced to canonical form: the one reordering rule."""
     j1, k1, l1, m1 = a
     j2, k2, l2, m2 = b
     out = []
@@ -209,6 +209,15 @@ class AlgebraElement:
             return self * scalar
         return NotImplemented
 
+    def __pow__(self, n: int) -> "AlgebraElement":
+        """Left-to-right product of n copies; n must be a nonnegative int."""
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only nonnegative integer powers are supported")
+        result = UNIT
+        for _ in range(n):
+            result = result * self
+        return result
+
     def __eq__(self, other):
         other = _coerce_element(other)
         if other is NotImplemented:
@@ -277,17 +286,21 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b - b * a
 
 
+def _reordered(products) -> AlgebraElement:
+    """Sum over (coeff, a, b) of coeff times the canonical form of the product a b."""
+    terms: dict[MonomialKey, ComplexRational] = {}
+    for coeff, a, b in products:
+        for key, red in _mul_keys(a, b):
+            terms[key] = terms.get(key, ZERO) + coeff * red
+    return AlgebraElement(terms)
+
+
 def adjoint(e: AlgebraElement) -> AlgebraElement:
     """Antilinear *-operation: conjugate coefficients, reverse each monomial."""
-    result: dict[MonomialKey, ComplexRational] = {}
-    for (j, k, l, m), coeff in e.terms.items():
-        cc = coeff.conjugate()
-        # reversed word is (p^k q^j)(p'^m q'^l); reorder each factor
-        for s, cs in _reorder_coeffs(k, j, -1):
-            for t, ct in _reorder_coeffs(m, l, +1):
-                key = (j - s, k - s, l - t, m - t)
-                result[key] = result.get(key, ZERO) + cc * cs * ct
-    return AlgebraElement(result)
+    # the reversed word p'^m q'^l p^k q^j is the product (p^k p'^m)(q^j q'^l)
+    return _reordered(
+        (coeff.conjugate(), (0, k, 0, m), (j, 0, l, 0)) for (j, k, l, m), coeff in e._terms.items()
+    )
 
 
 def evolve(e: AlgebraElement, t) -> AlgebraElement:
@@ -296,43 +309,19 @@ def evolve(e: AlgebraElement, t) -> AlgebraElement:
     if t == 0:
         return e
     total = AlgebraElement.zero()
-    img_q = Q + AlgebraElement.monomial(_GENERATOR_KEYS[Generator.P], ComplexRational(t))
-    img_qp = Q_PRIME + AlgebraElement.monomial(
-        _GENERATOR_KEYS[Generator.P_PRIME], ComplexRational(-t)
-    )
-    pow_cache: dict[tuple[int, int], AlgebraElement] = {}
-
-    def _power(base_id: int, base: AlgebraElement, n: int) -> AlgebraElement:
-        out = pow_cache.get((base_id, n))
-        if out is None:
-            out = UNIT
-            for _ in range(n):
-                out = out * base
-            pow_cache[(base_id, n)] = out
-        return out
-
+    img_q = Q + P * t
+    img_qp = Q_PRIME - P_PRIME * t
     for (j, k, l, m), coeff in e.terms.items():
-        part = _power(0, img_q, j)
-        if k:
-            part = part * AlgebraElement.monomial((0, k, 0, 0))
-        if l:
-            part = part * _power(1, img_qp, l)
-        if m:
-            part = part * AlgebraElement.monomial((0, 0, 0, m))
-        total = total + part * coeff
+        total = total + img_q**j * P**k * img_qp**l * P_PRIME**m * coeff
     return total
 
 
 def metric_conjugate(e: AlgebraElement) -> AlgebraElement:
     """Krein-metric conjugation: the involutive automorphism q <-> p', p <-> q'."""
-    total: dict[MonomialKey, ComplexRational] = {}
-    for (j, k, l, m), coeff in e.terms.items():
-        # image word p'^j q'^k p^l q^m, reordered per commuting sector
-        for s, cs in _reorder_coeffs(l, m, -1):
-            for t, ct in _reorder_coeffs(j, k, +1):
-                key = (m - s, l - s, k - t, j - t)
-                total[key] = total.get(key, ZERO) + coeff * cs * ct
-    return AlgebraElement(total)
+    # the image word p'^j q'^k p^l q^m is the product (p^l p'^j)(q^m q'^k)
+    return _reordered(
+        (coeff, (0, l, 0, j), (m, 0, k, 0)) for (j, k, l, m), coeff in e._terms.items()
+    )
 
 
 def scale_transform(e: AlgebraElement, lam) -> AlgebraElement:
@@ -497,36 +486,15 @@ def gns_inner(u, v, table: CovarianceTable) -> ComplexRational:
 # -- modular structure (c = 0) ---------------------------------------------------
 
 
-def _to_pq_basis(e: AlgebraElement) -> dict[tuple[int, int], ComplexRational]:
-    """Rewrite an unprimed element in the p^a q^b monomial basis."""
-    out: dict[tuple[int, int], ComplexRational] = {}
-    for (j, k, l, m), coeff in e.terms.items():
+def _modular_phases(v, sign: int) -> GnsVector:
+    """Phase (sign i)^a (-sign i)^b of each p^a q^b.  It is (sign i)^k (-sign i)^j on every
+    term of q^j p^k = sum_s C(j,s) C(k,s) s! i^s p^(k-s) q^(j-s), since i (-i) = 1."""
+    terms = {}
+    for (j, k, l, m), coeff in _label_of(v)._terms.items():
         if l or m:
             raise UnsupportedDomainError("modular maps are defined on the unprimed subalgebra")
-        # q^j p^k = sum_s C(j,s) C(k,s) s! i^s p^(k-s) q^(j-s)
-        for s, cs in _reorder_coeffs(j, k, +1):
-            key = (k - s, j - s)
-            out[key] = out.get(key, ZERO) + coeff * cs
-    return {k: c for k, c in out.items() if c}
-
-
-def _from_pq_basis(terms: dict[tuple[int, int], ComplexRational]) -> AlgebraElement:
-    out: dict[MonomialKey, ComplexRational] = {}
-    for (a, b), coeff in terms.items():
-        # p^a q^b = sum_s C(a,s) C(b,s) s! (-i)^s q^(b-s) p^(a-s)
-        for s, cs in _reorder_coeffs(a, b, -1):
-            key = (b - s, a - s, 0, 0)
-            out[key] = out.get(key, ZERO) + coeff * cs
-    return AlgebraElement(out)
-
-
-def _modular_phases(v, sign: int) -> GnsVector:
-    label = _label_of(v)
-    phased = {}
-    for (a, b), coeff in _to_pq_basis(label).items():
-        phase = ComplexRational(0, sign) ** a * ComplexRational(0, -sign) ** b
-        phased[(a, b)] = coeff * phase
-    return GnsVector(_from_pq_basis(phased))
+        terms[(j, k, l, m)] = coeff * ComplexRational(0, sign) ** k * ComplexRational(0, -sign) ** j
+    return GnsVector(AlgebraElement(terms))
 
 
 def modular_sqrt(v) -> GnsVector:

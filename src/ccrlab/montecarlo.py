@@ -16,12 +16,13 @@ whose kernel carries a rank-one positive correction (the Krein variant).
 Sampling is deterministic: sample i is produced by the counter-based
 substream keyed (seed, i // BLOCK), so the estimate depends only on the seed
 and sample count.  A block draws only the prefix of its substream that it
-reads.  Blocks run on one worker per CPU (the calling thread and a thread
-for each other CPU), each making BLAS calls small enough to stay on its own
-thread, and the calling thread adds their sums in block order, so the
-estimate does not depend on the number of CPUs or workers.  The chunk size
-of :class:`McConfig` only batches the reduction, which is compensated;
-regrouping changes results at roundoff level.
+reads.  Blocks run on up to one worker per CPU (the calling thread and a
+thread for each other CPU, within a scratch memory budget), each making BLAS
+calls small enough to stay on its own thread, and the calling thread adds
+their sums in block order, so the estimate does not depend on the number of
+CPUs or workers.  The chunk size of :class:`McConfig` only batches the
+reduction, which is compensated; regrouping changes results at roundoff
+level.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ PAIR_MOMENT_LIMIT = 20
 # OpenBLAS's single-thread size for a gemm (m*n*k), and the widest path-product tile.
 BLAS_LOCAL_MNK = 4 * 65536
 TILE_LIMIT = 2048
+# Budget for the workers' scratch buffers of one estimate; it caps the worker count for wide rows.
+SCRATCH_LIMIT_BYTES = 2**29
 
 
 @dataclass(frozen=True)
@@ -122,11 +125,11 @@ def krein_pair_moment(taus, alpha: float) -> float:
     return pair_moment(taus, lambda t, s: krein_kernel(t, s, alpha))
 
 
-def characteristic_target(taus, weights, step: float, c: float = 0.0) -> float:
-    """Quadrature value exp(-<f,f>/2) for f given by (taus, weights)."""
+def characteristic_target(taus, weights, step: float) -> float:
+    """Quadrature value exp(-<f,f>/2) for f given by (taus, weights), at c = 0 as sampled."""
     taus = np.asarray(taus, dtype=float)
     w = np.asarray(weights, dtype=float) * step
-    quad = c - np.abs(taus[:, None] - taus[None, :]) / 2.0
+    quad = -np.abs(taus[:, None] - taus[None, :]) / 2.0
     return math.exp(-0.5 * float(w @ quad @ w))
 
 
@@ -199,18 +202,19 @@ def _tile_columns(n_taus: int, n_bm: int) -> int:
 
 
 def _run_blocks(blocks: int, seed: int, work, size: int, consume) -> None:
-    """consume(work(block, substream(seed, block), buffer)) for each block, on one worker per CPU.
+    """consume(work(block, substream(seed, block), buffer)) for each block, on up to one worker per CPU.
 
     work runs on the workers: the calling thread and a thread for each other
-    CPU, each with its own scratch buffer of ``size`` floats.  The calling
-    thread makes every substream, in block order, and queues it for the
-    threads (up to two blocks per thread), or works the block itself while
+    CPU, each with its own scratch buffer of ``size`` floats, with no more
+    workers than blocks or than buffers that fit in SCRATCH_LIMIT_BYTES.  The
+    calling thread makes every substream, in block order, and queues it for
+    the threads (up to two blocks per thread), or works the block itself while
     the queue is full; it consumes the results in block order as they come.
     The threads run under the caller's numpy error state.  An exception
     raised by work is re-raised here once every thread has joined; when
     several blocks fail, the lowest one's, as in a serial loop.
     """
-    workers = min(_cpu_count(), blocks)
+    workers = min(_cpu_count(), blocks, max(1, SCRATCH_LIMIT_BYTES // (8 * size)))
     own, *buffers = (np.empty(size) for _ in range(workers))
     if not buffers:
         for block in range(blocks):

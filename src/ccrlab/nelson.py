@@ -375,13 +375,13 @@ def os_inner(grid: Grid, f, g, c: float = 0.0) -> complex:
     return reflected
 
 
-def os_rank(grid: Grid, family: list[np.ndarray], c: float = 0.0) -> tuple[int, np.ndarray]:
+def os_rank(grid: Grid, family: list[np.ndarray]) -> tuple[int, np.ndarray]:
     """Numerical rank of the OS Gram of positive-support functions (codim-two law)."""
     rows = np.array([np.asarray(f, dtype=complex) for f in family]).reshape(len(family), grid.n)
     for f in rows:
         _require_positive_support(grid, f)
     h = grid.step
-    return numerical_rank(h * h * (rows.conj() @ _os_kernel(grid, c) @ rows.T))
+    return numerical_rank(h * h * (rows.conj() @ _os_kernel(grid, 0.0) @ rows.T))
 
 
 # -- Markov projections --------------------------------------------------------------

@@ -77,6 +77,11 @@ def test_moments_past_the_digit_limit_is_usage_error(capsys):
     assert str(sys.get_int_max_str_digits()) in err
 
 
+def test_moments_zero_denominator_is_usage_error(capsys):
+    one_line_usage_error(capsys, "moments", "--expr", "1/0")
+    one_line_usage_error(capsys, "moments", "--expr", "q", "--c", "1/0")
+
+
 def test_moments_deep_nesting_is_usage_error(capsys):
     one_line_usage_error(capsys, "moments", "--expr", "(" * 1200 + "q" + ")" * 1200)
     one_line_usage_error(capsys, "moments", "--expr=" + "-" * 1200 + "q")

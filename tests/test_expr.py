@@ -6,7 +6,7 @@ import pytest
 
 from ccrlab.exactcomplex import I, ComplexRational
 from ccrlab.expr import ExprError, parse_element
-from ccrlab.heisenberg import CovarianceTable, P, P_PRIME, Q, Q_PRIME, UNIT, omega
+from ccrlab.heisenberg import AlgebraElement, CovarianceTable, P, P_PRIME, Q, Q_PRIME, UNIT, omega
 
 
 def test_juxtaposition_is_product():
@@ -49,7 +49,7 @@ def test_unsupported_token_position():
 
 
 def test_error_cases():
-    for bad in ("", "(q", "q +", "q ^ 1/2", "q ^ q", ")"):
+    for bad in ("", "(q", "q +", "q ^ 1/2", "q ^ q", ")", "1/0 q"):
         with pytest.raises(ExprError):
             parse_element(bad)
 
@@ -57,3 +57,17 @@ def test_error_cases():
 def test_canonicalization_through_parser():
     # p q parses as the product p*q, whose canonical form is qp - i
     assert parse_element("p q") == Q * P - I * UNIT
+
+
+def test_print_parse_round_trip():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    part = st.fractions(max_denominator=1000)
+    keys = st.tuples(*[st.integers(0, 3)] * 4)
+    elements = st.dictionaries(keys, st.builds(ComplexRational, part, part), max_size=6)
+
+    @hypothesis.given(elements.map(AlgebraElement))
+    def check(e):
+        assert parse_element(str(e)) == e
+
+    check()

@@ -106,6 +106,16 @@ def test_product_associativity_random():
         assert (a * b) * c == a * (b * c)
 
 
+def test_power_is_left_to_right_product():
+    x = Q + I * P_PRIME + Q * P * Fraction(1, 2)
+    assert x**0 == UNIT
+    assert x**1 == x
+    assert x**3 == x * x * x
+    for bad in (-1, 2.0):
+        with pytest.raises(ValueError):
+            x**bad
+
+
 # -- adjoint ---------------------------------------------------------------------
 
 
@@ -302,6 +312,11 @@ def test_modular_sqrt_phases():
     assert modular_sqrt(GnsVector(P * Q)).label == P * Q
     assert modular_sqrt(GnsVector(UNIT)).label == UNIT
     assert modular_sqrt(GnsVector(Q)).label == -I * Q
+    # p^k q^j takes i^k (-i)^j; the inverse takes the swapped phases
+    for k, j in itertools.product(range(5), repeat=2):
+        e = P**k * Q**j
+        assert modular_sqrt(GnsVector(e)).label == I**k * (-I) ** j * e, (k, j)
+        assert modular_inv_sqrt(GnsVector(e)).label == (-I) ** k * I**j * e, (k, j)
 
 
 def test_modular_inverse_pair():

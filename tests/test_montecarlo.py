@@ -387,6 +387,25 @@ def test_many_workers_with_rapid_switching(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_scratch_budget_caps_the_workers(monkeypatch):
+    taus = [0.5, -1.0]
+    n_bm = montecarlo._split_gaps(taus).shape[1]
+    buffer_bytes = 8 * (n_bm + 2 + 4) * BLOCK  # normals with z rows, and four statistic rows
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(montecarlo, "SCRATCH_LIMIT_BYTES", 3 * buffer_bytes)
+    cfg = McConfig(samples=12 * BLOCK, seed=67, chunk=3 * BLOCK)
+    workers = set()
+
+    def integrand(paths, z1, z2):
+        workers.add(threading.get_ident())
+        return paths[0] * paths[1] + z1
+
+    expected = repr(_serial_estimate(taus, cfg, integrand))
+    workers.clear()
+    assert repr(montecarlo._estimate(taus, cfg, integrand)) == expected
+    assert 1 <= len(workers) <= 3
+
+
 def _block_marker(seed, block):
     """z1 of the first sample of a block at taus [1.0] (one path row)."""
     return 0.5 * substream(seed, block).standard_normal(2 * BLOCK)[BLOCK]
