@@ -22,9 +22,12 @@ with a 95% bootstrap interval (pairs resampled with a fixed seed, so the
 interval is reproducible from the runs in the file), the wins of the working
 tree, both digests, the host part of perfbench's environment stamp, and
 whether a gain may be claimed: wins in at least nine tenths of the pairs and a
-median gap larger than the base's interquartile range.  The script changes no
-machine setting and writes nothing but that file and perfbench's own
-gitignored results.
+median gap larger than the base's interquartile range.  For ``wall_s``,
+``setup_s`` and ``peak_rss_mb`` it also records, and prints, the ratio of the
+medians (working tree over base) and whether it lies within the bound that
+``BENCHMARK.json`` fixes for that metric, which the script only reads.  The
+script changes no machine setting and writes nothing but that file and
+perfbench's own gitignored results.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ sys.path.insert(0, ROOT)
 from perfbench.run import DEFAULT_SEED, WORKLOADS, environment_stamp  # noqa: E402
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "cpu_s")
+BOUNDED_METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 RUN_TIMEOUT_S = 600.0
 BOOTSTRAP_RESAMPLES = 10_000
 BOOTSTRAP_SEED = 20131104
@@ -117,6 +121,24 @@ def bootstrap_median_ci(ratios: list[float], level: float = 0.95) -> list[float]
     return [medians[int(tail * BOOTSTRAP_RESAMPLES)], medians[math.ceil((1.0 - tail) * BOOTSTRAP_RESAMPLES) - 1]]
 
 
+def bound_checks(sides: dict) -> dict:
+    """Median ratio (change over base) of each bounded metric against its BENCHMARK.json bound."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        declared = {metric["name"]: metric for metric in json.load(handle)["end_to_end"]}
+    checks = {}
+    for name in BOUNDED_METRICS:
+        metric = declared[name]
+        ratio = sides["change"][name]["median"] / sides["base"][name]["median"]
+        if metric["better"] == "lower":
+            within = ratio <= 1.0 + metric["bound"]
+        else:
+            within = ratio >= 1.0 - metric["bound"]
+        checks[name] = {
+            "ratio_median": ratio, "bound": metric["bound"], "better": metric["better"], "within": within,
+        }
+    return checks
+
+
 def summarize(pairs: list[dict]) -> dict:
     sides = {}
     for side in ("base", "change"):
@@ -138,6 +160,7 @@ def summarize(pairs: list[dict]) -> dict:
         "wins": wins,
         "pairs": len(pairs),
         "digests_equal": sides["base"]["digests"] == sides["change"]["digests"],
+        "bounds": bound_checks(sides),
         "gain_rule": {
             "wins_needed": math.ceil(0.9 * len(pairs)),
             "median_gap_s": gap,
@@ -197,6 +220,7 @@ def main(argv=None) -> int:
                 "wins": f"{report['wins']}/{report['pairs']}",
                 "digests_equal": report["digests_equal"],
                 "gain_rule_holds": rule["holds"],
+                "bounds": report["bounds"],
                 "out": out,
             }
         )

@@ -22,7 +22,7 @@ class GramMatrix:
 
     entries: np.ndarray
     signature: tuple[int, int, int]
-    eigenvalues: np.ndarray | None = None
+    eigenvalues: np.ndarray
     det_exact: object | None = None
 
     @property

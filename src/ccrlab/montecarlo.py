@@ -17,12 +17,13 @@ Sampling is deterministic: sample i is produced by the counter-based
 substream keyed (seed, i // BLOCK), so the estimate depends only on the seed
 and sample count.  A block draws only the prefix of its substream that it
 reads.  Blocks run on up to one worker per CPU (the calling thread and a
-thread for each other CPU, within a scratch memory budget), each making BLAS
-calls small enough to stay on its own thread, and the calling thread adds
-their sums in block order, so the estimate does not depend on the number of
-CPUs or workers.  The chunk size of :class:`McConfig` only batches the
-reduction, which is compensated; regrouping changes results at roundoff
-level.
+thread for each other CPU, within a scratch memory budget), and the calling
+thread adds their sums in block order, so the estimate does not depend on the
+number of CPUs or workers.  A block forms its paths with one BLAS product and
+calls the integrand once wherever that product stays on the worker's own BLAS
+thread, and in column tiles only for wide tau sets.  The chunk size of
+:class:`McConfig` only batches the reduction, which is compensated;
+regrouping changes results at roundoff level.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from .weyl import to_label_fraction
 
 BLOCK = 16384
 PAIR_MOMENT_LIMIT = 20
-# OpenBLAS's single-thread size for a gemm (m*n*k), and the widest path-product tile.
+# OpenBLAS's single-thread size for a gemm (m*n*k): the only limit on a path-product tile.
 BLAS_LOCAL_MNK = 4 * 65536
-TILE_LIMIT = 2048
 # Budget for the workers' scratch buffers of one estimate; it caps the worker count for wide rows.
 SCRATCH_LIMIT_BYTES = 2**29
 
@@ -190,15 +190,17 @@ def _cpu_count() -> int:
 
 
 def _tile_columns(n_taus: int, n_bm: int) -> int:
-    """Columns per path-product tile: a multiple of 64 up to TILE_LIMIT.
+    """Columns per path-product tile: the largest multiple of 64 within BLAS_LOCAL_MNK, at least 64.
 
     OpenBLAS runs a gemm of m*n*k <= BLAS_LOCAL_MNK on the calling thread; a
     larger one may go to its shared thread pool, which serializes the workers.
-    The tiles start at multiples of 64 columns, so the BLAS and numpy kernels
-    give every column the same bits as in one whole-block call.
+    With few taus a whole block fits, so a block makes one path product and
+    one integrand call.  The tiles start at multiples of 64 columns, so the
+    BLAS and numpy kernels give every column the same bits as in one
+    whole-block call.
     """
     fit = BLAS_LOCAL_MNK // max(n_taus * n_bm, 1)
-    return max(64, min(TILE_LIMIT, fit // 64 * 64))
+    return max(64, fit // 64 * 64)
 
 
 def _run_blocks(blocks: int, seed: int, work, size: int, consume) -> None:
@@ -273,12 +275,15 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
 
     Block b holds samples [b BLOCK, (b + 1) BLOCK) and reads the (rows, BLOCK)
     normals of substream (seed, b) in row-major order: n_bm path rows, which
-    give ``paths`` (one row per tau, one column per sample), then z1 and z2.
-    It draws only the prefix it reads, (rows - 1) BLOCK + take normals, and
-    with ``uses_z=False`` it drops the z rows and calls integrand(paths).  The
-    integrand returns one real or complex value per sample; the path product
-    and the integrand run in column tiles (see _tile_columns), which leave
-    every value bit-identical to whole-block products.
+    give ``paths`` (one row per tau, one column per sample), then z1 and z2,
+    halved in place.  It draws only the prefix it reads, (rows - 1) BLOCK +
+    take normals, and with ``uses_z=False`` it drops the z rows and calls
+    integrand(paths).  The integrand returns one real or complex value per
+    sample and must leave its arguments unchanged: z1 and z2 are views of the
+    worker's buffer.  The path product and the integrand run once per
+    block wherever the BLAS budget allows, and in column tiles only for wide
+    tau sets (see _tile_columns); tiles leave every value bit-identical to
+    whole-block products.
 
     Blocks run on up to one worker per CPU (_run_blocks), each with a buffer
     for the normals and four rows of per-sample statistics (the values and
@@ -298,9 +303,10 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
         generator.standard_normal(out=buffer[: (rows - 1) * BLOCK + take if rows else 0])
         normals = buffer[: rows * BLOCK].reshape(rows, BLOCK)
         stats = buffer[rows * BLOCK :].reshape(4, BLOCK)[:, :take]
+        np.multiply(0.5, normals[n_bm:, :take], out=normals[n_bm:, :take])
         for lo in range(0, take, tile):
             cols = slice(lo, min(lo + tile, take))
-            values = integrand(transform @ normals[:n_bm, cols], *(0.5 * normals[n_bm:, cols]))
+            values = integrand(transform @ normals[:n_bm, cols], *normals[n_bm:, cols])
             stats[0, cols], stats[1, cols] = values.real, values.imag
             np.square(stats[:2, cols], out=stats[2:, cols])
         # segments end where the global sample index reaches a multiple of cfg.chunk
@@ -344,11 +350,15 @@ def mc_moment_components(taus, cfg: McConfig) -> tuple[McEstimate, McEstimate]:
     abs_taus = np.abs(np.asarray(taus, dtype=float))
 
     def integrand(paths, z1, z2):
-        z = z1 + 1j * z2
-        zbar = z1 - 1j * z2
-        prod = np.ones(z1.size, dtype=complex)
+        # z = z1 + 1j z2, zbar = z1 - 1j z2, prod *= (paths[k] + z) - |tau_k| zbar, op for op
+        # (so bit for bit), in place on per-call work arrays
+        z, zbar, term, scaled, prod = np.empty((5, z1.size), dtype=complex)
+        np.add(z1, np.multiply(1j, z2, out=z), out=z)
+        np.subtract(z1, np.multiply(1j, z2, out=zbar), out=zbar)
+        prod.fill(1)
         for k, abs_tau in enumerate(abs_taus):
-            prod *= paths[k] + z - abs_tau * zbar
+            np.add(paths[k], z, out=term)
+            prod *= np.subtract(term, np.multiply(abs_tau, zbar, out=scaled), out=term)
         return prod
 
     return _estimate(taus, cfg, integrand)
@@ -396,7 +406,12 @@ def mc_weyl_schwinger(alphas, taus, cfg: McConfig) -> McEstimate:
     if sum(fractions) != 0:
         return McEstimate(mean=0.0, stderr=0.0, samples=0)
     coeffs = np.array([float(a) for a in fractions])
-    real, _imag = _estimate(taus, cfg, lambda paths: np.exp(1j * (coeffs @ paths)), uses_z=False)
+
+    def integrand(paths):
+        phase = 1j * (coeffs @ paths)
+        return np.exp(phase, out=phase)
+
+    real, _imag = _estimate(taus, cfg, integrand, uses_z=False)
     return real
 
 
@@ -407,11 +422,15 @@ def mc_krein_moment(taus, alpha: float, cfg: McConfig) -> McEstimate:
     abs_taus = np.abs(np.asarray(taus, dtype=float))
 
     def integrand(paths, z1, z2):
-        x = (z1 + z2) / alpha
-        v = -alpha * (z1 - z2)
-        prod = np.ones(z1.size)
+        # x = (z1 + z2)/alpha, v = -alpha (z1 - z2), prod *= (paths[k] + x) - |tau_k| v, op for op
+        # (so bit for bit), in place on per-call work arrays
+        x, v, term, scaled, prod = np.empty((5, z1.size))
+        np.divide(np.add(z1, z2, out=x), alpha, out=x)
+        np.multiply(-alpha, np.subtract(z1, z2, out=v), out=v)
+        prod.fill(1)
         for k, abs_tau in enumerate(abs_taus):
-            prod *= paths[k] + x - abs_tau * v
+            np.add(paths[k], x, out=term)
+            prod *= np.subtract(term, np.multiply(abs_tau, v, out=scaled), out=term)
         return prod
 
     real, _imag = _estimate(taus, cfg, integrand)

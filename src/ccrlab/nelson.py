@@ -203,10 +203,6 @@ class ExtendedVector:
         return self * (-1)
 
 
-def zero_vector(grid: Grid) -> ExtendedVector:
-    return ExtendedVector(grid, np.zeros(grid.n))
-
-
 def from_values(grid: Grid, values) -> ExtendedVector:
     return ExtendedVector(grid, np.asarray(values, dtype=complex))
 
@@ -273,10 +269,11 @@ def krein_norm(u: ExtendedVector, alpha: float) -> float:
 
 def signature_of(family: list[ExtendedVector]) -> GramMatrix:
     """Gram matrix and eigen-signature of a finite family."""
-    if not family:
-        return GramMatrix(entries=np.zeros((0, 0), dtype=complex), signature=(0, 0, 0))
-    factors = _factors(family[0].grid, _stack(family))
-    entries = _paired(_conj(factors), factors)
+    if family:
+        factors = _factors(family[0].grid, _stack(family))
+        entries = _paired(_conj(factors), factors)
+    else:
+        entries = np.zeros((0, 0), dtype=complex)
     signature, eigenvalues = gram_signature(entries)
     return GramMatrix(entries=entries, signature=signature, eigenvalues=eigenvalues)
 

@@ -241,6 +241,14 @@ def test_gram_nelson_single_bump(capsys):
     assert last_json(out)["results"][0]["value"][1] == 1
 
 
+@pytest.mark.parametrize("family", ["meanzero:0", "bumps:0"])
+def test_gram_nelson_empty_family(capsys, family):
+    code, out, err = run_cli(capsys, "gram", "--kind", "nelson", "--family", family, "--grid", "-1:1:0.5")
+    assert (code, err) == (0, "")
+    results = {row["name"]: row["value"] for row in last_json(out)["results"]}
+    assert results == {"signature": [0, 0, 0], "spectrum": []}
+
+
 def test_gram_os_rank_two(capsys):
     code, out, _ = run_cli(
         capsys, "gram", "--kind", "os", "--family", "possupport:10", "--grid", "0:5:0.1"

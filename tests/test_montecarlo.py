@@ -347,6 +347,78 @@ def test_estimates_match_serial_loop_for_any_taus(monkeypatch, taus):
     _assert_matches_serial(monkeypatch, taus, McConfig(samples=3 * BLOCK + 7, seed=62, chunk=50000))
 
 
+def _wrap_integrands(monkeypatch, wrap):
+    """Route every estimator's integrand through wrap(integrand) inside the real _estimate."""
+    estimate = montecarlo._estimate
+
+    def wrapped(taus, cfg, integrand, uses_z=True):
+        return estimate(taus, cfg, wrap(integrand), uses_z)
+
+    monkeypatch.setattr(montecarlo, "_estimate", wrapped)
+
+
+@pytest.mark.parametrize(
+    "taus, tile",
+    [
+        ([1.0, -1.0], None),  # 2 taus, 2 gaps: a whole block fits the BLAS budget
+        ([-1.0, -0.5, 0.5, 1.0], None),  # 4 taus, 4 gaps: exactly a whole block
+        (TAUS_SETS["linspace"], 576),  # 21 taus, 20 gaps: tiles
+    ],
+)
+def test_integrand_runs_once_per_block_or_tile(monkeypatch, taus, tile):
+    calls = []
+
+    def counting(integrand):
+        def counted(*args):
+            calls.append(args[0].shape[1])
+            return integrand(*args)
+
+        return counted
+
+    _wrap_integrands(monkeypatch, counting)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    cfg = McConfig(samples=3 * BLOCK + 7, seed=68)
+    takes = [BLOCK, BLOCK, BLOCK, 7]
+    if tile is not None:
+        takes = [min(tile, take - lo) for take in takes for lo in range(0, take, tile)]
+    for name, run in ESTIMATORS.items():
+        calls.clear()
+        run(taus, cfg)
+        assert sorted(calls) == sorted(takes), name
+
+
+def test_tile_columns_fill_the_blas_budget():
+    for n_taus in range(0, 40):
+        for n_bm in range(0, 2 * n_taus + 1):
+            tile = montecarlo._tile_columns(n_taus, n_bm)
+            work = n_taus * n_bm
+            assert tile % 64 == 0 and tile >= 64
+            assert tile == 64 or work * tile <= montecarlo.BLAS_LOCAL_MNK
+            assert work == 0 or work * (tile + 64) > montecarlo.BLAS_LOCAL_MNK
+    assert montecarlo._tile_columns(2, 2) >= BLOCK
+    assert montecarlo._tile_columns(4, 4) == BLOCK
+    assert montecarlo._tile_columns(21, 20) == 576
+    assert montecarlo._tile_columns(200, 400) == 64
+
+
+def test_integrands_leave_their_arguments_unchanged(monkeypatch):
+    def checking(integrand):
+        def checked(*args):
+            before = [arg.copy() for arg in args]
+            values = integrand(*args)
+            for arg, copy in zip(args, before):
+                assert np.array_equal(arg, copy)
+            return values
+
+        return checked
+
+    _wrap_integrands(monkeypatch, checking)
+    cfg = McConfig(samples=BLOCK + 5, seed=69)
+    for taus in (TAUS_SETS["repeated"], TAUS_SETS["linspace"]):
+        for run in ESTIMATORS.values():
+            run(taus, cfg)
+
+
 def test_blocks_draw_only_the_prefix_they_read(monkeypatch):
     drawn = {}
 

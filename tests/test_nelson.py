@@ -40,7 +40,6 @@ from ccrlab.nelson import (
     second_difference_operator,
     signature_of,
     w_vector,
-    zero_vector,
 )
 
 GRID = Grid.parse("-5:5:0.1")
@@ -76,7 +75,7 @@ def test_grid_parse_errors():
 def test_grid_mismatch_rejected():
     other = Grid.parse("-5:5:0.2")
     with pytest.raises(GridMismatchError):
-        indefinite_inner(zero_vector(GRID), zero_vector(other))
+        indefinite_inner(ExtendedVector(GRID, np.zeros(GRID.n)), ExtendedVector(other, np.zeros(other.n)))
 
 
 # -- singular-sector products -----------------------------------------------------
@@ -262,11 +261,12 @@ def test_signature_empty_family():
     gram = signature_of([])
     assert gram.signature == (0, 0, 0)
     assert gram.dimension == 0
+    assert gram.eigenvalues.shape == (0,)
 
 
 def test_signature_family_cap():
     with pytest.raises(ValueError):
-        signature_of([zero_vector(GRID)] * 201)
+        signature_of([ExtendedVector(GRID, np.zeros(GRID.n))] * 201)
 
 
 def test_family_specs():
