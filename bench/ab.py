@@ -21,8 +21,11 @@ source hashes, the median ratio of paired ``wall_s`` (working tree over base)
 with a 95% bootstrap interval (pairs resampled with a fixed seed, so the
 interval is reproducible from the runs in the file), the wins of the working
 tree, both digests, the host part of perfbench's environment stamp, and
-whether a gain may be claimed: wins in at least nine tenths of the pairs and a
-median gap larger than the base's interquartile range.  For ``wall_s``,
+whether a gain may be claimed: wins in at least nine tenths of the pairs, a
+median gap larger than the base's interquartile range, and one source hash a
+side (runs of a side that imported different sources, as after an edit in
+mid-run, time no single revision; the file and the printed summary then say
+so).  For ``wall_s``,
 ``setup_s`` and ``peak_rss_mb`` it also records, and prints, the ratio of the
 medians (working tree over base) and whether it lies within the bound that
 ``BENCHMARK.json`` fixes for that metric, which the script only reads.  The
@@ -152,6 +155,19 @@ def summarize(pairs: list[dict]) -> dict:
     base_wall, change_wall = sides["base"]["wall_s"], sides["change"]["wall_s"]
     gap = base_wall["median"] - change_wall["median"]
     iqr = base_wall["q3"] - base_wall["q1"]
+    mixed = [side for side in ("base", "change") if len(sides[side]["source_sha256"]) > 1]
+    gain_rule = {
+        "wins_needed": math.ceil(0.9 * len(pairs)),
+        "median_gap_s": gap,
+        "base_iqr_s": iqr,
+        "mixed_sources": mixed,
+        "holds": not mixed and wins >= math.ceil(0.9 * len(pairs)) and gap > iqr,
+    }
+    if mixed:
+        gain_rule["refused"] = (
+            f"the {' and '.join(mixed)} runs imported more than one source_sha256 "
+            "(sources changed in mid-run), so they time no single revision"
+        )
     return {
         "sides": sides,
         "wall_s_ratio_median": statistics.median(ratios),
@@ -161,12 +177,7 @@ def summarize(pairs: list[dict]) -> dict:
         "pairs": len(pairs),
         "digests_equal": sides["base"]["digests"] == sides["change"]["digests"],
         "bounds": bound_checks(sides),
-        "gain_rule": {
-            "wins_needed": math.ceil(0.9 * len(pairs)),
-            "median_gap_s": gap,
-            "base_iqr_s": iqr,
-            "holds": wins >= math.ceil(0.9 * len(pairs)) and gap > iqr,
-        },
+        "gain_rule": gain_rule,
     }
 
 
@@ -220,6 +231,7 @@ def main(argv=None) -> int:
                 "wins": f"{report['wins']}/{report['pairs']}",
                 "digests_equal": report["digests_equal"],
                 "gain_rule_holds": rule["holds"],
+                "gain_rule_refused": rule.get("refused"),
                 "bounds": report["bounds"],
                 "out": out,
             }

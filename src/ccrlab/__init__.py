@@ -55,7 +55,6 @@ from .nelson import (
     indefinite_inner,
     krein_inner,
     krein_metric_apply,
-    os_inner,
     point_mass,
     project_onto,
     signature_of,

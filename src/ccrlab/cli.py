@@ -37,6 +37,13 @@ class UsageError(ValueError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument errors become one-line usage errors (exit 2) instead of argparse's usage text."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _float_list(text: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
@@ -309,13 +316,13 @@ def _run_suite(args) -> tuple[dict, bool]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ccrlab",
         description="Exact and sampled verification of the free-evolution CCR ground states.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--output", default=None, help="write the report to a file")
     common.add_argument("--config", default=None, help="JSON file overriding flags")
@@ -403,12 +410,11 @@ def main(argv=None) -> int:
     argv = _merge_leading_dash_values(list(argv))
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exit_err:
-        return 2 if exit_err.code not in (0, None) else 0
-    try:
         _apply_config(args, parser)
         report, passed = args.handler(args)
         _emit(report, args.format, args.output)
+    except SystemExit:  # only --help exits, after printing its text
+        return 0
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ Products are written by juxtaposition or ``*``; ``+``/``-`` combine terms,
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .exactcomplex import ComplexRational
@@ -33,6 +34,9 @@ _GENERATORS = {"q": Q, "p": P, "q'": Q_PRIME, "p'": P_PRIME}
 # Deepest nesting of parentheses and unary minus signs the parser accepts;
 # it recurses per level, so this keeps it far below the interpreter's limit.
 NESTING_LIMIT = 100
+# Largest exponent, counted in degrees of the base (a scalar counts as degree 1):
+# a power multiplies once per unit of its exponent, and q^10000 takes under a second.
+POWER_LIMIT = 10_000
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -106,6 +110,8 @@ class _Parser:
             _, text, pos = self.next()
             if "/" in text:
                 raise ExprError("exponent must be an integer", pos)
+            if len(text) > len(str(POWER_LIMIT)) or int(text) * max(base.degree(), 1) > POWER_LIMIT:
+                raise ExprError(f"power above degree {POWER_LIMIT}", pos)
             base = base ** int(text)
         return base
 
@@ -122,6 +128,8 @@ class _Parser:
                 return UNIT * ComplexRational(Fraction(text))
             except ZeroDivisionError:
                 raise ExprError(f"zero denominator in {text!r}", pos) from None
+            except ValueError:  # int() refuses past the interpreter's digit limit
+                raise ExprError(f"number with more than {sys.get_int_max_str_digits()} digits", pos) from None
         if kind == "i":
             return UNIT * ComplexRational(0, 1)
         if kind == "gen":

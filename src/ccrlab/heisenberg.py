@@ -566,11 +566,6 @@ def _qp_basis_keys(max_degree: int) -> list[MonomialKey]:
     return keys
 
 
-def unprimed_monomials(max_degree: int) -> list[AlgebraElement]:
-    """All q^j p^k with j + k <= max_degree, in degree-then-q-power order."""
-    return [AlgebraElement.monomial(key) for key in _qp_basis_keys(max_degree)]
-
-
 def _exact_det(rows: list[list[ComplexRational]]) -> ComplexRational:
     n = len(rows)
     rows = [list(r) for r in rows]

@@ -87,16 +87,6 @@ def kernel_value(tau: float, sigma: float, c: float = 0.0) -> float:
     return c - abs(tau - sigma) / 2.0
 
 
-def bm_covariance(tau: float, sigma: float) -> float:
-    """Two-sided Brownian covariance (|tau| + |sigma| - |tau - sigma|)/2."""
-    return (abs(tau) + abs(sigma) - abs(tau - sigma)) / 2.0
-
-
-def singular_covariance(tau: float, sigma: float) -> float:
-    """Covariance of the complex-variable parts: E[(z-|tau|zb)(z-|sigma|zb)]."""
-    return -(abs(tau) + abs(sigma)) / 2.0
-
-
 def krein_kernel(tau: float, sigma: float, alpha: float) -> float:
     """Kernel of the real-variable (Krein) measure at scale alpha."""
     if alpha <= 0:
@@ -345,23 +335,34 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
 # -- estimators ----------------------------------------------------------------------
 
 
-def mc_moment_components(taus, cfg: McConfig) -> tuple[McEstimate, McEstimate]:
-    """Real and imaginary estimates of <prod_k (xi(tau_k) + z - |tau_k| zbar)>."""
+def _product_integrand(taus, dtype, offsets):
+    """integrand(paths, z1, z2) = prod_k ((paths[k] + x) - |tau_k| v), op for op (so bit for bit).
+
+    offsets(z1, z2, x, v) writes the sample variables x and v in place; the
+    product runs in place on per-call work arrays of the given dtype.
+    """
     abs_taus = np.abs(np.asarray(taus, dtype=float))
 
     def integrand(paths, z1, z2):
-        # z = z1 + 1j z2, zbar = z1 - 1j z2, prod *= (paths[k] + z) - |tau_k| zbar, op for op
-        # (so bit for bit), in place on per-call work arrays
-        z, zbar, term, scaled, prod = np.empty((5, z1.size), dtype=complex)
-        np.add(z1, np.multiply(1j, z2, out=z), out=z)
-        np.subtract(z1, np.multiply(1j, z2, out=zbar), out=zbar)
+        x, v, term, scaled, prod = np.empty((5, z1.size), dtype=dtype)
+        offsets(z1, z2, x, v)
         prod.fill(1)
         for k, abs_tau in enumerate(abs_taus):
-            np.add(paths[k], z, out=term)
-            prod *= np.subtract(term, np.multiply(abs_tau, zbar, out=scaled), out=term)
+            np.add(paths[k], x, out=term)
+            prod *= np.subtract(term, np.multiply(abs_tau, v, out=scaled), out=term)
         return prod
 
-    return _estimate(taus, cfg, integrand)
+    return integrand
+
+
+def mc_moment_components(taus, cfg: McConfig) -> tuple[McEstimate, McEstimate]:
+    """Real and imaginary estimates of <prod_k (xi(tau_k) + z - |tau_k| zbar)>."""
+
+    def z_and_zbar(z1, z2, z, zbar):  # z = z1 + 1j z2, zbar = z1 - 1j z2
+        np.add(z1, np.multiply(1j, z2, out=z), out=z)
+        np.subtract(z1, np.multiply(1j, z2, out=zbar), out=zbar)
+
+    return _estimate(taus, cfg, _product_integrand(taus, complex, z_and_zbar))
 
 
 def mc_moment(taus, cfg: McConfig) -> McEstimate:
@@ -419,19 +420,10 @@ def mc_krein_moment(taus, alpha: float, cfg: McConfig) -> McEstimate:
     """Sampled moment of the Krein measure: z, zbar replaced by real variables."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    abs_taus = np.abs(np.asarray(taus, dtype=float))
 
-    def integrand(paths, z1, z2):
-        # x = (z1 + z2)/alpha, v = -alpha (z1 - z2), prod *= (paths[k] + x) - |tau_k| v, op for op
-        # (so bit for bit), in place on per-call work arrays
-        x, v, term, scaled, prod = np.empty((5, z1.size))
+    def real_pair(z1, z2, x, v):  # x = (z1 + z2)/alpha, v = -alpha (z1 - z2)
         np.divide(np.add(z1, z2, out=x), alpha, out=x)
         np.multiply(-alpha, np.subtract(z1, z2, out=v), out=v)
-        prod.fill(1)
-        for k, abs_tau in enumerate(abs_taus):
-            np.add(paths[k], x, out=term)
-            prod *= np.subtract(term, np.multiply(abs_tau, v, out=scaled), out=term)
-        return prod
 
-    real, _imag = _estimate(taus, cfg, integrand)
+    real, _imag = _estimate(taus, cfg, _product_integrand(taus, float, real_pair))
     return real

@@ -60,8 +60,10 @@ class Grid:
 
     @classmethod
     def make(cls, start: float, stop: float, step: float) -> "Grid":
-        if step <= 0:
+        if not step > 0:
             raise ValueError("step must be positive")
+        if not math.isfinite((stop - start) / step):
+            raise ValueError(f"grid {start}:{stop}:{step} has no finite point count")
         count = int(round((stop - start) / step)) + 1
         if count < 2 or abs(start + (count - 1) * step - stop) > GRID_POINT_TOL:
             raise ValueError(f"stop {stop} is not reachable from {start} by step {step}")
@@ -363,15 +365,6 @@ def os_inner_routes(
     return reflected, complex(closed), v_sector
 
 
-def os_inner(grid: Grid, f, g, c: float = 0.0) -> complex:
-    """Reflected (OS) product of positive-time functions; indefinite here."""
-    reflected, closed, v_sector = os_inner_routes(grid, f, g, c)
-    scale = max(abs(reflected), abs(closed), abs(v_sector), 1.0)
-    if max(abs(reflected - closed), abs(reflected - v_sector)) > 1e-8 * scale:
-        raise ArithmeticError("OS product routes disagree beyond tolerance")
-    return reflected
-
-
 def os_rank(grid: Grid, family: list[np.ndarray]) -> tuple[int, np.ndarray]:
     """Numerical rank of the OS Gram of positive-support functions (codim-two law)."""
     rows = np.array([np.asarray(f, dtype=complex) for f in family]).reshape(len(family), grid.n)
@@ -510,25 +503,11 @@ def second_difference_operator(grid: Grid, values) -> np.ndarray:
     return out
 
 
-def l2_inner(grid: Grid, f, g) -> complex:
-    return complex(grid.step * (np.conj(np.asarray(f)) * np.asarray(g)).sum())
-
-
 def duality_residual(grid: Grid, f, g) -> float:
     """|<f, D g> - (f, g)_L2| for the duality operator D = -d^2/dtau^2."""
     dg = second_difference_operator(grid, g)
     lhs = indefinite_inner(from_values(grid, f), from_values(grid, dg))
-    return abs(lhs - l2_inner(grid, f, g))
-
-
-def kernel_cross_inner(f_points, f_values, f_step, g_points, g_values, g_step, c: float = 0.0) -> complex:
-    """Double-quadrature product of functions carried on two independent grids."""
-    ft = np.asarray(f_points, dtype=float)
-    gt = np.asarray(g_points, dtype=float)
-    fv = np.asarray(f_values, dtype=complex)
-    gv = np.asarray(g_values, dtype=complex)
-    kernel = c - np.abs(ft[:, None] - gt[None, :]) / 2.0
-    return complex(f_step * g_step * (fv.conj() @ kernel @ gv))
+    return abs(lhs - grid.step * (np.conj(np.asarray(f)) * np.asarray(g)).sum())
 
 
 # -- seeded vector families -------------------------------------------------------------
@@ -539,7 +518,7 @@ def _bump(points: np.ndarray, center: float, width: float) -> np.ndarray:
 
 
 def family(spec: str, grid: Grid, seed: int) -> list[ExtendedVector]:
-    """Seeded generator families: meanzero:N, bumps:N, possupport:N."""
+    """Seeded generator families: meanzero:N, bumps:N, possupport:N, with N <= FAMILY_LIMIT."""
     try:
         kind, count_text = spec.split(":")
         count = int(count_text)
@@ -547,6 +526,8 @@ def family(spec: str, grid: Grid, seed: int) -> list[ExtendedVector]:
         raise ValueError(f"family spec {spec!r} is not of the form kind:N") from None
     if count < 0:
         raise ValueError("family size must be nonnegative")
+    if count > FAMILY_LIMIT:
+        raise ValueError(f"family size limited to {FAMILY_LIMIT}")
     rng = np.random.default_rng(seed)
     pts = grid.points
     span = grid.stop - grid.start

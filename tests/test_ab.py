@@ -1,0 +1,52 @@
+"""bench/ab.py's summary of paired runs, on made-up pairs (no subprocess)."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "ab.py"
+
+
+@pytest.fixture(scope="module")
+def ab():
+    spec = importlib.util.spec_from_file_location("ab", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(wall_s, source="a" * 64):
+    return {
+        "wall_s": wall_s,
+        "setup_s": 0.2,
+        "peak_rss_mb": 80.0,
+        "cpu_s": wall_s,
+        "digest": "0123456789abcdef",
+        "source_sha256": source,
+        "correct": True,
+    }
+
+
+def pairs(change_sources):
+    # the change side is 30% faster in every pair, far beyond the base's spread
+    return [
+        {"base": run(1.0 + 0.01 * i, "b" * 64), "change": run(0.7 + 0.01 * i, source), "first": "base"}
+        for i, source in enumerate(change_sources)
+    ]
+
+
+def test_gain_holds_for_one_source_a_side(ab):
+    rule = ab.summarize(pairs(["c" * 64] * 10))["gain_rule"]
+    assert rule["holds"] is True
+    assert rule["mixed_sources"] == [] and "refused" not in rule
+
+
+def test_gain_refused_for_mixed_sources(ab):
+    summary = ab.summarize(pairs(["c" * 64] * 5 + ["d" * 64] * 5))
+    rule = summary["gain_rule"]
+    assert summary["wins"] == 10 and rule["median_gap_s"] > rule["base_iqr_s"]
+    assert rule["holds"] is False
+    assert rule["mixed_sources"] == ["change"]
+    assert "more than one source_sha256" in rule["refused"]
+    assert summary["sides"]["change"]["source_sha256"] == ["c" * 64, "d" * 64]

@@ -77,6 +77,11 @@ def test_moments_past_the_digit_limit_is_usage_error(capsys):
     assert str(sys.get_int_max_str_digits()) in err
 
 
+def test_moments_huge_power_is_usage_error(capsys):
+    for expr in ("q^99999999999999999999", "q^10000000", "(q p)^5001"):
+        assert "power above degree" in one_line_usage_error(capsys, "moments", "--expr", expr)
+
+
 def test_moments_zero_denominator_is_usage_error(capsys):
     one_line_usage_error(capsys, "moments", "--expr", "1/0")
     one_line_usage_error(capsys, "moments", "--expr", "q", "--c", "1/0")
@@ -327,6 +332,16 @@ def test_gram_usage_errors(capsys):
         one_line_usage_error(capsys, "gram", "--kind", kind, "--family", spec, "--grid", "-1:1:0.5", "--seed", "-1")
 
 
+@pytest.mark.parametrize("kind, spec, grid", [("nelson", "meanzero:201", "-1:1:0.5"), ("os", "possupport:201", "0:1:0.5")])
+def test_gram_family_limit_is_usage_error(capsys, monkeypatch, kind, spec, grid):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setattr(nelson, "ExtendedVector", unbuilt)
+    err = one_line_usage_error(capsys, "gram", "--kind", kind, "--family", spec, "--grid", grid)
+    assert "family size limited to 200" in err
+
+
 def test_gram_refuses_what_it_cannot_compute(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -417,5 +432,12 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_bad_flags_exit_two(capsys):
-    assert run_cli(capsys, "unknown-subcommand")[0] == 2
-    assert run_cli(capsys, "mc")[0] == 2  # --mode required
+    one_line_usage_error(capsys, "unknown-subcommand")
+    one_line_usage_error(capsys, "mc")  # --mode required
+    one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--samples", "x")
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "gram", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ccrlab gram")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ccrlab import expr
 from ccrlab.exactcomplex import I, ComplexRational
 from ccrlab.expr import ExprError, parse_element
 from ccrlab.heisenberg import AlgebraElement, CovarianceTable, P, P_PRIME, Q, Q_PRIME, UNIT, omega
@@ -49,8 +50,21 @@ def test_unsupported_token_position():
 
 
 def test_error_cases():
-    for bad in ("", "(q", "q +", "q ^ 1/2", "q ^ q", ")", "1/0 q"):
+    too_long = "9" * 5000  # past the interpreter's digit limit for int()
+    powers = ("q^99999999999999999999", "q^10001", "(q p)^5001", "2^10001", "q^10000^2", "q^" + too_long)
+    for bad in ("", "(q", "q +", "q ^ 1/2", "q ^ q", ")", "1/0 q", too_long) + powers:
         with pytest.raises(ExprError):
+            parse_element(bad)
+
+
+def test_power_limit_counts_degrees(monkeypatch):
+    monkeypatch.setattr(expr, "POWER_LIMIT", 12)
+    assert parse_element("q^12") == Q**12
+    assert parse_element("(q^3)^4") == Q**12
+    assert parse_element("(q p)^6") == (Q * P) ** 6
+    assert parse_element("2^12 (q p)^0") == UNIT * 4096
+    for bad in ("q^13", "(q^3)^5", "(q p)^7", "2^13", "q^123"):
+        with pytest.raises(ExprError, match="power above degree 12"):
             parse_element(bad)
 
 

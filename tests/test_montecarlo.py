@@ -17,7 +17,6 @@ from ccrlab.montecarlo import (
     BLOCK,
     McConfig,
     McEstimate,
-    bm_covariance,
     characteristic_target,
     kernel_value,
     krein_kernel,
@@ -28,7 +27,6 @@ from ccrlab.montecarlo import (
     mc_moment_components,
     mc_weyl_schwinger,
     pair_moment,
-    singular_covariance,
     substream,
     wick_moment,
 )
@@ -52,11 +50,13 @@ def test_kernel_examples():
 
 
 def test_kernel_splits_into_path_and_singular_parts():
+    # the split behind the sampler: Brownian covariance (|tau| + |sigma| - |tau - sigma|)/2
+    # plus E[(z - |tau| zbar)(z - |sigma| zbar)] = -(|tau| + |sigma|)/2
     rng = np.random.default_rng(1)
     for tau, sigma in rng.uniform(-3, 3, (20, 2)):
-        assert kernel_value(tau, sigma) == pytest.approx(
-            bm_covariance(tau, sigma) + singular_covariance(tau, sigma), abs=1e-14
-        )
+        brownian = (abs(tau) + abs(sigma) - abs(tau - sigma)) / 2
+        singular = -(abs(tau) + abs(sigma)) / 2
+        assert kernel_value(tau, sigma) == pytest.approx(brownian + singular, abs=1e-14)
 
 
 def test_krein_kernel_values():

@@ -24,14 +24,11 @@ from ccrlab.nelson import (
     family,
     from_values,
     indefinite_inner,
-    kernel_cross_inner,
     krein_direction,
     krein_inner,
     krein_metric_apply,
-    l2_inner,
     markov_diagnostics,
     metric_matrix,
-    os_inner,
     os_inner_routes,
     os_rank,
     point_mass,
@@ -180,7 +177,6 @@ def test_os_routes_agree_and_fail_positivity():
     first = (grid.points * values).sum() * grid.step
     assert reflected.real == pytest.approx(-(first * mass), abs=1e-10)
     assert reflected.real < 0  # reflection positivity fails
-    assert os_inner(grid, values, values) == reflected
 
 
 def test_os_zero_moment_function_is_null():
@@ -206,15 +202,15 @@ def test_os_zero_moment_function_is_null():
         coeff = np.linalg.solve(m, [mass, first])
         f = f - coeff[0] * b1 - coeff[1] * b2
     for other in (unit_bump(grid, 2.5), f):
-        assert abs(os_inner(grid, f, other)) < 1e-10
+        assert abs(os_inner_routes(grid, f, other)[0]) < 1e-10
 
 
 def test_os_c_term():
     grid = Grid.parse("0:4:0.01")
     f = unit_bump(grid, 0.7)
     g = unit_bump(grid, 2.1)
-    base = os_inner(grid, f, g)
-    shifted = os_inner(grid, f, g, c=0.9)
+    base = os_inner_routes(grid, f, g)[0]
+    shifted = os_inner_routes(grid, f, g, c=0.9)[0]
     mass_f = f.sum() * grid.step
     mass_g = g.sum() * grid.step
     assert shifted - base == pytest.approx(0.9 * mass_f * mass_g, abs=1e-10)
@@ -223,7 +219,7 @@ def test_os_c_term():
 def test_os_support_enforced():
     values = unit_bump(GRID, -2.0)
     with pytest.raises(SupportError):
-        os_inner(GRID, values, values)
+        os_inner_routes(GRID, values, values)
 
 
 def test_os_gram_rank_two():
@@ -511,7 +507,7 @@ def test_duality_for_compact_bumps():
     f = np.exp(-0.5 * ((grid.points - 0.5) / 0.5) ** 2)
     g = np.exp(-0.5 * ((grid.points + 0.3) / 0.4) ** 2)
     assert duality_residual(grid, f, g) < grid.step**2
-    assert abs(l2_inner(grid, f, g)) > 0.1
+    assert abs(grid.step * (f * g).sum()) > 0.1
 
 
 def test_duality_linear_function_out_of_domain():
@@ -520,7 +516,7 @@ def test_duality_linear_function_out_of_domain():
     linear = 0.3 * grid.points + 1.0
     assert np.abs(second_difference_operator(grid, linear)).max() < 1e-9
     assert abs(indefinite_inner(from_values(grid, f), from_values(grid, second_difference_operator(grid, linear)))) < 1e-9
-    assert abs(l2_inner(grid, f, linear)) > 0.1  # duality does not apply here
+    assert abs(grid.step * (f * linear).sum()) > 0.1  # duality does not apply here
 
 
 def test_duality_commutes_with_reflection():
@@ -562,13 +558,13 @@ def test_reflection_invariance_of_product():
 
 def test_weak_limit_of_far_translates():
     # f_n = f(. - n)/n converges weakly to w: <f_n, g> -> -g~(0)/2
-    local = Grid.parse("-2:2:0.02")
-    f = np.exp(-0.5 * (local.points / 0.4) ** 2)
-    f /= f.sum() * local.step  # unit mass
-    g = np.exp(-0.5 * ((local.points - 0.3) / 0.5) ** 2)
-    mass_g = g.sum() * local.step
+    grid = Grid.parse("-2:52:0.02")
     n = 50
-    value = kernel_cross_inner(local.points + n, f / n, local.step, local.points, g, local.step)
+    f = np.exp(-0.5 * ((grid.points - n) / 0.4) ** 2)
+    f /= f.sum() * grid.step * n  # mass 1/n
+    g = np.exp(-0.5 * ((grid.points - 0.3) / 0.5) ** 2)
+    mass_g = g.sum() * grid.step
+    value = indefinite_inner(from_values(grid, f), from_values(grid, g))
     target = -mass_g / 2
     assert abs(value - target) / abs(target) < 0.05
 
