@@ -1,9 +1,12 @@
 """Verification matrix: every acceptance criterion with its pinned tolerance.
 
-Each criterion is a callable returning a :class:`CriterionResult` whose
-sub-checks carry (value, target, tolerance, pass) and whose provenance names
-the source of its numbers: exact-symbolic, mc or analytic.  ``quick`` mode
-divides Monte Carlo sample counts by 100 and widens the sigma gate from 3 to 5.
+Each criterion is declared once, by ``@_criterion(number, name, provenance)``
+on a body that takes (seed, quick) and returns its checks, each carrying
+(value, target, tolerance, pass).  The decorator registers the criterion in
+``CRITERIA``, times it, and wraps the checks in a :class:`CriterionResult`
+that passes when every check does; the provenance names the source of its
+numbers: exact-symbolic, mc or analytic.  ``quick`` mode divides Monte Carlo
+sample counts by 100 and widens the sigma gate from 3 to 5 (``_mc_budget``).
 The default seed makes every numeric in the matrix reproducible bit-for-bit.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -64,38 +68,49 @@ def _plain(x):
 
 
 def _sigma_check(name: str, estimate: mc.McEstimate, target: float, n_sigma: float) -> dict:
-    gate = n_sigma * estimate.stderr
-    ok = abs(estimate.mean - target) <= gate
     return {
         "name": name,
         "value": _plain(estimate.mean),
         "stderr": estimate.stderr,
         "samples": estimate.samples,
         "target": _plain(target),
-        "tolerance": gate,
-        "pass": bool(ok),
+        "tolerance": n_sigma * estimate.stderr,
+        "pass": estimate.within(target, n_sigma),
     }
 
 
-def _result(
-    number: int, name: str, checks: list[dict], started: float, provenance: str = "analytic"
-) -> CriterionResult:
-    return CriterionResult(
-        number=number,
-        name=name,
-        passed=all(c["pass"] for c in checks),
-        seconds=time.perf_counter() - started,
-        checks=checks,
-        provenance=provenance,
-    )
+def _mc_budget(quick: bool) -> tuple[int, float]:
+    """Monte Carlo samples and sigma gate: quick mode samples 1/100 and gates at 5 sigma."""
+    return (MC_SAMPLES // 100, 5.0) if quick else (MC_SAMPLES, 3.0)
+
+
+CRITERIA: dict[int, Callable[..., CriterionResult]] = {}
+
+
+def _criterion(number: int, name: str, provenance: str = "analytic"):
+    """Declare criterion ``number``: register it in CRITERIA, time it, and wrap its checks."""
+
+    def register(body: Callable[[int, bool], list[dict]]) -> Callable[..., CriterionResult]:
+        def criterion(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+            started = time.perf_counter()
+            checks = body(seed, quick)
+            passed = all(c["pass"] for c in checks)
+            return CriterionResult(number, name, passed, time.perf_counter() - started, checks, provenance)
+
+        criterion.__name__ = criterion.__qualname__ = body.__name__
+        criterion.__doc__ = body.__doc__
+        CRITERIA[number] = criterion
+        return criterion
+
+    return register
 
 
 # -- criteria ---------------------------------------------------------------------
 
 
-def criterion_01(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(1, "exact qp moments", "exact-symbolic")
+def criterion_01(seed: int, quick: bool) -> list[dict]:
     """Ordered moments <q^n p^m> = delta_{n,m} (i/2)^n n! for n, m <= 8, exact."""
-    started = time.perf_counter()
     table = hb.CovarianceTable()
     checks = []
     worst = None
@@ -112,12 +127,12 @@ def criterion_01(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
     checks.append(
         _check("qp-moments-exact", f"mismatch at {worst}" if worst else "all equal", "all equal", 0, ok=worst is None)
     )
-    return _result(1, "exact qp moments", checks, started, "exact-symbolic")
+    return checks
 
 
-def criterion_02(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(2, "Wick vs normal-ordering oracle", "exact-symbolic")
+def criterion_02(seed: int, quick: bool) -> list[dict]:
     """Dual-route state evaluation on 500 random words, exact agreement."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     table = hb.CovarianceTable()
     bad = 0
@@ -129,12 +144,12 @@ def criterion_02(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         if direct != termwise:
             bad += 1
     checks = [_check("wick-vs-normal-order", bad, 0, 0, ok=bad == 0)]
-    return _result(2, "Wick vs normal-ordering oracle", checks, started, "exact-symbolic")
+    return checks
 
 
-def criterion_03(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(3, "structure identities", "exact-symbolic")
+def criterion_03(seed: int, quick: bool) -> list[dict]:
     """Commutant, Fock/anti-Fock, and Hamiltonian identities, exact."""
-    started = time.perf_counter()
     table = hb.CovarianceTable()
     i_unit = ComplexRational(0, 1)
     checks = []
@@ -193,7 +208,7 @@ def criterion_03(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         if hb.gns_inner(mono, hamiltonian, table) != ZERO:
             bad += 1
     checks.append(_check("a|0> = b*|0> = H|0> = 0 against degree <= 6", bad, 0, 0, ok=bad == 0))
-    return _result(3, "structure identities", checks, started, "exact-symbolic")
+    return checks
 
 
 def _extended_monomials(max_degree: int) -> list[hb.AlgebraElement]:
@@ -206,29 +221,28 @@ def _extended_monomials(max_degree: int) -> list[hb.AlgebraElement]:
     return out
 
 
-def criterion_04(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(4, "faithfulness witness", "exact-symbolic")
+def criterion_04(seed: int, quick: bool) -> list[dict]:
     """Faithfulness witness: exact determinant of the degree-4 moment matrix."""
-    started = time.perf_counter()
     gram = hb.moment_matrix(4, hb.CovarianceTable())
     det = gram.det_exact
     checks = [_check("det(moment matrix, N=4) != 0", str(det), "nonzero", 0, ok=det != ZERO)]
-    return _result(4, "faithfulness witness", checks, started, "exact-symbolic")
+    return checks
 
 
-def criterion_05(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(5, "Weyl series")
+def criterion_05(seed: int, quick: bool) -> list[dict]:
     """Weyl series partial sum converges to e^{-i/2} at order 20."""
-    started = time.perf_counter()
     value = hb.weyl_moment_partial_sum(1, 1, 20)
     err = abs(value - cmath.exp(-0.5j))
     checks = [_check("partial-sum error", err, 0.0, 1e-10)]
-    return _result(5, "Weyl series", checks, started)
+    return checks
 
 
-def criterion_06(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(6, "Weyl Schwinger MC", "mc")
+def criterion_06(seed: int, quick: bool) -> list[dict]:
     """Sampled euclidean Weyl two-point value and the exact charge-zero rule."""
-    started = time.perf_counter()
-    samples = MC_SAMPLES // 100 if quick else MC_SAMPLES
-    sigma = 5.0 if quick else 3.0
+    samples, sigma = _mc_budget(quick)
     cfg = mc.McConfig(samples=samples, seed=seed)
     est = mc.mc_weyl_schwinger([1, -1], [0, 1], cfg)
     checks = [_sigma_check("weyl mc (1,-1)@(0,1)", est, math.exp(-0.5), sigma)]
@@ -236,45 +250,34 @@ def criterion_06(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
     checks.append(
         _check("charge != 0 is exact 0", zero.mean, 0.0, 0, ok=zero.mean == 0.0 and zero.stderr == 0.0)
     )
-    return _result(6, "Weyl Schwinger MC", checks, started, "mc")
+    return checks
 
 
-def criterion_07(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(7, "indefinite functional integral", "mc")
+def criterion_07(seed: int, quick: bool) -> list[dict]:
     """Indefinite functional integral reproduces the Wick oracle."""
-    started = time.perf_counter()
-    samples = MC_SAMPLES // 100 if quick else MC_SAMPLES
-    sigma = 5.0 if quick else 3.0
+    samples, sigma = _mc_budget(quick)
     checks = []
     for number, taus in enumerate(([1, -1], [1, 1], [-1, -0.5, 0.5, 1])):
         cfg = mc.McConfig(samples=samples, seed=seed + number)
         est = mc.mc_moment(taus, cfg)
         target = mc.wick_moment(taus)
         checks.append(_sigma_check(f"indefinite mc {taus}", est, target, sigma))
-    return _result(7, "indefinite functional integral", checks, started, "mc")
+    return checks
 
 
-def criterion_07_binomial(
-    seed: int = DEFAULT_SEED, runs: int = 100, samples: int = MC_SAMPLES
-) -> CriterionResult:
-    """CI-long pass-rate check: >= 99 of 100 seeds land within 3 sigma."""
+def criterion_07_binomial(seed: int = DEFAULT_SEED, runs: int = 100) -> CriterionResult:
+    """CI-long pass-rate check: criterion 7 passes at >= 99 of 100 seeds, at full samples and 3 sigma."""
     started = time.perf_counter()
-    taus_set = ([1, -1], [1, 1], [-1, -0.5, 0.5, 1])
-    hits = 0
-    for run in range(runs):
-        ok = True
-        for number, taus in enumerate(taus_set):
-            cfg = mc.McConfig(samples=samples, seed=seed + 1000 * (run + 1) + number)
-            est = mc.mc_moment(taus, cfg)
-            if abs(est.mean - mc.wick_moment(taus)) > 3.0 * est.stderr:
-                ok = False
-        hits += ok
+    hits = sum(criterion_07(seed=seed + 1000 * (run + 1)).passed for run in range(runs))
     checks = [_check("3-sigma pass rate over seeds", hits, runs, runs - 99, ok=hits >= 99)]
-    return _result(7, "indefinite MC binomial (long)", checks, started, "mc")
+    seconds = time.perf_counter() - started
+    return CriterionResult(7, "indefinite MC binomial (long)", hits >= 99, seconds, checks, "mc")
 
 
-def criterion_08(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(8, "energy positivity")
+def criterion_08(seed: int, quick: bool) -> list[dict]:
     """Energy positivity: every oscillation frequency is nonnegative."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     produced = 0
@@ -290,12 +293,12 @@ def criterion_08(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         _check("min frequency over sweep", worst, 0.0, 0, ok=worst >= 0.0),
         _check("sweep produced oscillations", produced, "> 0", 0, ok=produced > 0),
     ]
-    return _result(8, "energy positivity", checks, started)
+    return checks
 
 
-def criterion_09(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(9, "pre-Pontryagin signature")
+def criterion_09(seed: int, quick: bool) -> list[dict]:
     """Signature of the euclidean product: mean zero positive, one bump negative."""
-    started = time.perf_counter()
     grid = ne.Grid.parse("-5:5:0.1")
     mean_zero = ne.family("meanzero:20", grid, seed)
     sig0 = ne.signature_of(mean_zero).signature
@@ -304,12 +307,12 @@ def criterion_09(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         _check("mean-zero family n-", sig0[1], 0, 0, ok=sig0[1] == 0),
         _check("plus one bump n-", sig1[1], 1, 0, ok=sig1[1] == 1),
     ]
-    return _result(9, "pre-Pontryagin signature", checks, started)
+    return checks
 
 
-def criterion_10(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(10, "OS failure and rank")
+def criterion_10(seed: int, quick: bool) -> list[dict]:
     """OS positivity failure, three-way product agreement, and Gram rank two."""
-    started = time.perf_counter()
     grid = ne.Grid.parse("0:5:0.01")
     values = np.exp(-0.5 * ((grid.points - 1.0) / 0.08) ** 2)
     values /= values.sum() * grid.step
@@ -333,12 +336,12 @@ def criterion_10(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
     ratio = float(singular[2] / singular[0])
     checks.append(_check("OS Gram rank", rank, 2, 0, ok=rank == 2))
     checks.append(_check("sigma3/sigma1", ratio, 0.0, 1e-8))
-    return _result(10, "OS failure and rank", checks, started)
+    return checks
 
 
-def criterion_11(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(11, "Krein metric")
+def criterion_11(seed: int, quick: bool) -> list[dict]:
     """Krein metric: involution, positivity, and the closed kernel match."""
-    started = time.perf_counter()
     grid = ne.Grid.parse("-5:5:0.1")
     rng = np.random.default_rng(seed)
     worst_involution = 0.0
@@ -368,24 +371,24 @@ def criterion_11(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         _check("[f,f]_alpha >= 0", min_positive, 0.0, 0, ok=min_positive >= -1e-10),
         _check("[d_tau, d_sigma]_alpha vs closed kernel", worst_kernel, 0.0, 1e-10),
     ]
-    return _result(11, "Krein metric", checks, started)
+    return checks
 
 
-def criterion_12(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(12, "Markov projections")
+def criterion_12(seed: int, quick: bool) -> list[dict]:
     """Markov projection identity E+ E- = E0 on the reference grid."""
-    started = time.perf_counter()
     diag = ne.markov_diagnostics(ne.Grid.parse("-5:5:0.2"), 25, seed=seed)
     checks = [
         _check("||E+E- - E0|| relative", diag["markov_residual"], 0.0, 1e-6),
         _check("idempotence", diag["idempotence_residual"], 0.0, 1e-8),
         _check("E+- fix the singular pair", diag["v_fixed_residual"], 0.0, 1e-8),
     ]
-    return _result(12, "Markov projections", checks, started)
+    return checks
 
 
-def criterion_13(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(13, "Gaussian Markov property")
+def criterion_13(seed: int, quick: bool) -> list[dict]:
     """Gaussian Markov property in (x, v); fails when v is dropped."""
-    started = time.perf_counter()
     points = [-2, -1, 0, 1, 2]
     with_v = ne.conditional_independence_residual(points, 1.0)
     without_v = ne.conditional_independence_residual(points, 1.0, condition_on_v=False)
@@ -393,27 +396,26 @@ def criterion_13(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         _check("cross-covariance given (x(0), v)", with_v, 0.0, 1e-8),
         _check("residual without v", without_v, "> 0.1", 0, ok=without_v > 0.1),
     ]
-    return _result(13, "Gaussian Markov property", checks, started)
+    return checks
 
 
-def criterion_14(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(14, "Krein MC", "mc")
+def criterion_14(seed: int, quick: bool) -> list[dict]:
     """Krein-measure sampler reproduces its diagonal kernel values."""
-    started = time.perf_counter()
-    samples = MC_SAMPLES // 100 if quick else MC_SAMPLES
-    sigma = 5.0 if quick else 3.0
+    samples, sigma = _mc_budget(quick)
     est0 = mc.mc_krein_moment([0, 0], 1.0, mc.McConfig(samples=samples, seed=seed))
     est1 = mc.mc_krein_moment([1, 1], 1.0, mc.McConfig(samples=samples, seed=seed + 1))
     checks = [
         _sigma_check("krein mc (0,0)", est0, 0.5, sigma),
         _sigma_check("krein mc (1,1)", est1, 2.0, sigma),
     ]
-    return _result(14, "Krein MC", checks, started, "mc")
+    return checks
 
 
-def criterion_15(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResult:
+@_criterion(15, "determinism", "mc")
+def criterion_15(seed: int, quick: bool) -> list[dict]:
     """Determinism: same seed is bit-identical; chunking only moves roundoff."""
-    started = time.perf_counter()
-    samples = MC_SAMPLES // 100 if quick else MC_SAMPLES
+    samples, _ = _mc_budget(quick)
     cfg = mc.McConfig(samples=samples, seed=seed, chunk=65536)
     first = mc.mc_moment([1, -1], cfg)
     second = mc.mc_moment([1, -1], cfg)
@@ -429,32 +431,13 @@ def criterion_15(seed: int = DEFAULT_SEED, quick: bool = False) -> CriterionResu
         ),
         _check("chunk-size relative drift", drift, 0.0, 1e-12),
     ]
-    return _result(15, "determinism", checks, started, "mc")
-
-
-CRITERIA = {
-    1: criterion_01,
-    2: criterion_02,
-    3: criterion_03,
-    4: criterion_04,
-    5: criterion_05,
-    6: criterion_06,
-    7: criterion_07,
-    8: criterion_08,
-    9: criterion_09,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-    13: criterion_13,
-    14: criterion_14,
-    15: criterion_15,
-}
+    return checks
 
 
 def run_all(
     quick: bool = False, seed: int = DEFAULT_SEED, only: list[int] | None = None
 ) -> list[CriterionResult]:
-    numbers = sorted(only) if only else sorted(CRITERIA)
+    numbers = sorted(set(only or CRITERIA))
     unknown = [n for n in numbers if n not in CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria {unknown}")

@@ -203,13 +203,7 @@ def _run_mc(args) -> tuple[dict, bool]:
         raise UsageError(f"mode={args.mode} gives a non-finite estimate or target for these inputs")
 
     mean = estimate.mean
-    deviation = abs(mean - analytic)
-    if estimate.stderr > 0:
-        sigma_distance = deviation / estimate.stderr
-        passed = deviation <= 3.0 * estimate.stderr
-    else:
-        sigma_distance = 0.0 if deviation == 0 else float("inf")
-        passed = deviation == 0
+    passed = estimate.within(analytic, 3.0)
     results = [
         {
             "name": "estimate",
@@ -224,7 +218,7 @@ def _run_mc(args) -> tuple[dict, bool]:
             "value": [analytic.real, analytic.imag] if isinstance(analytic, complex) else analytic,
             "provenance": "analytic",
         },
-        {"name": "sigma_distance", "value": sigma_distance, "provenance": "mc"},
+        {"name": "sigma_distance", "value": estimate.sigma_distance(analytic), "provenance": "mc"},
     ]
     return _report("mc", inputs, results, passed, started), passed
 
@@ -308,7 +302,7 @@ def _run_suite(args) -> tuple[dict, bool]:
         }
         for o in outcomes
     ]
-    inputs = {"quick": args.quick, "seed": args.seed, "criteria": only or "all"}
+    inputs = {"quick": args.quick, "seed": args.seed, "criteria": [o.number for o in outcomes] if only else "all"}
     return _report("suite", inputs, results, passed, started), passed
 
 

@@ -78,6 +78,17 @@ class McEstimate:
     stderr: float
     samples: int
 
+    def within(self, target: float | complex, n_sigma: float) -> bool:
+        """The sigma gate: |mean - target| <= n_sigma stderr (an exact hit when stderr is 0)."""
+        return bool(abs(self.mean - target) <= n_sigma * self.stderr)
+
+    def sigma_distance(self, target: float | complex) -> float | None:
+        """|mean - target| in standard errors: 0 for an exact hit, None for a miss with stderr 0."""
+        deviation = abs(self.mean - target)
+        if deviation == 0:
+            return 0.0
+        return deviation / self.stderr if self.stderr > 0 else None
+
 
 # -- kernels and the pair-partition oracle ---------------------------------------
 

@@ -80,6 +80,13 @@ def test_criterion_15_determinism():
     _run(15)
 
 
+def test_registry_declares_each_criterion_once():
+    assert sorted(acceptance.CRITERIA) == list(range(1, 16))
+    results = {number: criterion(quick=True) for number, criterion in acceptance.CRITERIA.items()}
+    assert all(result.number == number for number, result in results.items())
+    assert len({result.name for result in results.values()}) == len(results)
+
+
 @pytest.mark.skipif(
     not os.environ.get("CCRLAB_LONG"), reason="CI-long binomial mode (set CCRLAB_LONG=1)"
 )

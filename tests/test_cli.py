@@ -150,6 +150,20 @@ def test_mc_deterministic_numerics(capsys):
     assert r1 == r2
 
 
+def test_mc_zero_stderr_miss_is_a_gate_failure(capsys):
+    # Tiny alphas make every sample's value round to the same float, so the
+    # stderr is 0 while the mean misses the target by roundoff.
+    code, out, err = run_cli(
+        capsys, "mc", "--mode", "weyl", "--taus", "0,1", "--alphas", "1e-7,-1e-7", "--samples", "1000"
+    )
+    assert code == 1 and err == ""
+    report = last_json(out)
+    estimate, analytic, distance = report["results"]
+    assert estimate["stderr"] == 0.0 and estimate["value"] != analytic["value"]
+    assert distance["value"] is None
+    assert estimate["pass"] is False and report["pass"] is False
+
+
 def test_mc_usage_errors(capsys):
     assert run_cli(capsys, "mc", "--mode", "bogus", "--taus", "1")[0] == 2
     assert run_cli(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--c", "1")[0] == 2
@@ -361,6 +375,14 @@ def test_suite_subset_quick(capsys):
     names = [row["name"] for row in report["results"]]
     assert names == ["criterion_01", "criterion_05", "criterion_13"]
     assert report["pass"] is True
+
+
+def test_suite_runs_each_criterion_once_in_order(capsys):
+    code, out, _ = run_cli(capsys, "suite", "--quick", "--criteria", "13,5,5,05", "--json")
+    assert code == 0
+    report = last_json(out)
+    assert [row["name"] for row in report["results"]] == ["criterion_05", "criterion_13"]
+    assert report["inputs"]["criteria"] == [5, 13]
 
 
 def test_suite_prints_criterion_lines(capsys):
