@@ -15,9 +15,9 @@ change.
 Per run it records the pass's ``wall_s``, ``setup_s``, ``peak_rss_mb``, digest
 and ``source_sha256`` (the hash of the ccrlab sources that run imported, from
 run.py's own stamp), and the CPU seconds of the child processes (``getrusage``
-of the waited-for children, before and after).  ``BENCH_<workload>.json`` at
-the root of the checkout holds every run, each side's median and quartiles and
-source hashes, the median ratio of paired ``wall_s`` (working tree over base)
+of the waited-for children, before and after).  One JSON record holds every
+run, each side's median and quartiles and source hashes, the median ratio of
+paired ``wall_s`` (working tree over base)
 with a 95% bootstrap interval (pairs resampled with a fixed seed, so the
 interval is reproducible from the runs in the file), the wins of the working
 tree, both digests, the host part of perfbench's environment stamp, and
@@ -29,8 +29,12 @@ so).  For ``wall_s``,
 ``setup_s`` and ``peak_rss_mb`` it also records, and prints, the ratio of the
 medians (working tree over base) and whether it lies within the bound that
 ``BENCHMARK.json`` fixes for that metric, which the script only reads.  The
-script changes no machine setting and writes nothing but that file and
-perfbench's own gitignored results.
+record goes to ``BENCH_<workload>.json`` at the root of the checkout only when
+a gain may be claimed; any other run, such as a neutrality check, goes to
+``perfbench/results/ab-<workload>.json``, gitignored run output, so it never
+overwrites a committed claim.  The summary prints the path.  The script
+changes no machine setting and writes nothing but that record and perfbench's
+own gitignored results.
 """
 
 from __future__ import annotations
@@ -181,9 +185,15 @@ def summarize(pairs: list[dict]) -> dict:
     }
 
 
+def destination(workload: str, gain_holds: bool) -> str:
+    """Where a run's record goes: the committed claim file only for a gain that holds."""
+    if gain_holds:
+        return os.path.join(ROOT, f"BENCH_{workload}.json")
+    return os.path.join(ROOT, "perfbench", "results", f"ab-{workload}.json")
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
-    out = os.path.join(ROOT, f"BENCH_{args.workload}.json")
     with tempfile.TemporaryDirectory(prefix="ab-base-") as workdir:
         try:
             base_commit = export_revision(args.base, workdir)
@@ -216,10 +226,12 @@ def main(argv=None) -> int:
         **summarize(pairs),
         "runs": pairs,
     }
+    rule = report["gain_rule"]
+    out = destination(args.workload, rule["holds"])
+    os.makedirs(os.path.dirname(out), exist_ok=True)
     with open(out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
-    rule = report["gain_rule"]
     print(
         json.dumps(
             {

@@ -18,12 +18,12 @@ substream keyed (seed, i // BLOCK), so the estimate depends only on the seed
 and sample count.  A block draws only the prefix of its substream that it
 reads.  Blocks run on up to one worker per CPU (the calling thread and a
 thread for each other CPU, within a scratch memory budget), and the calling
-thread adds their sums in block order, so the estimate does not depend on the
-number of CPUs or workers.  A block forms its paths with one BLAS product and
-calls the integrand once wherever that product stays on the worker's own BLAS
-thread, and in column tiles only for wide tau sets.  The chunk size of
-:class:`McConfig` only batches the reduction, which is compensated;
-regrouping changes results at roundoff level.
+thread merges their (count, mean, M2) statistics in block order, so the
+estimate does not depend on the number of CPUs or workers.  A block forms its
+paths with one BLAS product and calls the integrand once wherever that product
+stays on the worker's own BLAS thread, and in column tiles only for wide tau
+sets.  The chunk size of :class:`McConfig` sets the segments whose statistics
+are merged; regrouping changes results at roundoff level.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ SCRATCH_LIMIT_BYTES = 2**29
 
 @dataclass(frozen=True)
 class McConfig:
-    """Seeded Monte Carlo run description."""
+    """Seeded Monte Carlo run description; ``chunk`` sets the reduction's merged segments (roundoff only)."""
 
     samples: int
     seed: int
@@ -166,21 +166,17 @@ def _split_gaps(taus) -> np.ndarray:
 # -- the estimator core --------------------------------------------------------------
 
 
-class _NeumaierSum:
-    """Vector Kahan-Neumaier accumulator (order-stable to roundoff)."""
+def _merge(a, b):
+    """Statistics (count, mean, M2) of segment a followed by segment b.
 
-    def __init__(self, width: int):
-        self._sum = np.zeros(width)
-        self._comp = np.zeros(width)
-
-    def add(self, x: np.ndarray):
-        t = self._sum + x
-        big = np.abs(self._sum) >= np.abs(x)
-        self._comp += np.where(big, (self._sum - t) + x, (x - t) + self._sum)
-        self._sum = t
-
-    def total(self) -> np.ndarray:
-        return self._sum + self._comp
+    The pairwise update of Chan, Golub and LeVeque (1983); M2 is the sum of
+    squared deviations from the mean.
+    """
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n
 
 
 def _cpu_count() -> int:
@@ -287,60 +283,53 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
     whole-block products.
 
     Blocks run on up to one worker per CPU (_run_blocks), each with a buffer
-    for the normals and four rows of per-sample statistics (the values and
-    their squares, real and imaginary).  A block sums the statistics over its
-    segments of cfg.chunk samples (counted from sample 0), and the calling
-    thread adds the chunk sums to a compensated accumulator in block order,
-    so the estimate does not depend on the number of workers.
+    for the normals and two rows of values (real and imaginary).  A block
+    reduces each segment of its values that ends where the global sample index
+    reaches a multiple of cfg.chunk to (count, mean, M2), in place, and the
+    calling thread merges them in block order (_merge): the estimate does not
+    depend on the number of workers, and a large mean hides no small spread.
     """
     transform = _split_gaps(taus)
     n_taus, n_bm = transform.shape
     rows = n_bm + 2 if uses_z else n_bm
     tile = _tile_columns(n_taus, n_bm)
 
-    def block_sums(block, generator, buffer):
+    def block_segments(block, generator, buffer):
         start = block * BLOCK
         take = min(BLOCK, cfg.samples - start)
         generator.standard_normal(out=buffer[: (rows - 1) * BLOCK + take if rows else 0])
         normals = buffer[: rows * BLOCK].reshape(rows, BLOCK)
-        stats = buffer[rows * BLOCK :].reshape(4, BLOCK)[:, :take]
+        stats = buffer[rows * BLOCK :].reshape(2, BLOCK)[:, :take]
         np.multiply(0.5, normals[n_bm:, :take], out=normals[n_bm:, :take])
         for lo in range(0, take, tile):
             cols = slice(lo, min(lo + tile, take))
             values = integrand(transform @ normals[:n_bm, cols], *normals[n_bm:, cols])
             stats[0, cols], stats[1, cols] = values.real, values.imag
-            np.square(stats[:2, cols], out=stats[2:, cols])
-        # segments end where the global sample index reaches a multiple of cfg.chunk
-        sums = []
+        segments = []
         i = 0
         while i < take:
             end = min(take, i + cfg.chunk - (start + i) % cfg.chunk)
-            sums.append((start + end, stats[:, i:end].sum(axis=1)))
+            segment = stats[:, i:end]
+            mean = segment.sum(axis=1) / (end - i)
+            np.subtract(segment, mean[:, None], out=segment)
+            m2 = np.square(segment, out=segment).sum(axis=1)
+            segments.append([(end - i, float(mean[row]), float(m2[row])) for row in range(2)])
             i = end
-        return sums
+        return segments
 
-    acc = _NeumaierSum(4)
-    partial = np.zeros(4)
+    totals = [(0, 0.0, 0.0)] * 2
 
-    def add(sums):
-        nonlocal partial
-        for stop, segment in sums:
-            partial += segment
-            if stop % cfg.chunk == 0:
-                acc.add(partial)
-                partial = np.zeros(4)
+    def merge(segments):
+        nonlocal totals
+        for segment in segments:
+            totals = [_merge(total, part) for total, part in zip(totals, segment)]
 
-    _run_blocks(-(-cfg.samples // BLOCK), cfg.seed, block_sums, (rows + 4) * BLOCK, add)
-    if np.any(partial):
-        acc.add(partial)
-    n = cfg.samples
-    s_re, s_im, s_re2, s_im2 = acc.total()
+    _run_blocks(-(-cfg.samples // BLOCK), cfg.seed, block_segments, (rows + 2) * BLOCK, merge)
 
-    def one(s, s2) -> McEstimate:
-        var = max((s2 - s * s / n) / (n - 1), 0.0) if n > 1 else 0.0
-        return McEstimate(mean=float(s / n), stderr=math.sqrt(var / n), samples=n)
+    def one(n, mean, m2) -> McEstimate:
+        return McEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0, samples=n)
 
-    return one(s_re, s_re2), one(s_im, s_im2)
+    return one(*totals[0]), one(*totals[1])
 
 
 # -- estimators ----------------------------------------------------------------------

@@ -432,10 +432,9 @@ def markov_diagnostics(grid: Grid, n_per_side: int, alpha: float = 1.0, seed: in
         norm_u = krein_norm(u, alpha)
         if norm_u == 0.0:
             continue
-        left = e_plus(e_minus(u))
-        markov = max(markov, krein_norm(left - e_zero(u), alpha) / norm_u)
-        for proj in (e_plus, e_minus):
-            pu = proj(u)
+        minus_u = e_minus(u)
+        markov = max(markov, krein_norm(e_plus(minus_u) - e_zero(u), alpha) / norm_u)
+        for proj, pu in ((e_plus, e_plus(u)), (e_minus, minus_u)):
             idempotence = max(idempotence, krein_norm(proj(pu) - pu, alpha) / norm_u)
     fixed_v = 0.0
     for v in v_basis:

@@ -50,3 +50,11 @@ def test_gain_refused_for_mixed_sources(ab):
     assert rule["mixed_sources"] == ["change"]
     assert "more than one source_sha256" in rule["refused"]
     assert summary["sides"]["change"]["source_sha256"] == ["c" * 64, "d" * 64]
+
+
+def test_only_a_holding_gain_writes_the_claim_file(ab):
+    root = pathlib.Path(ab.ROOT)
+    gain = ab.summarize(pairs(["c" * 64] * 10))["gain_rule"]["holds"]
+    neutral = ab.summarize([{"base": run(1.0), "change": run(1.0), "first": "base"}] * 10)["gain_rule"]["holds"]
+    assert pathlib.Path(ab.destination("suite", gain)) == root / "BENCH_suite.json"
+    assert pathlib.Path(ab.destination("suite", neutral)) == root / "perfbench" / "results" / "ab-suite.json"

@@ -150,11 +150,24 @@ def test_mc_deterministic_numerics(capsys):
     assert r1 == r2
 
 
-def test_mc_zero_stderr_miss_is_a_gate_failure(capsys):
-    # Tiny alphas make every sample's value round to the same float, so the
-    # stderr is 0 while the mean misses the target by roundoff.
+def test_mc_tiny_spread_keeps_its_stderr(capsys):
+    # Tiny alphas give values that differ from 1 by ~1e-14, tens of ulps: the
+    # stderr must resolve that spread, not cancel to 0 against the mean.
     code, out, err = run_cli(
         capsys, "mc", "--mode", "weyl", "--taus", "0,1", "--alphas", "1e-7,-1e-7", "--samples", "1000"
+    )
+    assert code == 0 and err == ""
+    estimate, _analytic, distance = last_json(out)["results"]
+    assert estimate["stderr"] > 0.0
+    assert math.isfinite(distance["value"]) and distance["value"] <= 3.0
+
+
+def test_mc_zero_stderr_miss_is_a_gate_failure(capsys, monkeypatch):
+    # an estimate with stderr 0 that misses its target (exp(-1/2)) is a valid, failing report
+    miss = cli.mc.McEstimate(mean=0.5, stderr=0.0, samples=1000)
+    monkeypatch.setattr(cli.mc, "mc_weyl_schwinger", lambda alphas, taus, cfg: miss)
+    code, out, err = run_cli(
+        capsys, "mc", "--mode", "weyl", "--taus", "0,1", "--alphas", "1,-1", "--samples", "1000"
     )
     assert code == 1 and err == ""
     report = last_json(out)

@@ -134,6 +134,28 @@ def test_adjoint_involution_and_antihomomorphism():
         assert adjoint(a * b) == adjoint(b) * adjoint(a)
 
 
+def test_adjoint_reverses_products_and_conjugates_the_state():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parts = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    terms = st.tuples(st.builds(ComplexRational, parts, parts), st.lists(st.sampled_from(GENS), max_size=3))
+    elements = st.lists(terms, min_size=1, max_size=3).map(
+        lambda pairs: sum((normal_order(word) * coeff for coeff, word in pairs), AlgebraElement.zero())
+    )
+    tables = [CovarianceTable(Fraction(0)), CovarianceTable(Fraction(2, 7))]
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(elements, min_size=1, max_size=3))
+    def check(factors):
+        product = math.prod(factors, start=AlgebraElement.one())
+        reversed_adjoints = math.prod(map(adjoint, reversed(factors)), start=AlgebraElement.one())
+        assert adjoint(product) == reversed_adjoints
+        for table in tables:
+            assert omega(adjoint(product), table) == omega(product, table).conjugate()
+
+    check()
+
+
 # -- evolution ---------------------------------------------------------------------
 
 

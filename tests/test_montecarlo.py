@@ -244,6 +244,15 @@ def test_chunk_size_only_moves_roundoff():
         assert abs(other.mean - base.mean) <= 1e-12 * abs(base.mean)
 
 
+def test_weyl_stderr_scales_as_alpha_squared():
+    # Re cos(alpha (x(0) - x(1))) has spread ~ alpha^2 around a mean ~ 1: the
+    # stderr must follow alpha^2 down, not stall at the mean's roundoff.
+    cfg = McConfig(samples=10_000, seed=70)
+    big = mc_weyl_schwinger([1e-3, -1e-3], [0.0, 1.0], cfg).stderr
+    small = mc_weyl_schwinger([1e-5, -1e-5], [0.0, 1.0], cfg).stderr
+    assert small == pytest.approx((1e-5 / 1e-3) ** 2 * big, rel=0.01)
+
+
 def test_sample_count_not_multiple_of_block():
     cfg = McConfig(samples=BLOCK + 123, seed=60)
     est = mc_moment([1, -1], cfg)
@@ -267,35 +276,35 @@ def test_substreams_differ_between_blocks():
 def _serial_estimate(taus, cfg, integrand, uses_z=True):
     """The sampler as a serial loop: each block draws its whole (n_bm + 2, BLOCK)
     normals and forms one whole-block path product (uses_z only drops z1, z2
-    from the integrand's arguments)."""
+    from the integrand's arguments); the segments' (count, mean, M2) are
+    merged in order by Chan, Golub and LeVeque's update."""
     transform = montecarlo._split_gaps(taus)
     n_bm = transform.shape[1]
-    acc = montecarlo._NeumaierSum(4)
-    partial = np.zeros(4)
+    n, mean, m2 = 0, [0.0, 0.0], [0.0, 0.0]
     for start in range(0, cfg.samples, BLOCK):
         take = min(BLOCK, cfg.samples - start)
         normals = substream(cfg.seed, start // BLOCK).standard_normal((n_bm + 2, BLOCK))[:, :take]
         z = (0.5 * normals[n_bm], 0.5 * normals[n_bm + 1]) if uses_z else ()
         values = integrand(transform @ normals[:n_bm], *z)
-        stats = np.stack([values.real, values.imag, values.real**2, values.imag**2])
+        rows = np.stack([values.real, values.imag])
         i = 0
         while i < take:
             end = min(take, i + cfg.chunk - (start + i) % cfg.chunk)
-            partial += stats[:, i:end].sum(axis=1)
+            n_b = end - i
+            mean_b = rows[:, i:end].sum(axis=1) / n_b
+            m2_b = ((rows[:, i:end] - mean_b[:, None]) ** 2).sum(axis=1)
+            for row in range(2):
+                delta = float(mean_b[row]) - mean[row]
+                mean[row] += delta * n_b / (n + n_b)
+                m2[row] = m2[row] + float(m2_b[row]) + delta * delta * n * n_b / (n + n_b)
+            n += n_b
             i = end
-            if (start + i) % cfg.chunk == 0:
-                acc.add(partial)
-                partial = np.zeros(4)
-    if np.any(partial):
-        acc.add(partial)
-    n = cfg.samples
-    s_re, s_im, s_re2, s_im2 = acc.total()
 
-    def one(s, s2) -> McEstimate:
-        var = max((s2 - s * s / n) / (n - 1), 0.0) if n > 1 else 0.0
-        return McEstimate(mean=float(s / n), stderr=math.sqrt(var / n), samples=n)
+    def one(row) -> McEstimate:
+        stderr = math.sqrt(m2[row] / (n - 1) / n) if n > 1 else 0.0
+        return McEstimate(mean=mean[row], stderr=stderr, samples=n)
 
-    return one(s_re, s_re2), one(s_im, s_im2)
+    return one(0), one(1)
 
 
 def _neutral_labels(count):
@@ -327,7 +336,7 @@ def _assert_matches_serial(monkeypatch, taus, cfg, worker_counts=(1, 2, 3)):
             assert repr(run(taus, cfg)) == expected, (name, workers)
 
 
-# chunk 1 costs one compensated add per sample, so it runs at the smallest counts only
+# chunk 1 costs one merge per sample, so it runs at the smallest counts only
 @pytest.mark.parametrize(
     "samples, chunk",
     [
@@ -462,7 +471,7 @@ def test_many_workers_with_rapid_switching(monkeypatch):
 def test_scratch_budget_caps_the_workers(monkeypatch):
     taus = [0.5, -1.0]
     n_bm = montecarlo._split_gaps(taus).shape[1]
-    buffer_bytes = 8 * (n_bm + 2 + 4) * BLOCK  # normals with z rows, and four statistic rows
+    buffer_bytes = 8 * (n_bm + 2 + 2) * BLOCK  # normals with z rows, and two value rows
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
     monkeypatch.setattr(montecarlo, "SCRATCH_LIMIT_BYTES", 3 * buffer_bytes)
     cfg = McConfig(samples=12 * BLOCK, seed=67, chunk=3 * BLOCK)
