@@ -28,8 +28,8 @@ SCHEMA_VERSION = "ccrlab.report.v1"
 MC_MODES = ("indefinite", "krein", "weyl", "characteristic")
 # Largest grid `gram --kind os` takes: os_rank's quadrature kernel is a dense n x n matrix.
 OS_GRID_LIMIT = 2001
-# Most `mc --taus` takes: the path transform is dense n x n, and each sampling
-# worker holds an (n + 4) x BLOCK float buffer (about 130 MB at this limit).
+# Most `mc --taus` takes: each sampling worker holds an (n + 4) x BLOCK float
+# buffer (about 130 MB at this limit).
 MC_TAUS_LIMIT = 1000
 
 
@@ -173,6 +173,8 @@ def _run_mc(args) -> tuple[dict, bool]:
         target = partial(mc.krein_pair_moment, taus, args.alpha)
         sample = partial(mc.mc_krein_moment, taus, args.alpha, cfg)
     elif args.mode == "weyl":
+        if not taus:
+            raise UsageError("--taus is required for mode=weyl")
         if args.alphas is None:
             raise UsageError("mode=weyl needs --alphas")
         alphas = _float_list(args.alphas)

@@ -20,9 +20,9 @@ reads.  Blocks run on up to one worker per CPU (the calling thread and a
 thread for each other CPU, within a scratch memory budget), and the calling
 thread merges their (count, mean, M2) statistics in block order, so the
 estimate does not depend on the number of CPUs or workers.  A block forms its
-paths with one BLAS product and calls the integrand once wherever that product
-stays on the worker's own BLAS thread, and in column tiles only for wide tau
-sets.  The chunk size of :class:`McConfig` sets the segments whose statistics
+paths in place, as running sums down each side of 0, and calls the integrand
+once; no step of sampling calls BLAS, so the bits do not depend on the BLAS
+kernel.  The chunk size of :class:`McConfig` sets the segments whose statistics
 are merged; regrouping changes results at roundoff level.
 """
 
@@ -40,8 +40,6 @@ from .weyl import to_label_fraction
 
 BLOCK = 16384
 PAIR_MOMENT_LIMIT = 20
-# OpenBLAS's single-thread size for a gemm (m*n*k): the only limit on a path-product tile.
-BLAS_LOCAL_MNK = 4 * 65536
 # Budget for the workers' scratch buffers of one estimate; it caps the worker count for wide rows.
 SCRATCH_LIMIT_BYTES = 2**29
 
@@ -157,12 +155,6 @@ def brownian_gaps(taus):
         yield np.sqrt(np.diff(edges, prepend=0.0)), last
 
 
-def _split_gaps(taus) -> np.ndarray:
-    """Lower-triangular map from unit normals (one per gap) to Brownian values at taus."""
-    blocks = [np.where(np.arange(sq.size) <= last[:, None], sq, 0.0) for sq, last in brownian_gaps(taus)]
-    return np.hstack(blocks)
-
-
 # -- the estimator core --------------------------------------------------------------
 
 
@@ -184,20 +176,6 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _tile_columns(n_taus: int, n_bm: int) -> int:
-    """Columns per path-product tile: the largest multiple of 64 within BLAS_LOCAL_MNK, at least 64.
-
-    OpenBLAS runs a gemm of m*n*k <= BLAS_LOCAL_MNK on the calling thread; a
-    larger one may go to its shared thread pool, which serializes the workers.
-    With few taus a whole block fits, so a block makes one path product and
-    one integrand call.  The tiles start at multiples of 64 columns, so the
-    BLAS and numpy kernels give every column the same bits as in one
-    whole-block call.
-    """
-    fit = BLAS_LOCAL_MNK // max(n_taus * n_bm, 1)
-    return max(64, fit // 64 * 64)
 
 
 def _run_blocks(blocks: int, seed: int, work, size: int, consume) -> None:
@@ -271,16 +249,15 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
     """Real and imaginary estimates of E[integrand(paths, z1, z2)].
 
     Block b holds samples [b BLOCK, (b + 1) BLOCK) and reads the (rows, BLOCK)
-    normals of substream (seed, b) in row-major order: n_bm path rows, which
-    give ``paths`` (one row per tau, one column per sample), then z1 and z2,
-    halved in place.  It draws only the prefix it reads, (rows - 1) BLOCK +
-    take normals, and with ``uses_z=False`` it drops the z rows and calls
-    integrand(paths).  The integrand returns one real or complex value per
-    sample and must leave its arguments unchanged: z1 and z2 are views of the
-    worker's buffer.  The path product and the integrand run once per
-    block wherever the BLAS budget allows, and in column tiles only for wide
-    tau sets (see _tile_columns); tiles leave every value bit-identical to
-    whole-block products.
+    normals of substream (seed, b) in row-major order: one path row per gap of
+    brownian_gaps, then z1 and z2, halved in place.  It draws only the prefix it
+    reads, (rows - 1) BLOCK + take normals, and with ``uses_z=False`` it drops
+    the z rows and calls integrand(paths).  Each side's path rows become, in
+    place and in gap order, the running sum row[i] = row[i-1] + gap_i normal_i
+    (no BLAS); ``paths[k]`` is the row of tau_k's last gap, or a zero row for
+    tau_k = 0.  The integrand runs once per block, returns one real or complex
+    value per sample and must leave its arguments, views of the worker's
+    buffer, unchanged.
 
     Blocks run on up to one worker per CPU (_run_blocks), each with a buffer
     for the normals and two rows of values (real and imaginary).  A block
@@ -289,22 +266,29 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
     calling thread merges them in block order (_merge): the estimate does not
     depend on the number of workers, and a large mean hides no small spread.
     """
-    transform = _split_gaps(taus)
-    n_taus, n_bm = transform.shape
+    gaps, chained, path_rows = [], [], np.full(len(taus), -1)
+    for sq, last in brownian_gaps(taus):
+        path_rows = np.where(last >= 0, len(gaps) + last, path_rows)
+        chained += range(len(gaps) + 1, len(gaps) + sq.size)  # rows that continue a side's sum
+        gaps += list(sq)
+    n_bm = len(gaps)
+    gaps = np.array(gaps)[:, None]
     rows = n_bm + 2 if uses_z else n_bm
-    tile = _tile_columns(n_taus, n_bm)
+    zero = np.zeros(BLOCK)
 
     def block_segments(block, generator, buffer):
         start = block * BLOCK
         take = min(BLOCK, cfg.samples - start)
         generator.standard_normal(out=buffer[: (rows - 1) * BLOCK + take if rows else 0])
-        normals = buffer[: rows * BLOCK].reshape(rows, BLOCK)
+        normals = buffer[: rows * BLOCK].reshape(rows, BLOCK)[:, :take]
         stats = buffer[rows * BLOCK :].reshape(2, BLOCK)[:, :take]
-        np.multiply(0.5, normals[n_bm:, :take], out=normals[n_bm:, :take])
-        for lo in range(0, take, tile):
-            cols = slice(lo, min(lo + tile, take))
-            values = integrand(transform @ normals[:n_bm, cols], *normals[n_bm:, cols])
-            stats[0, cols], stats[1, cols] = values.real, values.imag
+        walks, z = normals[:n_bm], normals[n_bm:]
+        np.multiply(walks, gaps, out=walks)
+        for i in chained:
+            np.add(walks[i - 1], walks[i], out=walks[i])
+        np.multiply(0.5, z, out=z)
+        values = integrand([walks[row] if row >= 0 else zero[:take] for row in path_rows], *z)
+        stats[0], stats[1] = values.real, values.imag
         segments = []
         i = 0
         while i < take:
@@ -333,6 +317,14 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
 
 
 # -- estimators ----------------------------------------------------------------------
+
+
+def _weighted_sum(weights, paths, size):
+    """sum_k weights[k] paths[k] as a new row of size values, added in tau order (a dot product, no BLAS)."""
+    total, term = np.zeros(size), np.empty(size)
+    for weight, path in zip(weights, paths):
+        total += np.multiply(weight, path, out=term)
+    return total
 
 
 def _product_integrand(taus, dtype, offsets):
@@ -384,7 +376,7 @@ def mc_characteristic(taus, weights, cfg: McConfig) -> McEstimate:
 
     def integrand(paths, z1, z2):
         # i(x(f)) with x(f) = xi(f) + a z - b zbar
-        return np.exp(1j * (w @ paths + (a - b) * z1) - (a + b) * z2)
+        return np.exp(1j * (_weighted_sum(w, paths, z1.size) + (a - b) * z1) - (a + b) * z2)
 
     real, imag = _estimate(taus, cfg, integrand)
     return McEstimate(
@@ -406,10 +398,12 @@ def mc_weyl_schwinger(alphas, taus, cfg: McConfig) -> McEstimate:
     fractions = [to_label_fraction(a) for a in alphas]
     if sum(fractions) != 0:
         return McEstimate(mean=0.0, stderr=0.0, samples=0)
-    coeffs = np.array([float(a) for a in fractions])
+    # no labels: sample the label 0 at tau 0, so that paths[0] sizes the phase (exp(0) = 1 either way)
+    coeffs = np.array([float(a) for a in fractions] or [0.0])
+    taus = taus if len(taus) else [0.0]
 
     def integrand(paths):
-        phase = 1j * (coeffs @ paths)
+        phase = 1j * _weighted_sum(coeffs, paths, paths[0].size)
         return np.exp(phase, out=phase)
 
     real, _imag = _estimate(taus, cfg, integrand, uses_z=False)

@@ -200,6 +200,16 @@ def test_mc_usage_errors(capsys):
     one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--samples", "1")
 
 
+def test_mc_weyl_refuses_empty_taus_before_the_target(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a target or sampled for empty --taus")
+
+    monkeypatch.setattr(cli.wy, "schwinger_npoint", refuse)
+    monkeypatch.setattr(cli.mc, "mc_weyl_schwinger", refuse)
+    err = one_line_usage_error(capsys, "mc", "--mode", "weyl", "--taus=", "--alphas=")
+    assert "--taus is required for mode=weyl" in err
+
+
 def test_mc_non_finite_estimate_is_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(cli.mc, "_cpu_count", lambda: 3)
     with warnings.catch_warnings():

@@ -5,6 +5,9 @@ Sample counts here are reduced but every comparison still uses the stated
 """
 
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import warnings
@@ -253,6 +256,46 @@ def test_weyl_stderr_scales_as_alpha_squared():
     assert small == pytest.approx((1e-5 / 1e-3) ** 2 * big, rel=0.01)
 
 
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+KERNEL_SCRIPT = """
+import math
+import numpy as np
+from ccrlab import montecarlo as mc
+cfg = mc.McConfig(samples=2 * mc.BLOCK + 5, seed=71)
+wide = [float(t) for t in np.linspace(-2, 2, 21)]
+taus = [-1.5, -1.0, -0.25, 0.0, 0.5, 1.0, 1.25, 2.0]
+print(repr(mc.mc_characteristic(wide, [0.3 * math.cos(t) for t in wide], cfg)))
+print(repr(mc.mc_moment_components(taus, cfg)))
+print(repr(mc.mc_weyl_schwinger([0.5, -0.5] * 4, taus, cfg)))
+print(repr(mc.mc_krein_moment(taus, 1.3, cfg)))
+"""
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs numpy on a DYNAMIC_ARCH OpenBLAS")
+def test_estimates_do_not_depend_on_the_blas_kernel():
+    # the kernel is chosen in each child's environment only: this process keeps its own
+    src = str(pathlib.Path(montecarlo.__file__).resolve().parents[1])
+    outputs = []
+    for coretype in ("Prescott", "Haswell"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", KERNEL_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert child.returncode == 0, child.stderr
+        outputs.append(child.stdout)
+    assert outputs[0].count("McEstimate") == 5
+    assert outputs[0] == outputs[1]
+
+
 def test_sample_count_not_multiple_of_block():
     cfg = McConfig(samples=BLOCK + 123, seed=60)
     est = mc_moment([1, -1], cfg)
@@ -275,17 +318,24 @@ def test_substreams_differ_between_blocks():
 
 def _serial_estimate(taus, cfg, integrand, uses_z=True):
     """The sampler as a serial loop: each block draws its whole (n_bm + 2, BLOCK)
-    normals and forms one whole-block path product (uses_z only drops z1, z2
-    from the integrand's arguments); the segments' (count, mean, M2) are
-    merged in order by Chan, Golub and LeVeque's update."""
-    transform = montecarlo._split_gaps(taus)
-    n_bm = transform.shape[1]
+    normals, and each side of 0 gives its paths as the cumulative sum of its
+    gap-scaled rows (uses_z only drops z1, z2 from the integrand's arguments);
+    the segments' (count, mean, M2) are merged in order by Chan, Golub and
+    LeVeque's update."""
+    sides = list(montecarlo.brownian_gaps(taus))
+    n_bm = sum(sq.size for sq, _last in sides)
     n, mean, m2 = 0, [0.0, 0.0], [0.0, 0.0]
     for start in range(0, cfg.samples, BLOCK):
         take = min(BLOCK, cfg.samples - start)
         normals = substream(cfg.seed, start // BLOCK).standard_normal((n_bm + 2, BLOCK))[:, :take]
         z = (0.5 * normals[n_bm], 0.5 * normals[n_bm + 1]) if uses_z else ()
-        values = integrand(transform @ normals[:n_bm], *z)
+        paths = np.zeros((len(taus), take))
+        first = 0
+        for sq, last in sides:
+            walk = np.cumsum(sq[:, None] * normals[first : first + sq.size], axis=0)
+            paths[last >= 0] = walk[last[last >= 0]]
+            first += sq.size
+        values = integrand(paths, *z)
         rows = np.stack([values.real, values.imag])
         i = 0
         while i < take:
@@ -322,7 +372,7 @@ TAUS_SETS = {
     "all zero": [0.0, 0.0, 0.0],  # no path rows: weyl draws nothing at all
     "repeated": [1.0, -0.5, 1.0, -0.5],
     "one-sided": [0.25, 1.5, 0.5],
-    "linspace": [float(t) for t in np.linspace(-2, 2, 21)],  # tiles of 576 columns, odd remainders
+    "linspace": [float(t) for t in np.linspace(-2, 2, 21)],  # 20 gaps, tau 0 among them
 }
 
 
@@ -367,19 +417,16 @@ def _wrap_integrands(monkeypatch, wrap):
 
 
 @pytest.mark.parametrize(
-    "taus, tile",
-    [
-        ([1.0, -1.0], None),  # 2 taus, 2 gaps: a whole block fits the BLAS budget
-        ([-1.0, -0.5, 0.5, 1.0], None),  # 4 taus, 4 gaps: exactly a whole block
-        (TAUS_SETS["linspace"], 576),  # 21 taus, 20 gaps: tiles
-    ],
+    "taus",
+    [[1.0, -1.0], [-1.0, -0.5, 0.5, 1.0], TAUS_SETS["linspace"]],
+    ids=["2-taus", "4-taus", "21-taus"],
 )
-def test_integrand_runs_once_per_block_or_tile(monkeypatch, taus, tile):
+def test_integrand_runs_once_per_block(monkeypatch, taus):
     calls = []
 
     def counting(integrand):
         def counted(*args):
-            calls.append(args[0].shape[1])
+            calls.append(len(args[0][0]))
             return integrand(*args)
 
         return counted
@@ -387,33 +434,16 @@ def test_integrand_runs_once_per_block_or_tile(monkeypatch, taus, tile):
     _wrap_integrands(monkeypatch, counting)
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
     cfg = McConfig(samples=3 * BLOCK + 7, seed=68)
-    takes = [BLOCK, BLOCK, BLOCK, 7]
-    if tile is not None:
-        takes = [min(tile, take - lo) for take in takes for lo in range(0, take, tile)]
     for name, run in ESTIMATORS.items():
         calls.clear()
         run(taus, cfg)
-        assert sorted(calls) == sorted(takes), name
-
-
-def test_tile_columns_fill_the_blas_budget():
-    for n_taus in range(0, 40):
-        for n_bm in range(0, 2 * n_taus + 1):
-            tile = montecarlo._tile_columns(n_taus, n_bm)
-            work = n_taus * n_bm
-            assert tile % 64 == 0 and tile >= 64
-            assert tile == 64 or work * tile <= montecarlo.BLAS_LOCAL_MNK
-            assert work == 0 or work * (tile + 64) > montecarlo.BLAS_LOCAL_MNK
-    assert montecarlo._tile_columns(2, 2) >= BLOCK
-    assert montecarlo._tile_columns(4, 4) == BLOCK
-    assert montecarlo._tile_columns(21, 20) == 576
-    assert montecarlo._tile_columns(200, 400) == 64
+        assert sorted(calls) == [7, BLOCK, BLOCK, BLOCK], name
 
 
 def test_integrands_leave_their_arguments_unchanged(monkeypatch):
     def checking(integrand):
         def checked(*args):
-            before = [arg.copy() for arg in args]
+            before = [np.array(arg) for arg in args]  # paths is a list of views: copy the rows
             values = integrand(*args)
             for arg, copy in zip(args, before):
                 assert np.array_equal(arg, copy)
@@ -470,7 +500,7 @@ def test_many_workers_with_rapid_switching(monkeypatch):
 
 def test_scratch_budget_caps_the_workers(monkeypatch):
     taus = [0.5, -1.0]
-    n_bm = montecarlo._split_gaps(taus).shape[1]
+    n_bm = sum(sq.size for sq, _last in montecarlo.brownian_gaps(taus))
     buffer_bytes = 8 * (n_bm + 2 + 2) * BLOCK  # normals with z rows, and two value rows
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
     monkeypatch.setattr(montecarlo, "SCRATCH_LIMIT_BYTES", 3 * buffer_bytes)
