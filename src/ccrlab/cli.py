@@ -108,7 +108,7 @@ def _run_moments(args) -> tuple[dict, bool]:
     started = time.perf_counter()
     try:
         element = parse_element(args.expr)
-    except ExprError as err:
+    except (ExprError, hb.ProductSizeError) as err:
         raise UsageError(str(err)) from None
     try:
         c = Fraction(args.c)
@@ -122,10 +122,10 @@ def _run_moments(args) -> tuple[dict, bool]:
     except OverflowError:  # past the float range only the exact value is reported
         value_float = None
     try:
-        value_text = str(value)
+        value_text, element_text = str(value), str(element)
     except ValueError:  # str(int) refuses past the interpreter's digit limit
         raise UsageError(
-            f"the exact value has more than {sys.get_int_max_str_digits()} digits, "
+            f"the exact value or a coefficient has more than {sys.get_int_max_str_digits()} digits, "
             "the interpreter's limit for printing an integer"
         ) from None
     results = [
@@ -135,7 +135,7 @@ def _run_moments(args) -> tuple[dict, bool]:
             "value_float": value_float,
             "provenance": "exact-symbolic",
         },
-        {"name": "normal_ordered", "value": str(element), "provenance": "exact-symbolic"},
+        {"name": "normal_ordered", "value": element_text, "provenance": "exact-symbolic"},
     ]
     return _report("moments", {"expr": args.expr, "c": str(c)}, results, True, started), True
 

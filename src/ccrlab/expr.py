@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .exactcomplex import ComplexRational
-from .heisenberg import AlgebraElement, P, P_PRIME, Q, Q_PRIME, UNIT
+from .heisenberg import AlgebraElement, P, P_PRIME, Q, Q_PRIME, UNIT, product
 
 
 class ExprError(ValueError):
@@ -92,14 +92,14 @@ class _Parser:
         return value
 
     def term(self) -> AlgebraElement:
-        value = self.power()
+        factors = [self.power()]
         while self.peek() in ("star", "number", "gen", "i", "lparen", "minus"):
             if self.peek() == "star":
                 self.next()
             elif self.peek() == "minus":
                 break  # binary minus belongs to expression()
-            value = value * self.power()
-        return value
+            factors.append(self.power())
+        return product(factors)  # one product, so one term budget for the whole chain
 
     def power(self) -> AlgebraElement:
         base = self.primary()

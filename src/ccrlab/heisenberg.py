@@ -4,7 +4,9 @@ Generators ``q, p`` satisfy ``[q, p] = i``; the commutant generators
 ``q', p'`` satisfy the pseudo-canonical relation ``[q', p'] = -i`` and commute
 with the unprimed pair.  Elements are kept in the canonical normal-ordered
 monomial basis ``q^j p^k q'^l p'^m`` with exact complex-rational coefficients,
-so every identity in this module is exact.
+so every identity in this module is exact.  Inside the module a coefficient is
+a Gaussian-integer numerator over a denominator shared by the whole element or
+table; values leave it as :class:`ComplexRational`.
 
 The indefinite ground state is encoded by a :class:`CovarianceTable` of
 ordered two-point values; all higher moments are evaluated by the Gaussian
@@ -16,6 +18,7 @@ phases, diagonal on canonical monomials, and the metric conjugation
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -24,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactcomplex import I, ONE, ZERO, ComplexRational
+from .exactcomplex import I, ONE, ZERO, ComplexRational, _reduced
 from .gram import GramMatrix, gram_signature
 
 DEFAULT_WORD_LIMIT = 32
@@ -68,33 +71,58 @@ _GENERATOR_KEYS = {
 }
 
 
-# Bounded caches: the exact benchmark workload fills about 70 entries of this
-# one and 3300 of _mul_keys.
+# Exact coefficients are Gaussian integers x + y i over one positive denominator
+# per element (the one-denominator layout of FLINT's fmpq_poly): an element holds
+# {key: (x, y)} and a denominator, in lowest terms, so a product costs one gcd
+# and not one per term.  Reordering introduces no denominator.  ComplexRational
+# is the boundary type: `terms`, `coefficient`, `omega`, `moment`, `wick_value`
+# and printing convert to it.
+
+# Most terms one product may build, counted before like terms merge: each pair of
+# factor terms builds one term per reordering term of its monomials, and a power
+# or a `product` of many factors counts as one.  Past it the product raises
+# ProductSizeError.
+TERM_LIMIT = 100_000
+
+# Powers of i as (re, im).
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+class ProductSizeError(ValueError):
+    """Raised when a product would build more than TERM_LIMIT terms."""
+
+
+# Bounded caches: one pass of the exact benchmark workload fills 67 entries of
+# this one and 3263 of _mul_keys, and `ccrlab suite` 61 and 1645.
 @lru_cache(maxsize=1024)
-def _reorder_coeffs(k: int, j: int, sign_im: int) -> tuple[tuple[int, ComplexRational], ...]:
+def _reorder_coeffs(k: int, j: int, sign_im: int) -> tuple[tuple[int, int, int], ...]:
     """Coefficients of p^k q^j = sum_s C(k,s) C(j,s) s! (sign_im*i)^s q^(j-s) p^(k-s).
 
     ``sign_im=-1`` reorders the unprimed pair ([q,p]=i), ``sign_im=+1`` the
-    primed pair ([q',p']=-i).  Returns ((s, coeff), ...).
+    primed pair ([q',p']=-i).  Returns ((s, x, y), ...) for the Gaussian
+    integer coefficients x + y i.
     """
-    unit = ComplexRational(0, sign_im)
     out = []
     for s in range(min(j, k) + 1):
-        coeff = ComplexRational(math.comb(k, s) * math.comb(j, s) * math.factorial(s)) * unit**s
-        out.append((s, coeff))
+        size = math.comb(k, s) * math.comb(j, s) * math.factorial(s)
+        re, im = _I_POWERS[s % 4]
+        out.append((s, size * re, size * im * sign_im**s))
     return tuple(out)
 
 
 @lru_cache(maxsize=8192)
-def _mul_keys(a: MonomialKey, b: MonomialKey) -> tuple[tuple[MonomialKey, ComplexRational], ...]:
-    """Product of canonical monomials, reduced to canonical form: the one reordering rule."""
+def _mul_keys(a: MonomialKey, b: MonomialKey) -> tuple[tuple[MonomialKey, int, int], ...]:
+    """Product of canonical monomials, reduced to canonical form: the one reordering rule.
+
+    Returns ((key, x, y), ...) for the Gaussian integer coefficients x + y i.
+    """
     j1, k1, l1, m1 = a
     j2, k2, l2, m2 = b
     out = []
-    for s, cs in _reorder_coeffs(k1, j2, -1):
-        for t, ct in _reorder_coeffs(m1, l2, +1):
+    for s, xs, ys in _reorder_coeffs(k1, j2, -1):
+        for t, xt, yt in _reorder_coeffs(m1, l2, +1):
             key = (j1 + j2 - s, k1 + k2 - s, l1 + l2 - t, m1 + m2 - t)
-            out.append((key, cs * ct))
+            out.append((key, xs * xt - ys * yt, xs * yt + ys * xt))
     return tuple(out)
 
 
@@ -106,18 +134,29 @@ def _coerce_scalar(value) -> ComplexRational | None:
     return None
 
 
+def _over_common_denominator(terms: dict) -> tuple[dict, int]:
+    """{key: (x, y, d)} with per-term denominators brought over their lcm."""
+    den = math.lcm(*(d for _, _, d in terms.values()))
+    return {key: (x * (den // d), y * (den // d)) for key, (x, y, d) in terms.items()}, den
+
+
 class AlgebraElement:
     """Exact linear combination of canonical monomials q^j p^k q'^l p'^m."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: dict[MonomialKey, ComplexRational] | None = None):
-        clean: dict[MonomialKey, ComplexRational] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    clean[key] = coeff
-        object.__setattr__(self, "_terms", clean)
+        parts = {}
+        for key, coeff in (terms or {}).items():
+            c = _coerce_scalar(coeff)
+            if c is None:
+                raise TypeError(f"bad coefficient {coeff!r}")
+            if c:
+                parts[key] = (c._x, c._y, c._d)
+        # reduced coefficients over their lcm are already in lowest terms
+        numerators, den = _over_common_denominator(parts)
+        object.__setattr__(self, "_terms", numerators)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -147,7 +186,8 @@ class AlgebraElement:
 
     @property
     def terms(self) -> dict[MonomialKey, ComplexRational]:
-        return dict(self._terms)
+        den = self._den
+        return {key: _reduced(x, y, den) for key, (x, y) in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -159,7 +199,8 @@ class AlgebraElement:
         return max(sum(key) for key in self._terms)
 
     def coefficient(self, key: MonomialKey) -> ComplexRational:
-        return self._terms.get(tuple(key), ZERO)
+        pair = self._terms.get(tuple(key))
+        return ZERO if pair is None else _reduced(*pair, self._den)
 
     # -- algebra --------------------------------------------------------------
 
@@ -167,10 +208,13 @@ class AlgebraElement:
         other = _coerce_element(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            terms[key] = terms.get(key, ZERO) + coeff
-        return AlgebraElement(terms)
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        terms = {key: (x * fa, y * fa) for key, (x, y) in self._terms.items()}
+        for key, (x, y) in other._terms.items():
+            old = terms.get(key)
+            terms[key] = (x * fb, y * fb) if old is None else (old[0] + x * fb, old[1] + y * fb)
+        return _element(terms, den)
 
     __radd__ = __add__
 
@@ -187,21 +231,30 @@ class AlgebraElement:
         return other + (-self)
 
     def __neg__(self):
-        return AlgebraElement({k: -c for k, c in self._terms.items()})
+        return _make_element({key: (-x, -y) for key, (x, y) in self._terms.items()}, self._den)
 
     def __mul__(self, other):
-        scalar = _coerce_scalar(other)
-        if scalar is not None:
-            return AlgebraElement({k: c * scalar for k, c in self._terms.items()})
         if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        terms: dict[MonomialKey, ComplexRational] = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in other._terms.items():
-                cab = ca * cb
-                for key, red in _mul_keys(ka, kb):
-                    terms[key] = terms.get(key, ZERO) + cab * red
-        return AlgebraElement(terms)
+            scalar = _coerce_scalar(other)
+            if scalar is None:
+                return NotImplemented
+            sx, sy = scalar._x, scalar._y
+            terms = {key: (x * sx - y * sy, x * sy + y * sx) for key, (x, y) in self._terms.items()}
+            return _element(terms, self._den * scalar._d)
+        return self._times(other, TERM_LIMIT)[0]
+
+    def _times(self, other: "AlgebraElement", budget: int) -> tuple["AlgebraElement", int]:
+        """The product and the number of terms it built, refused past ``budget`` built terms."""
+        right = other._terms.items()
+        # each pair of terms builds at least one
+        if len(self._terms) * len(right) > budget:
+            raise ProductSizeError(f"product building more than {TERM_LIMIT} terms")
+        pairs = (
+            (xa * xb - ya * yb, xa * yb + ya * xb, ka, kb)
+            for ka, (xa, ya) in self._terms.items()
+            for kb, (xb, yb) in right
+        )
+        return _reordered(pairs, self._den * other._den, budget)
 
     def __rmul__(self, other):
         scalar = _coerce_scalar(other)
@@ -213,23 +266,20 @@ class AlgebraElement:
         """Left-to-right product of n copies; n must be a nonnegative int."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        result = UNIT
-        for _ in range(n):
-            result = result * self
-        return result
+        return product(itertools.repeat(self, n))
 
     def __eq__(self, other):
         other = _coerce_element(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __str__(self):
         if not self._terms:
             return "0"
         parts = []
         for key in sorted(self._terms, key=lambda k: (sum(k), k)):
-            coeff = self._terms[key]
+            coeff = _reduced(*self._terms[key], self._den)
             mono = _format_monomial(key)
             if mono == "1":
                 parts.append(f"({coeff})")
@@ -241,6 +291,31 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement({self})"
+
+
+_set_terms = AlgebraElement._terms.__set__
+_set_den = AlgebraElement._den.__set__
+
+
+def _make_element(terms: dict, den: int) -> AlgebraElement:
+    """Element from nonzero numerators {key: (x, y)} over ``den``, already in lowest terms."""
+    e = object.__new__(AlgebraElement)
+    _set_terms(e, terms)
+    _set_den(e, den)
+    return e
+
+
+def _element(terms: dict, den: int) -> AlgebraElement:
+    """Element from numerators {key: (x, y)} over ``den`` > 0: zero terms dropped, lowest terms by one gcd."""
+    terms = {key: pair for key, pair in terms.items() if pair[0] or pair[1]}
+    if not terms:
+        den = 1
+    elif den != 1:
+        g = math.gcd(den, *itertools.chain.from_iterable(terms.values()))
+        if g != 1:
+            den //= g
+            terms = {key: (x // g, y // g) for key, (x, y) in terms.items()}
+    return _make_element(terms, den)
 
 
 def _coerce_element(value):
@@ -269,6 +344,18 @@ P = AlgebraElement.generator(Generator.P)
 Q_PRIME = AlgebraElement.generator(Generator.Q_PRIME)
 P_PRIME = AlgebraElement.generator(Generator.P_PRIME)
 UNIT = AlgebraElement.one()
+_GENERATOR_ELEMENTS = (Q, P, Q_PRIME, P_PRIME)
+
+
+def product(factors) -> AlgebraElement:
+    """Left-to-right product of ``factors`` (UNIT for none), its multiplications sharing one TERM_LIMIT budget."""
+    factors = iter(factors)
+    result = next(factors, UNIT)
+    budget = TERM_LIMIT
+    for factor in factors:
+        result, built = result._times(factor, budget)
+        budget -= built
+    return result
 
 
 def normal_order(word, max_len: int = DEFAULT_WORD_LIMIT) -> AlgebraElement:
@@ -276,31 +363,42 @@ def normal_order(word, max_len: int = DEFAULT_WORD_LIMIT) -> AlgebraElement:
     word = list(word)
     if len(word) > max_len:
         raise WordLengthError(f"word of length {len(word)} exceeds bound {max_len}")
-    result = UNIT
-    for g in word:
-        result = result * AlgebraElement.generator(Generator(g))
-    return result
+    return product(_GENERATOR_ELEMENTS[Generator(g)] for g in word)
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b - b * a
 
 
-def _reordered(products) -> AlgebraElement:
-    """Sum over (coeff, a, b) of coeff times the canonical form of the product a b."""
-    terms: dict[MonomialKey, ComplexRational] = {}
-    for coeff, a, b in products:
-        for key, red in _mul_keys(a, b):
-            terms[key] = terms.get(key, ZERO) + coeff * red
-    return AlgebraElement(terms)
+def _reordered(products, den: int, budget: float = math.inf) -> tuple[AlgebraElement, int]:
+    """Sum over (x, y, a, b) of (x + y i)/den times the canonical form of the product a b.
+
+    Returns the sum and the number of terms it built; past ``budget`` built
+    terms it raises ProductSizeError.
+    """
+    terms: dict[MonomialKey, tuple[int, int]] = {}
+    get = terms.get
+    built = 0
+    for x, y, a, b in products:
+        reduced = _mul_keys(a, b)
+        built += len(reduced)
+        if built > budget:
+            raise ProductSizeError(f"product building more than {TERM_LIMIT} terms")
+        for key, rx, ry in reduced:
+            old = get(key)
+            if old is None:
+                terms[key] = (x * rx - y * ry, x * ry + y * rx)
+            else:
+                terms[key] = (old[0] + x * rx - y * ry, old[1] + x * ry + y * rx)
+    return _element(terms, den), built
 
 
 def adjoint(e: AlgebraElement) -> AlgebraElement:
     """Antilinear *-operation: conjugate coefficients, reverse each monomial."""
     # the reversed word p'^m q'^l p^k q^j is the product (p^k p'^m)(q^j q'^l)
     return _reordered(
-        (coeff.conjugate(), (0, k, 0, m), (j, 0, l, 0)) for (j, k, l, m), coeff in e._terms.items()
-    )
+        ((x, -y, (0, k, 0, m), (j, 0, l, 0)) for (j, k, l, m), (x, y) in e._terms.items()), e._den
+    )[0]
 
 
 def evolve(e: AlgebraElement, t) -> AlgebraElement:
@@ -311,17 +409,17 @@ def evolve(e: AlgebraElement, t) -> AlgebraElement:
     total = AlgebraElement.zero()
     img_q = Q + P * t
     img_qp = Q_PRIME - P_PRIME * t
-    for (j, k, l, m), coeff in e.terms.items():
-        total = total + img_q**j * P**k * img_qp**l * P_PRIME**m * coeff
-    return total
+    for (j, k, l, m), (x, y) in e._terms.items():
+        total = total + img_q**j * P**k * img_qp**l * P_PRIME**m * ComplexRational(x, y)
+    return total * Fraction(1, e._den)
 
 
 def metric_conjugate(e: AlgebraElement) -> AlgebraElement:
     """Krein-metric conjugation: the involutive automorphism q <-> p', p <-> q'."""
     # the image word p'^j q'^k p^l q^m is the product (p^l p'^j)(q^m q'^k)
     return _reordered(
-        (coeff, (0, l, 0, j), (m, 0, k, 0)) for (j, k, l, m), coeff in e._terms.items()
-    )
+        ((x, y, (0, l, 0, j), (m, 0, k, 0)) for (j, k, l, m), (x, y) in e._terms.items()), e._den
+    )[0]
 
 
 def scale_transform(e: AlgebraElement, lam) -> AlgebraElement:
@@ -329,10 +427,12 @@ def scale_transform(e: AlgebraElement, lam) -> AlgebraElement:
     lam = Fraction(lam)
     if lam == 0:
         raise ValueError("scale parameter must be nonzero")
-    terms = {}
-    for (j, k, l, m), coeff in e.terms.items():
-        terms[(j, k, l, m)] = coeff * ComplexRational(lam ** (j - k + l - m))
-    return AlgebraElement(terms)
+    parts = {}
+    for (j, k, l, m), (x, y) in e._terms.items():
+        factor = lam ** (j - k + l - m)
+        parts[(j, k, l, m)] = (x * factor.numerator, y * factor.numerator, factor.denominator)
+    terms, den = _over_common_denominator(parts)
+    return _element(terms, den * e._den)
 
 
 # -- state ---------------------------------------------------------------------
@@ -349,31 +449,46 @@ class CovarianceTable:
     vanishing mixed commutators only for c = 0; the resulting cross values
     (qq' -> 0, qp' -> 1/2, pq' -> 1/2, pp' -> 0) are kept for every c so the
     table stays a consistent functional on the extended algebra.
+
+    The values are kept as Gaussian-integer numerators (x, y) over the one
+    denominator D = lcm(2, den c), zero entries as the int 0, so a moment of
+    degree 2n is a Gaussian integer over D^n.
     """
 
     c: Fraction = Fraction(0)
+    _den: int = field(init=False, repr=False, compare=False)
     _table: tuple = field(init=False, repr=False, compare=False)
     _moments: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", Fraction(self.c))
-        c = ComplexRational(self.c)
-        half = ComplexRational(Fraction(1, 2))
-        ihalf = ComplexRational(0, Fraction(1, 2))
+        c = Fraction(self.c)
+        object.__setattr__(self, "c", c)
+        den = math.lcm(2, c.denominator)
+        num_c = (c.numerator * (den // c.denominator), 0) if c else 0
+        half = (den // 2, 0)
         table = (
-            (c, ihalf, ZERO, half),
-            (-ihalf, ZERO, half, ZERO),
-            (ZERO, half, c, -ihalf),
-            (half, ZERO, ihalf, ZERO),
+            (num_c, (0, den // 2), 0, half),
+            ((0, -den // 2), 0, half, 0),
+            (0, half, num_c, (0, -den // 2)),
+            (half, 0, (0, den // 2), 0),
         )
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_moments", {_UNIT_KEY: ONE})
+        object.__setattr__(self, "_moments", {_UNIT_KEY: (1, 0)})
 
     def value(self, x: Generator, y: Generator) -> ComplexRational:
-        return self._table[x][y]
+        scaled = self._table[x][y]
+        return _reduced(*scaled, self._den) if scaled else ZERO
 
     def moment(self, key: MonomialKey) -> ComplexRational:
-        """State value on the normal-ordered monomial q^j p^k q'^l p'^m of ``key``.
+        """State value on the normal-ordered monomial q^j p^k q'^l p'^m of ``key``."""
+        key = tuple(key)
+        if sum(key) % 2:
+            return ZERO
+        return _reduced(*self._numerator(key), self._den ** (sum(key) // 2))
+
+    def _numerator(self, key: MonomialKey) -> tuple[int, int]:
+        """The moment of ``key`` (degree 2n) times D^n; zero for odd degrees.
 
         The first generator pairs with each later one, weighted by how many of
         that type remain: a recursion on exponent 4-tuples, run on an explicit
@@ -381,7 +496,6 @@ class CovarianceTable:
         The memo holds one entry per reachable exponent 4-tuple, at most
         (j+1)(k+1)(l+1)(m+1) per key asked for.
         """
-        key = tuple(key)
         memo = self._moments
         stack = [key]
         while stack:
@@ -394,15 +508,17 @@ class CovarianceTable:
             if missing:
                 stack.extend(missing)
                 continue
-            total = ZERO
-            for weight, rest in pairings:
-                total = total + weight * memo[rest]
-            memo[top] = total
+            x = y = 0
+            for (wx, wy), rest in pairings:
+                mx, my = memo[rest]
+                x += wx * mx - wy * my
+                y += wx * my + wy * mx
+            memo[top] = (x, y)
             stack.pop()
         return memo[key]
 
-    def _pairings(self, key: MonomialKey) -> list[tuple[ComplexRational, MonomialKey]]:
-        """(weight, remaining key) for each pairing of the first generator of ``key``."""
+    def _pairings(self, key: MonomialKey) -> list[tuple[tuple[int, int], MonomialKey]]:
+        """(weight numerator, remaining key) for each pairing of the first generator of ``key``."""
         if sum(key) % 2:
             return []
         counts = list(key)
@@ -414,7 +530,7 @@ class CovarianceTable:
             if counts[later] and value:
                 rest = list(counts)
                 rest[later] -= 1
-                out.append((value * counts[later], tuple(rest)))
+                out.append(((value[0] * counts[later], value[1] * counts[later]), tuple(rest)))
         return out
 
 
@@ -456,15 +572,49 @@ def wick_value(word, table: CovarianceTable) -> ComplexRational:
     ordered two-point value of its (earlier, later) generators; odd words
     vanish.
     """
-    return pair_partition_sum((Generator(g) for g in word), table.value, ZERO, ONE)
+    items = tuple(Generator(g) for g in word)
+    half = len(items) // 2
+    if len(items) % 2:
+        return ZERO
+    # Kronecker substitution: the numerator x + y i of each pair value over D
+    # becomes the int x + y 2^bits, so the engine sums plain ints.  The sum is
+    # the polynomial sum_k a_k X^k, whose value at X = i is the Wick sum,
+    # evaluated at X = 2^bits instead.  Each |a_k| is at most
+    # (n-1)!! max(|x| + |y|)^(n/2) < 2^(bits-1), so the signed base-2^bits
+    # digits of the sum are the a_k, and i^k folds them back into x + y i.
+    size = max(abs(x) + abs(y) for row in table._table for x, y in filter(None, row))
+    bits = (math.prod(range(len(items) - 1, 0, -2)) * size**half).bit_length() + 1
+    encoded = [[scaled and scaled[0] + (scaled[1] << bits) for scaled in row] for row in table._table]
+    total = pair_partition_sum(items, lambda a, b: encoded[a][b], 0, 1)
+    x = y = 0
+    for k in range(half + 1):
+        digit = total & ((1 << bits) - 1)
+        if digit >> (bits - 1):
+            digit -= 1 << bits
+        total = (total - digit) >> bits
+        re, im = _I_POWERS[k % 4]
+        x += digit * re
+        y += digit * im
+    return _reduced(x, y, table._den**half)
 
 
 def omega(e: AlgebraElement, table: CovarianceTable) -> ComplexRational:
-    """State value on an algebra element: linear over the table's monomial moments."""
-    total = ZERO
-    for key, coeff in e._terms.items():
-        total = total + coeff * table.moment(key)
-    return total
+    """State value on an algebra element: linear over the table's monomial moments.
+
+    Each moment of degree 2n is a numerator over D^n, so the sum is taken over
+    D^h for the largest such h, times the element's denominator.
+    """
+    even = [(key, pair, sum(key) // 2) for key, pair in e._terms.items() if sum(key) % 2 == 0]
+    if not even:
+        return ZERO
+    top = max(half for _, _, half in even)
+    x = y = 0
+    for key, (cx, cy), half in even:
+        mx, my = table._numerator(key)
+        scale = table._den ** (top - half)
+        x += (cx * mx - cy * my) * scale
+        y += (cx * my + cy * mx) * scale
+    return _reduced(x, y, e._den * table._den**top)
 
 
 @dataclass(frozen=True)
@@ -489,12 +639,16 @@ def gns_inner(u, v, table: CovarianceTable) -> ComplexRational:
 def _modular_phases(v, sign: int) -> GnsVector:
     """Phase (sign i)^a (-sign i)^b of each p^a q^b.  It is (sign i)^k (-sign i)^j on every
     term of q^j p^k = sum_s C(j,s) C(k,s) s! i^s p^(k-s) q^(j-s), since i (-i) = 1."""
+    label = _label_of(v)
     terms = {}
-    for (j, k, l, m), coeff in _label_of(v)._terms.items():
+    for (j, k, l, m), (x, y) in label._terms.items():
         if l or m:
             raise UnsupportedDomainError("modular maps are defined on the unprimed subalgebra")
-        terms[(j, k, l, m)] = coeff * ComplexRational(0, sign) ** k * ComplexRational(0, -sign) ** j
-    return GnsVector(AlgebraElement(terms))
+        # (sign i)^k (-sign i)^j = sign^k (-sign)^j i^(k+j)
+        re, im = _I_POWERS[(k + j) % 4]
+        unit = sign**k * (-sign) ** j
+        terms[(j, k, l, m)] = (unit * (x * re - y * im), unit * (x * im + y * re))
+    return GnsVector(_make_element(terms, label._den))
 
 
 def modular_sqrt(v) -> GnsVector:

@@ -11,7 +11,6 @@ exact; float entry points are rounded to rationals with denominator at most
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from fractions import Fraction
 
@@ -197,30 +196,6 @@ def spectral_support(alpha, beta, gamma, delta) -> list[tuple[float, complex]]:
     frequency = float(a * a / 2)
     coeff = cmath.exp(-1j * float(a) * float(b + d) / 2)
     return [(frequency, coeff)]
-
-
-def npoint_request(payload) -> dict:
-    """JSON n-point evaluation for (label, time) pairs.
-
-    Request: ``{"kind": "schwinger" | "wightman", "points": [[alpha, t], ...]}``
-    (a JSON string or an already-decoded dict).  The response carries the
-    complex value and an ``exact_zero`` flag telling whether the exact
-    charge-conservation test annihilated the request.
-    """
-    if isinstance(payload, str):
-        payload = json.loads(payload)
-    kind = payload.get("kind", "schwinger")
-    points = payload["points"]
-    alphas = [point[0] for point in points]
-    times = [point[1] for point in points]
-    if kind == "schwinger":
-        value = complex(schwinger_npoint(alphas, times))
-    elif kind == "wightman":
-        value = wightman_npoint(alphas, times)
-    else:
-        raise ValueError(f"unknown n-point kind {kind!r}")
-    exact_zero = sum(to_label_fraction(a) for a in alphas) != 0
-    return {"kind": kind, "value": [value.real, value.imag], "exact_zero": exact_zero}
 
 
 def os_positivity_matrix(pairs) -> np.ndarray:

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ccrlab import acceptance, cli, nelson
+from ccrlab import acceptance, cli, heisenberg, nelson
 from ccrlab.acceptance import CriterionResult
 from ccrlab.cli import main
 
@@ -75,6 +75,20 @@ def test_moments_high_degree_is_exact(capsys):
 def test_moments_past_the_digit_limit_is_usage_error(capsys):
     err = one_line_usage_error(capsys, "moments", "--expr", "q^3000", "--c", "1")  # 2999!! has 4455 digits
     assert str(sys.get_int_max_str_digits()) in err
+
+
+def test_moments_coefficient_past_the_digit_limit_is_usage_error(capsys):
+    # omega(q) = 0 prints, but the normal form's coefficient 10^4400 has 4401 digits
+    err = one_line_usage_error(capsys, "moments", "--expr", "10^4400 q")
+    assert str(sys.get_int_max_str_digits()) in err
+
+
+def test_moments_past_the_term_limit_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(heisenberg, "TERM_LIMIT", 10)
+    code, out, _ = run_cli(capsys, "moments", "--expr", "q^10", "--c", "1")
+    assert code == 0 and last_json(out)["results"][0]["value"] == "945"  # 9!!
+    for expr in ("q^12", "q " * 12, "(q + p + q' + p') (q + p + q' + p')"):
+        assert "more than 10 terms" in one_line_usage_error(capsys, "moments", "--expr", expr)
 
 
 def test_moments_huge_power_is_usage_error(capsys):

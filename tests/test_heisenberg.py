@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ccrlab import heisenberg
 from ccrlab.exactcomplex import I, ONE, ZERO, ComplexRational
 from ccrlab.heisenberg import (
     AlgebraElement,
@@ -16,6 +17,7 @@ from ccrlab.heisenberg import (
     GnsVector,
     P,
     P_PRIME,
+    ProductSizeError,
     Q,
     Q_PRIME,
     UNIT,
@@ -38,6 +40,7 @@ from ccrlab.heisenberg import (
     moment_matrix,
     normal_order,
     omega,
+    product,
     scale_transform,
     weyl_moment_partial_sum,
     wick_value,
@@ -113,6 +116,30 @@ def test_power_is_left_to_right_product():
     for bad in (-1, 2.0):
         with pytest.raises(ValueError):
             x**bad
+
+
+def test_term_limit_bounds_products_and_powers(monkeypatch):
+    # q^n builds one term per multiplication, n - 1 of them; (q + p)(q + p) builds 5:
+    # q q, q p, p p and the two of p q = q p - i
+    monkeypatch.setattr(heisenberg, "TERM_LIMIT", 5)
+    assert Q**6 == product([Q] * 6) == AlgebraElement.monomial((6, 0, 0, 0))
+    assert (Q + P) * (Q + P) == Q * Q + Q * P * 2 + P * P - I * UNIT
+    for too_many in (lambda: Q**7, lambda: product([Q] * 7)):  # the multiplications share one budget
+        with pytest.raises(ProductSizeError, match="more than 5 terms"):
+            too_many()
+    monkeypatch.setattr(heisenberg, "TERM_LIMIT", 4)
+    with pytest.raises(ProductSizeError):
+        (Q + P) * (Q + P)
+
+
+def test_term_limit_refuses_before_building(monkeypatch):
+    # 2 x 2 pairs of terms build at least 4 terms, so a limit of 3 refuses before any reordering
+    calls = []
+    monkeypatch.setattr(heisenberg, "TERM_LIMIT", 3)
+    monkeypatch.setattr(heisenberg, "_mul_keys", lambda a, b: calls.append((a, b)))
+    with pytest.raises(ProductSizeError):
+        (Q + P) * (Q_PRIME + P_PRIME)
+    assert calls == []
 
 
 # -- adjoint ---------------------------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 from ccrlab.weyl import (
     WEYL_UNIT,
     evolve_weyl,
-    npoint_request,
     omega_expectation,
     os_positivity_matrix,
     schwinger_npoint,
@@ -247,26 +246,3 @@ def test_os_positivity_random_families():
 def test_os_positivity_rejects_negative_times():
     with pytest.raises(ValueError):
         os_positivity_matrix([(1.0, -0.5)])
-
-
-# -- JSON n-point interface ----------------------------------------------------------------
-
-
-def test_npoint_request_schwinger():
-    response = npoint_request('{"kind": "schwinger", "points": [[1, 0], [-1, 1]]}')
-    assert response["exact_zero"] is False
-    assert response["value"][0] == pytest.approx(math.exp(-0.5))
-    assert response["value"][1] == 0.0
-
-
-def test_npoint_request_exact_zero_flag():
-    response = npoint_request({"kind": "schwinger", "points": [[1, 0], [1, 1]]})
-    assert response["exact_zero"] is True
-    assert response["value"] == [0.0, 0.0]
-
-
-def test_npoint_request_wightman_and_errors():
-    response = npoint_request({"kind": "wightman", "points": [[1, 0], [-1, 1]]})
-    assert complex(*response["value"]) == pytest.approx(cmath.exp(0.5j))
-    with pytest.raises(ValueError):
-        npoint_request({"kind": "bogus", "points": [[1, 0]]})
