@@ -22,10 +22,12 @@ with a 95% bootstrap interval (pairs resampled with a fixed seed, so the
 interval is reproducible from the runs in the file), the wins of the working
 tree, both digests, the host part of perfbench's environment stamp, and
 whether a gain may be claimed: wins in at least nine tenths of the pairs, a
-median gap larger than the base's interquartile range, and one source hash a
-side (runs of a side that imported different sources, as after an edit in
-mid-run, time no single revision; the file and the printed summary then say
-so).  For ``wall_s``,
+median gap larger than the base's interquartile range, every working-tree run
+passing all its gates and failing no more operations than the base runs (the
+``attempted`` and ``failed`` counts of perfbench's result line are kept per
+run), and one source hash a side (runs of a side that imported different
+sources, as after an edit in mid-run, time no single revision); the file and
+the printed summary say why a gain is refused.  For ``wall_s``,
 ``setup_s`` and ``peak_rss_mb`` it also records, and prints, the ratio of the
 medians (working tree over base) and whether it lies within the bound that
 ``BENCHMARK.json`` fixes for that metric, which the script only reads.  The
@@ -110,6 +112,8 @@ def run_once(root: str, workload: str, seed: int) -> dict:
         "digest": summary["digest"],
         "source_sha256": summary["stamp"]["source_sha256"],
         "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
     }
 
 
@@ -154,24 +158,37 @@ def summarize(pairs: list[dict]) -> dict:
         sides[side]["digests"] = sorted({run["digest"] for run in runs})
         sides[side]["source_sha256"] = sorted({run["source_sha256"] for run in runs})
         sides[side]["all_correct"] = all(run["correct"] for run in runs)
+        sides[side]["attempted"] = sum(run["attempted"] for run in runs)
+        sides[side]["failed"] = sum(run["failed"] for run in runs)
     ratios = [pair["change"]["wall_s"] / pair["base"]["wall_s"] for pair in pairs]
     wins = sum(pair["change"]["wall_s"] < pair["base"]["wall_s"] for pair in pairs)
     base_wall, change_wall = sides["base"]["wall_s"], sides["change"]["wall_s"]
     gap = base_wall["median"] - change_wall["median"]
     iqr = base_wall["q3"] - base_wall["q1"]
     mixed = [side for side in ("base", "change") if len(sides[side]["source_sha256"]) > 1]
+    change = sides["change"]
+    gates_hold = change["all_correct"] and change["failed"] <= sides["base"]["failed"]
     gain_rule = {
         "wins_needed": math.ceil(0.9 * len(pairs)),
         "median_gap_s": gap,
         "base_iqr_s": iqr,
         "mixed_sources": mixed,
-        "holds": not mixed and wins >= math.ceil(0.9 * len(pairs)) and gap > iqr,
+        "change_gates_hold": gates_hold,
+        "holds": not mixed and gates_hold and wins >= math.ceil(0.9 * len(pairs)) and gap > iqr,
     }
+    refusals = []
     if mixed:
-        gain_rule["refused"] = (
+        refusals.append(
             f"the {' and '.join(mixed)} runs imported more than one source_sha256 "
             "(sources changed in mid-run), so they time no single revision"
         )
+    if not gates_hold:
+        refusals.append(
+            f"the change runs failed {change['failed']} of {change['attempted']} operations "
+            f"(base {sides['base']['failed']}), so their time is not the time of working code"
+        )
+    if refusals:
+        gain_rule["refused"] = "; ".join(refusals)
     return {
         "sides": sides,
         "wall_s_ratio_median": statistics.median(ratios),

@@ -151,6 +151,11 @@ def _run_mc(args) -> tuple[dict, bool]:
     taus = _float_list(args.taus) if args.taus else []
     if len(taus) > MC_TAUS_LIMIT:
         raise UsageError(f"--taus takes at most {MC_TAUS_LIMIT} points, got {len(taus)}")
+    if args.mode in ("indefinite", "krein") and len(taus) > mc.PAIR_MOMENT_LIMIT:
+        raise UsageError(
+            f"mode={args.mode} takes at most {mc.PAIR_MOMENT_LIMIT} --taus points "
+            f"(its target sums pair partitions), got {len(taus)}"
+        )
     inputs = {
         "mode": args.mode,
         "taus": taus,

@@ -534,26 +534,26 @@ class CovarianceTable:
         return out
 
 
-def pair_partition_sum(items, pair, zero, one):
+def pair_partition_sum(items, pair):
     """Sum over the perfect matchings of ``items`` of the products of pair values.
 
     Each pair contributes ``pair(earlier, later)``; pairs whose value is zero
-    are skipped and an odd number of items gives ``zero``.  Memoized on the
+    are skipped and an odd number of items gives 0.  Memoized on the
     remaining subsequence, which collapses the exponentially many matchings
-    of repeated items.  Generic over the scalar type: ``zero`` and ``one``
-    are its additive and multiplicative units.
+    of repeated items.  The sum starts from the ints 0 and 1, so it takes the
+    type of the pair values (an int when no matching contributes).
     """
     items = tuple(items)
     if len(items) % 2 == 1:
-        return zero
-    memo = {(): one}
+        return 0
+    memo = {(): 1}
 
     def rec(sub: tuple):
         cached = memo.get(sub)
         if cached is not None:
             return cached
         first = sub[0]
-        total = zero
+        total = 0
         for pos in range(1, len(sub)):
             value = pair(first, sub[pos])
             if not value:
@@ -585,7 +585,7 @@ def wick_value(word, table: CovarianceTable) -> ComplexRational:
     size = max(abs(x) + abs(y) for row in table._table for x, y in filter(None, row))
     bits = (math.prod(range(len(items) - 1, 0, -2)) * size**half).bit_length() + 1
     encoded = [[scaled and scaled[0] + (scaled[1] << bits) for scaled in row] for row in table._table]
-    total = pair_partition_sum(items, lambda a, b: encoded[a][b], 0, 1)
+    total = pair_partition_sum(items, lambda a, b: encoded[a][b])
     x = y = 0
     for k in range(half + 1):
         digit = total & ((1 << bits) - 1)

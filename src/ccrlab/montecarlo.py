@@ -17,13 +17,18 @@ Sampling is deterministic: sample i is produced by the counter-based
 substream keyed (seed, i // BLOCK), so the estimate depends only on the seed
 and sample count.  A block draws only the prefix of its substream that it
 reads.  Blocks run on up to one worker per CPU (the calling thread and a
-thread for each other CPU, within a scratch memory budget), and the calling
-thread merges their (count, mean, M2) statistics in block order, so the
-estimate does not depend on the number of CPUs or workers.  A block forms its
-paths in place, as running sums down each side of 0, and calls the integrand
-once; no step of sampling calls BLAS, so the bits do not depend on the BLAS
-kernel.  The chunk size of :class:`McConfig` sets the segments whose statistics
-are merged; regrouping changes results at roundoff level.
+pool thread for each other CPU, within a scratch memory budget).  The calling
+thread makes every substream, in block order, and allocates every scratch
+buffer; it hands blocks to the pool up to two unfinished blocks per thread
+ahead and works blocks itself while the pool is that far ahead.  It merges
+the blocks' (count, mean, M2) statistics in block order, so the estimate does
+not depend on the number of CPUs or workers, and a failing block stops the
+hand-out and raises its exception (the lowest failing block's, as in a serial
+loop) in the caller.  A block forms its paths in place, as running sums down
+each side of 0, and calls the integrand once; no step of sampling calls BLAS,
+so the bits do not depend on the BLAS kernel.  The chunk size of
+:class:`McConfig` sets the segments whose statistics are merged; regrouping
+changes results at roundoff level.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +117,7 @@ def pair_moment(taus, kernel) -> float:
     taus = tuple(float(t) for t in taus)
     if len(taus) > PAIR_MOMENT_LIMIT:
         raise ValueError(f"pair-partition moment limited to n <= {PAIR_MOMENT_LIMIT}")
-    return pair_partition_sum(taus, kernel, 0.0, 1.0)
+    return float(pair_partition_sum(taus, kernel))
 
 
 def wick_moment(taus, c: float = 0.0) -> float:
@@ -178,71 +184,61 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_blocks(blocks: int, seed: int, work, size: int, consume) -> None:
-    """consume(work(block, substream(seed, block), buffer)) for each block, on up to one worker per CPU.
+def _run_blocks(blocks: int, seed: int, work, size: int):
+    """Yield work(block, substream(seed, block), buffer) for each block, in block order.
 
-    work runs on the workers: the calling thread and a thread for each other
-    CPU, each with its own scratch buffer of ``size`` floats, with no more
-    workers than blocks or than buffers that fit in SCRATCH_LIMIT_BYTES.  The
-    calling thread makes every substream, in block order, and queues it for
-    the threads (up to two blocks per thread), or works the block itself while
-    the queue is full; it consumes the results in block order as they come.
-    The threads run under the caller's numpy error state.  An exception
-    raised by work is re-raised here once every thread has joined; when
-    several blocks fail, the lowest one's, as in a serial loop.
+    work runs on up to one worker per CPU: the calling thread and a pool of
+    threads for the others, each worker with its own scratch buffer of
+    ``size`` floats, with no more workers than blocks or than buffers that fit
+    in SCRATCH_LIMIT_BYTES.  The calling thread allocates every buffer and
+    makes every substream, in block order.  It hands each block to the pool
+    while the pool holds fewer than two unfinished blocks per thread, and
+    works it itself otherwise; it yields the results in block order as they
+    come.  The threads run under the caller's numpy error state.  An exception
+    raised by work stops the hand-out and is raised here once every thread
+    has finished; when several blocks fail, the lowest one's, as in a serial
+    loop.
     """
     workers = min(_cpu_count(), blocks, max(1, SCRATCH_LIMIT_BYTES // (8 * size)))
     own, *buffers = (np.empty(size) for _ in range(workers))
     if not buffers:
         for block in range(blocks):
-            consume(work(block, substream(seed, block), own))
+            yield work(block, substream(seed, block), own)
         return
-    import queue  # here: one-block calls, and importing ccrlab, need no queue
+    # here: one-block calls, and importing ccrlab, need no pool
+    from concurrent.futures import Future, ThreadPoolExecutor
 
-    finished = {}
-    errors = {}
-    consumed = 0
-    tasks = queue.Queue(maxsize=2 * (workers - 1))
-    errstate = dict(np.geterr(), call=np.geterrcall())
+    window = 2 * len(buffers)
+    local = threading.local()
+    errstate, errcall = np.geterr(), np.geterrcall()
 
-    def run(block, generator, buffer):
-        try:
-            finished[block] = work(block, generator, buffer)
-        except BaseException as err:  # re-raised on the calling thread
-            errors[block] = err
+    def start_thread():
+        local.buffer = buffers.pop()
+        np.seterr(**errstate)
+        np.seterrcall(errcall)
 
-    def thread_main(buffer):
-        with np.errstate(**errstate):
-            while (task := tasks.get()) is not None:
-                run(*task, buffer)
+    def pooled(block, generator):
+        return work(block, generator, local.buffer)
 
-    def consume_ready():
-        nonlocal consumed
-        while consumed in finished:
-            consume(finished.pop(consumed))
-            consumed += 1
-
-    threads = [threading.Thread(target=thread_main, args=(buffer,)) for buffer in buffers]
-    for thread in threads:
-        thread.start()
+    pool = ThreadPoolExecutor(len(buffers), initializer=start_thread)
+    pending = deque()
     try:
         for block in range(blocks):
-            if errors:  # every block below a failed one is already queued or done
-                break
-            task = (block, substream(seed, block))
-            try:
-                tasks.put_nowait(task)
-            except queue.Full:
-                run(*task, own)
-            consume_ready()
+            generator = substream(seed, block)
+            if sum(not future.done() for future in pending) < window:
+                pending.append(pool.submit(pooled, block, generator))
+            else:  # the pool is busy: work the block here
+                pending.append(future := Future())
+                try:
+                    future.set_result(work(block, generator, own))
+                except Exception as err:  # raised in block order, after any lower block's
+                    future.set_exception(err)
+            while pending and pending[0].done():
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
     finally:
-        for _ in threads:
-            tasks.put(None)
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    consume_ready()
+        pool.shutdown(cancel_futures=True)
 
 
 def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEstimate, McEstimate]:
@@ -302,13 +298,9 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
         return segments
 
     totals = [(0, 0.0, 0.0)] * 2
-
-    def merge(segments):
-        nonlocal totals
+    for segments in _run_blocks(-(-cfg.samples // BLOCK), cfg.seed, block_segments, (rows + 2) * BLOCK):
         for segment in segments:
             totals = [_merge(total, part) for total, part in zip(totals, segment)]
-
-    _run_blocks(-(-cfg.samples // BLOCK), cfg.seed, block_segments, (rows + 2) * BLOCK, merge)
 
     def one(n, mean, m2) -> McEstimate:
         return McEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0, samples=n)

@@ -134,8 +134,18 @@ def evolve_weyl(u: WeylElement, t) -> WeylElement:
     return WeylElement({(a, b + a * t): c for (a, b), c in u.terms.items()})
 
 
-def _rationalize_all(values) -> list[Fraction]:
-    return [to_label_fraction(v) for v in values]
+def _neutral_labels(alphas, points, name: str) -> list[Fraction] | None:
+    """The labels of an n-point function as exact rationals, or None when their sum is not 0.
+
+    Refuses labels and points of different lengths, and no points at all; a
+    nonzero label sum (the charge) makes the n-point function vanish.
+    """
+    labels = [to_label_fraction(a) for a in alphas]
+    if len(labels) != len(points):
+        raise ValueError(f"alphas and {name} must have equal length")
+    if not labels:
+        raise ValueError("need at least one point")
+    return labels if sum(labels) == 0 else None
 
 
 def wightman_npoint(alphas, times) -> complex:
@@ -145,13 +155,9 @@ def wightman_npoint(alphas, times) -> complex:
     is exp(i sum_{i>=2} (t_i - t_{i-1}) (sum_{k>=i} a_k)^2 / 2).  Times may be
     complex, which realizes the analytic continuation to euclidean points.
     """
-    alphas = _rationalize_all(alphas)
     times = list(times)
-    if len(alphas) != len(times):
-        raise ValueError("alphas and times must have equal length")
-    if not alphas:
-        raise ValueError("need at least one point")
-    if sum(alphas) != 0:
+    alphas = _neutral_labels(alphas, times, "times")
+    if alphas is None:
         return 0j
     exponent = 0j
     suffix = Fraction(0)
@@ -163,13 +169,9 @@ def wightman_npoint(alphas, times) -> complex:
 
 def schwinger_npoint(alphas, taus) -> float:
     """Euclidean n-point function, extended by symmetry to all time orders."""
-    alphas = _rationalize_all(alphas)
     taus = [float(t) for t in taus]
-    if len(alphas) != len(taus):
-        raise ValueError("alphas and taus must have equal length")
-    if not alphas:
-        raise ValueError("need at least one point")
-    if sum(alphas) != 0:
+    alphas = _neutral_labels(alphas, taus, "taus")
+    if alphas is None:
         return 0.0
     order = sorted(range(len(taus)), key=lambda i: taus[i])
     exponent = 0.0

@@ -16,7 +16,7 @@ def ab():
     return module
 
 
-def run(wall_s, source="a" * 64):
+def run(wall_s, source="a" * 64, failed=0):
     return {
         "wall_s": wall_s,
         "setup_s": 0.2,
@@ -24,7 +24,9 @@ def run(wall_s, source="a" * 64):
         "cpu_s": wall_s,
         "digest": "0123456789abcdef",
         "source_sha256": source,
-        "correct": True,
+        "correct": failed == 0,
+        "attempted": 40,
+        "failed": failed,
     }
 
 
@@ -50,6 +52,19 @@ def test_gain_refused_for_mixed_sources(ab):
     assert rule["mixed_sources"] == ["change"]
     assert "more than one source_sha256" in rule["refused"]
     assert summary["sides"]["change"]["source_sha256"] == ["c" * 64, "d" * 64]
+
+
+def test_gain_refused_when_change_runs_fail_gates(ab):
+    # as fast as the holding gain, but one change run fails an operation
+    made_up = pairs(["c" * 64] * 10)
+    made_up[3]["change"] = run(0.73, "c" * 64, failed=1)
+    summary = ab.summarize(made_up)
+    rule = summary["gain_rule"]
+    assert summary["wins"] == 10 and rule["median_gap_s"] > rule["base_iqr_s"]
+    assert rule["holds"] is False and rule["change_gates_hold"] is False
+    assert "failed 1 of 400 operations" in rule["refused"]
+    assert summary["sides"]["change"]["all_correct"] is False
+    assert pathlib.Path(ab.destination("suite", rule["holds"])).name == "ab-suite.json"
 
 
 def test_only_a_holding_gain_writes_the_claim_file(ab):

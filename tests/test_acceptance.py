@@ -9,6 +9,7 @@ import json
 import os
 
 import pytest
+from test_montecarlo import _dynamic_arch_openblas, outputs_under_kernels
 
 from ccrlab import acceptance
 
@@ -94,3 +95,36 @@ def test_criterion_07_binomial_pass_rate():
     result = acceptance.criterion_07_binomial()
     print(result.line())
     assert result.passed, json.dumps(result.checks, indent=2, default=str)
+
+
+# the criteria whose values go through BLAS or LAPACK: the exact determinant's
+# eigen-signature (4), and the Nelson, OS, Krein and Markov Grams (9-12)
+BLAS_CRITERIA = [4, 9, 10, 11, 12]
+KERNEL_SCRIPT = f"""
+import json
+from ccrlab import acceptance
+results = acceptance.run_all(quick=True, only={BLAS_CRITERIA})
+print(json.dumps([[r.number, r.passed, r.checks] for r in results], default=str))
+"""
+
+
+def _assert_agree(a, b, where):
+    """Equal structure and strings; numbers within 1e-12 max(1, |a|)."""
+    if isinstance(a, (int, float)) and not isinstance(a, bool):
+        assert isinstance(b, (int, float)) and not isinstance(b, bool), where
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), (where, a, b)
+    elif isinstance(a, (dict, list)):
+        assert type(a) is type(b) and len(a) == len(b), where
+        for key in a if isinstance(a, dict) else range(len(a)):
+            _assert_agree(a[key], b[key], (*where, key))
+    else:
+        assert a == b, (where, a, b)
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs numpy on a DYNAMIC_ARCH OpenBLAS")
+def test_blas_criteria_hold_to_the_tested_bound_under_two_kernels():
+    runs = [json.loads(output) for output in outputs_under_kernels(KERNEL_SCRIPT)]
+    for results in runs:
+        assert [number for number, _passed, _checks in results] == BLAS_CRITERIA
+        assert all(passed for _number, passed, _checks in results), results
+    _assert_agree(runs[0], runs[1], ())

@@ -255,6 +255,23 @@ def test_mc_refuses_too_many_taus_before_sampling(capsys, monkeypatch, mode_args
     assert f"at most {cli.MC_TAUS_LIMIT} points" in err
 
 
+@pytest.mark.parametrize("mode_args", [["indefinite"], ["krein", "--alpha", "1"]], ids=lambda args: args[0])
+def test_mc_refuses_taus_past_the_pair_moment_limit_before_sampling(capsys, monkeypatch, mode_args):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled or built a target past the pair-moment limit")
+
+    with monkeypatch.context() as patch:
+        for name in ("_estimate", "wick_moment", "krein_pair_moment"):
+            patch.setattr(cli.mc, name, refuse)
+        points = ",".join(["0.5"] * (cli.mc.PAIR_MOMENT_LIMIT + 2))
+        err = one_line_usage_error(capsys, "mc", "--mode", mode_args[0], "--taus", points, *mode_args[1:])
+    assert f"at most {cli.mc.PAIR_MOMENT_LIMIT} --taus points" in err
+    # the limit itself still samples
+    points = ",".join(["0.5", "-0.5"] * (cli.mc.PAIR_MOMENT_LIMIT // 2))
+    code, out, _ = run_cli(capsys, "mc", "--mode", mode_args[0], "--taus", points, *mode_args[1:], "--samples", "100")
+    assert code in (0, 1) and last_json(out)["results"][0]["samples"] == 100
+
+
 def test_non_finite_report_value_is_an_error(capsys, monkeypatch):
     def handler(args):
         return cli._report("mc", {}, [{"name": "estimate", "value": math.inf}], True, 0.0), True

@@ -279,8 +279,8 @@ print(repr(mc.mc_krein_moment(taus, 1.3, cfg)))
 """
 
 
-@pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs numpy on a DYNAMIC_ARCH OpenBLAS")
-def test_estimates_do_not_depend_on_the_blas_kernel():
+def outputs_under_kernels(script: str) -> list[str]:
+    """Standard output of script run in a child process under the Prescott and then the Haswell kernel."""
     # the kernel is chosen in each child's environment only: this process keeps its own
     src = str(pathlib.Path(montecarlo.__file__).resolve().parents[1])
     outputs = []
@@ -288,10 +288,16 @@ def test_estimates_do_not_depend_on_the_blas_kernel():
         env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         child = subprocess.run(
-            [sys.executable, "-c", KERNEL_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert child.returncode == 0, child.stderr
         outputs.append(child.stdout)
+    return outputs
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs numpy on a DYNAMIC_ARCH OpenBLAS")
+def test_estimates_do_not_depend_on_the_blas_kernel():
+    outputs = outputs_under_kernels(KERNEL_SCRIPT)
     assert outputs[0].count("McEstimate") == 5
     assert outputs[0] == outputs[1]
 
@@ -515,6 +521,33 @@ def test_scratch_budget_caps_the_workers(monkeypatch):
     workers.clear()
     assert repr(montecarlo._estimate(taus, cfg, integrand)) == expected
     assert 1 <= len(workers) <= 3
+
+
+def test_calling_thread_makes_the_substreams_and_works_blocks_while_the_pool_is_full(monkeypatch):
+    # the pool thread holds its blocks until the caller has worked one: an idle caller times out here
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    caller, caller_worked = threading.get_ident(), threading.Event()
+    makers, waits = set(), []
+
+    def made_here(seed, block):
+        makers.add(threading.get_ident())
+        return substream(seed, block)
+
+    def integrand(paths, z1, z2):
+        if threading.get_ident() == caller:
+            caller_worked.set()
+        else:
+            waits.append(caller_worked.wait(timeout=5))
+        return paths[0] + z1
+
+    monkeypatch.setattr(montecarlo, "substream", made_here)
+    cfg = McConfig(samples=6 * BLOCK, seed=70)
+    expected = repr(_serial_estimate([1.0], cfg, integrand))
+    caller_worked.clear()
+    waits.clear()
+    assert repr(montecarlo._estimate([1.0], cfg, integrand)) == expected
+    assert makers == {caller}
+    assert waits and all(waits)
 
 
 def _block_marker(seed, block):
