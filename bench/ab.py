@@ -25,10 +25,11 @@ whether a gain may be claimed: wins in at least nine tenths of the pairs, a
 median gap larger than the base's interquartile range, every working-tree run
 passing all its gates and failing no more operations than the base runs (the
 ``attempted`` and ``failed`` counts of perfbench's result line are kept per
-run), and one source hash a side (runs of a side that imported different
-sources, as after an edit in mid-run, time no single revision); the file and
-the printed summary say why a gain is refused.  For ``wall_s``,
-``setup_s`` and ``peak_rss_mb`` it also records, and prints, the ratio of the
+run), one source hash a side (runs of a side that imported different
+sources, as after an edit in mid-run, time no single revision), and every
+bounded metric within its bound (below); the file and the printed summary
+say why a gain is refused, naming each rule it misses.  For ``wall_s``,
+``setup_s`` and ``peak_rss_mb`` it records, and prints, the ratio of the
 medians (working tree over base) and whether it lies within the bound that
 ``BENCHMARK.json`` fixes for that metric, which the script only reads.  The
 record goes to ``BENCH_<workload>.json`` at the root of the checkout only when
@@ -168,15 +169,21 @@ def summarize(pairs: list[dict]) -> dict:
     mixed = [side for side in ("base", "change") if len(sides[side]["source_sha256"]) > 1]
     change = sides["change"]
     gates_hold = change["all_correct"] and change["failed"] <= sides["base"]["failed"]
+    bounds = bound_checks(sides)
+    broken = [name for name, check in bounds.items() if not check["within"]]
     gain_rule = {
         "wins_needed": math.ceil(0.9 * len(pairs)),
         "median_gap_s": gap,
         "base_iqr_s": iqr,
         "mixed_sources": mixed,
         "change_gates_hold": gates_hold,
-        "holds": not mixed and gates_hold and wins >= math.ceil(0.9 * len(pairs)) and gap > iqr,
+        "broken_bounds": broken,
     }
     refusals = []
+    if wins < gain_rule["wins_needed"]:
+        refusals.append(f"the change won {wins} of {len(pairs)} pairs, fewer than {gain_rule['wins_needed']}")
+    if gap <= iqr:
+        refusals.append(f"the median gap of {gap:.4f} s is not larger than the base's interquartile range {iqr:.4f} s")
     if mixed:
         refusals.append(
             f"the {' and '.join(mixed)} runs imported more than one source_sha256 "
@@ -187,6 +194,13 @@ def summarize(pairs: list[dict]) -> dict:
             f"the change runs failed {change['failed']} of {change['attempted']} operations "
             f"(base {sides['base']['failed']}), so their time is not the time of working code"
         )
+    for name in broken:
+        check = bounds[name]
+        refusals.append(
+            f"{name} moved by a median ratio of {check['ratio_median']:.3f}, beyond its BENCHMARK.json "
+            f"bound of {check['bound']} ({check['better']} is better)"
+        )
+    gain_rule["holds"] = not refusals
     if refusals:
         gain_rule["refused"] = "; ".join(refusals)
     return {
@@ -197,7 +211,7 @@ def summarize(pairs: list[dict]) -> dict:
         "wins": wins,
         "pairs": len(pairs),
         "digests_equal": sides["base"]["digests"] == sides["change"]["digests"],
-        "bounds": bound_checks(sides),
+        "bounds": bounds,
         "gain_rule": gain_rule,
     }
 

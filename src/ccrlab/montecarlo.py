@@ -13,9 +13,10 @@ integrand.  Replacing (z, zbar) by the real variables (z1 + z2)/alpha and
 -alpha (z1 - z2) turns the same construction into a genuine Gaussian measure
 whose kernel carries a rank-one positive correction (the Krein variant).
 
-Sampling is deterministic: sample i is produced by the counter-based
-substream keyed (seed, i // BLOCK), so the estimate depends only on the seed
-and sample count.  A block draws only the prefix of its substream that it
+Sampling is deterministic: sample i is produced by the SFC64 stream seeded
+by ``SeedSequence(seed, spawn_key=(i // BLOCK,))`` (numpy's "Parallel Random
+Number Generation" guide), so the estimate depends only on the seed and
+sample count.  A block draws only the prefix of its substream that it
 reads.  Blocks run on up to one worker per CPU (the calling thread and a
 pool thread for each other CPU, within a scratch memory budget).  The calling
 thread makes every substream, in block order, and allocates every scratch
@@ -142,9 +143,14 @@ def characteristic_target(taus, weights, step: float) -> float:
 
 
 def substream(seed: int, block: int) -> np.random.Generator:
-    """Counter-based generator for one block; parallel-safe and reproducible."""
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 stream for one block, seeded by ``SeedSequence(seed, spawn_key=(block,))``.
+
+    Keyed by (seed, block) alone, so it is reproducible and independent of
+    which worker draws it: the per-block seeding of numpy's "Parallel Random
+    Number Generation" guide (spawn keys hash into distinct, well-mixed
+    states; Salmon et al., SC11, for keyed substreams).
+    """
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
 def brownian_gaps(taus):

@@ -67,9 +67,25 @@ def test_gain_refused_when_change_runs_fail_gates(ab):
     assert pathlib.Path(ab.destination("suite", rule["holds"])).name == "ab-suite.json"
 
 
+def test_gain_refused_when_change_breaks_a_bound(ab):
+    # as fast as the holding gain, but peak RSS grows 80 -> 90 MB, past the 10% bound
+    made_up = pairs(["c" * 64] * 10)
+    for pair in made_up:
+        pair["change"]["peak_rss_mb"] = 90.0
+    summary = ab.summarize(made_up)
+    rule = summary["gain_rule"]
+    assert summary["wins"] == 10 and rule["median_gap_s"] > rule["base_iqr_s"] and rule["change_gates_hold"]
+    assert summary["bounds"]["peak_rss_mb"]["within"] is False and summary["bounds"]["wall_s"]["within"] is True
+    assert rule["holds"] is False and rule["broken_bounds"] == ["peak_rss_mb"]
+    assert "peak_rss_mb moved by a median ratio of 1.125" in rule["refused"]
+    assert pathlib.Path(ab.destination("suite", rule["holds"])).name == "ab-suite.json"
+
+
 def test_only_a_holding_gain_writes_the_claim_file(ab):
     root = pathlib.Path(ab.ROOT)
     gain = ab.summarize(pairs(["c" * 64] * 10))["gain_rule"]["holds"]
-    neutral = ab.summarize([{"base": run(1.0), "change": run(1.0), "first": "base"}] * 10)["gain_rule"]["holds"]
+    neutral_rule = ab.summarize([{"base": run(1.0), "change": run(1.0), "first": "base"}] * 10)["gain_rule"]
+    neutral = neutral_rule["holds"]
+    assert "won 0 of 10 pairs" in neutral_rule["refused"] and "interquartile" in neutral_rule["refused"]
     assert pathlib.Path(ab.destination("suite", gain)) == root / "BENCH_suite.json"
     assert pathlib.Path(ab.destination("suite", neutral)) == root / "perfbench" / "results" / "ab-suite.json"

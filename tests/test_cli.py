@@ -439,6 +439,16 @@ def test_suite_runs_each_criterion_once_in_order(capsys):
     assert report["inputs"]["criteria"] == [5, 13]
 
 
+def test_suite_at_the_largest_seed_derives_valid_seeds(capsys):
+    # criteria 7 and 14 sample at seed + offset, which wraps into [0, 2**64)
+    code, out, err = run_cli(capsys, "suite", "--quick", "--seed", str(2**64 - 1), "--criteria", "7,14", "--json")
+    assert code in (0, 1), err
+    report = last_json(out)
+    assert report["inputs"]["seed"] == 2**64 - 1
+    assert [row["name"] for row in report["results"]] == ["criterion_07", "criterion_14"]
+    assert all(check["tolerance"] > 0 for row in report["results"] for check in row["checks"])
+
+
 def test_suite_prints_criterion_lines(capsys):
     code, out, _ = run_cli(capsys, "suite", "--quick", "--criteria", "5")
     assert code == 0

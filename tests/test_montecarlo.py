@@ -302,13 +302,28 @@ def test_estimates_do_not_depend_on_the_blas_kernel():
     assert outputs[0] == outputs[1]
 
 
-def test_sample_count_not_multiple_of_block():
-    cfg = McConfig(samples=BLOCK + 123, seed=60)
-    est = mc_moment([1, -1], cfg)
+def test_sample_count_not_multiple_of_block(monkeypatch):
+    values = []
+
+    def capturing(integrand):
+        def captured(*args):
+            out = integrand(*args)
+            values.append(out.copy())
+            return out
+
+        return captured
+
+    _wrap_integrands(monkeypatch, capturing)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)  # one worker: blocks are captured in order
+    est = mc_moment([1, -1], McConfig(samples=BLOCK + 123, seed=60))
     assert est.samples == BLOCK + 123
-    # leading samples agree with a longer run (values depend only on the index)
+    short = np.concatenate(values)
+    values.clear()
+    # leading samples agree with a longer run, bit for bit (values depend only on the index)
     longer = mc_moment([1, -1], McConfig(samples=2 * BLOCK, seed=60))
     assert longer.samples == 2 * BLOCK
+    assert short.size == BLOCK + 123
+    assert np.concatenate(values)[: BLOCK + 123].tobytes() == short.tobytes()
 
 
 def test_substreams_differ_between_blocks():
