@@ -285,6 +285,8 @@ def _gram_results(args) -> list[dict]:
 
 def _run_suite(args) -> tuple[dict, bool]:
     started = time.perf_counter()
+    if not 0 <= args.seed < 2**64:
+        raise UsageError("seed must be in [0, 2**64)")
     try:
         only = [int(x) for x in args.criteria.split(",")] if args.criteria else None
         outcomes = acceptance.run_all(quick=args.quick, seed=args.seed, only=only)

@@ -9,11 +9,12 @@ a Gaussian-integer numerator over a denominator shared by the whole element or
 table; values leave it as :class:`ComplexRational`.
 
 The indefinite ground state is encoded by a :class:`CovarianceTable` of
-ordered two-point values; all higher moments are evaluated by the Gaussian
-pair-partition rule (truncated correlations vanish).  On top of the state sit
-the GNS-label operations: the adjoint map ``A |0> -> A* |0>``, the modular
-phases, diagonal on canonical monomials, and the metric conjugation
-``q <-> p'``, ``p <-> q'``.
+ordered two-point values; all higher moments follow from the Gaussian
+pair-partition rule (truncated correlations vanish), in closed form on
+normal-ordered monomials and by :func:`pair_partition_sum` on raw words.
+On top of the state sit the GNS-label operations: the adjoint map
+``A |0> -> A* |0>``, the modular phases, diagonal on canonical monomials,
+and the metric conjugation ``q <-> p'``, ``p <-> q'``.
 """
 
 from __future__ import annotations
@@ -126,6 +127,14 @@ def _mul_keys(a: MonomialKey, b: MonomialKey) -> tuple[tuple[MonomialKey, int, i
     return tuple(out)
 
 
+def _monomial_key(key) -> MonomialKey:
+    """``key`` as a tuple; ValueError unless it is four nonnegative ints."""
+    key = tuple(key)
+    if len(key) != 4 or not all(type(e) is int and e >= 0 for e in key):
+        raise ValueError(f"a monomial key is four nonnegative ints, got {key!r}")
+    return key
+
+
 def _coerce_scalar(value) -> ComplexRational | None:
     if isinstance(value, ComplexRational):
         return value
@@ -148,7 +157,7 @@ class AlgebraElement:
     def __init__(self, terms: dict[MonomialKey, ComplexRational] | None = None):
         parts = {}
         for key, coeff in (terms or {}).items():
-            c = _coerce_scalar(coeff)
+            key, c = _monomial_key(key), _coerce_scalar(coeff)
             if c is None:
                 raise TypeError(f"bad coefficient {coeff!r}")
             if c:
@@ -177,10 +186,7 @@ class AlgebraElement:
 
     @classmethod
     def monomial(cls, key: MonomialKey, coeff=ONE) -> "AlgebraElement":
-        c = _coerce_scalar(coeff)
-        if c is None:
-            raise TypeError(f"bad coefficient {coeff!r}")
-        return cls({tuple(key): c})
+        return cls({tuple(key): coeff})
 
     # -- inspection -----------------------------------------------------------
 
@@ -358,11 +364,11 @@ def product(factors) -> AlgebraElement:
     return result
 
 
-def normal_order(word, max_len: int = DEFAULT_WORD_LIMIT) -> AlgebraElement:
-    """Reduce a generator word (left to right product) to canonical form."""
+def normal_order(word) -> AlgebraElement:
+    """Reduce a generator word (left to right product) of at most DEFAULT_WORD_LIMIT letters to canonical form."""
     word = list(word)
-    if len(word) > max_len:
-        raise WordLengthError(f"word of length {len(word)} exceeds bound {max_len}")
+    if len(word) > DEFAULT_WORD_LIMIT:
+        raise WordLengthError(f"word of length {len(word)} exceeds bound {DEFAULT_WORD_LIMIT}")
     return product(_GENERATOR_ELEMENTS[Generator(g)] for g in word)
 
 
@@ -453,12 +459,27 @@ class CovarianceTable:
     The values are kept as Gaussian-integer numerators (x, y) over the one
     denominator D = lcm(2, den c), zero entries as the int 0, so a moment of
     degree 2n is a Gaussian integer over D^n.
+
+    Moments of normal-ordered monomials q^j p^k q'^l p'^m have a closed form.
+    Each pair takes the value of its (earlier, later) generators.  Momentum
+    pairs (p p, p p', p' p') and q q' are 0, so every p and p' pairs with a q
+    or a q', worth D/2 times i (q p), 1 (p q'), 1 (q p') or -i (q' p').  Let a
+    of the k p's and b of the m p''s pair with a q, u = a + b; the Vandermonde
+    sum of C(k,a) C(m,b) i^(a+3(m-b)) over a + b = u is (-i)^m i^u C(k+m, u).
+    The u momenta take distinct q's, j!/(j-u)! ways, the other k+m-u distinct
+    q''s, l!/r! ways with r = l-(k+m-u), and the j-u q's and r q''s left over
+    match among themselves, (j-u-1)!! (r-1)!! ways of cD a pair:
+
+        D^n <q^j p^k q'^l p'^m> = (-i)^m (D/2)^(k+m) (cD)^((j+l-k-m)/2)
+            * sum_u C(k+m, u) i^u j!/(j-u)! l!/r! (j-u-1)!! (r-1)!!,
+
+    over the u with j-u and r even and >= 0.  No memo: the sum has at most
+    min(j, k+m)/2 + 1 terms.
     """
 
     c: Fraction = Fraction(0)
     _den: int = field(init=False, repr=False, compare=False)
     _table: tuple = field(init=False, repr=False, compare=False)
-    _moments: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = Fraction(self.c)
@@ -474,7 +495,6 @@ class CovarianceTable:
         )
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_moments", {_UNIT_KEY: (1, 0)})
 
     def value(self, x: Generator, y: Generator) -> ComplexRational:
         scaled = self._table[x][y]
@@ -482,56 +502,33 @@ class CovarianceTable:
 
     def moment(self, key: MonomialKey) -> ComplexRational:
         """State value on the normal-ordered monomial q^j p^k q'^l p'^m of ``key``."""
-        key = tuple(key)
+        key = _monomial_key(key)
         if sum(key) % 2:
             return ZERO
         return _reduced(*self._numerator(key), self._den ** (sum(key) // 2))
 
     def _numerator(self, key: MonomialKey) -> tuple[int, int]:
-        """The moment of ``key`` (degree 2n) times D^n; zero for odd degrees.
+        """The moment of ``key``, of even degree 2n, times D^n: the closed form above."""
+        j, k, l, m = key
+        n = k + m
+        if n > j + l:  # some momentum finds no q or q'
+            return 0, 0
+        x = y = 0
+        low = max(0, n - l)
+        for u in range(low + (j - low) % 2, min(j, n) + 1, 2):
+            weight = math.comb(n, u) * math.perm(j, u) * math.perm(l, n - u)
+            weight *= _matchings(j - u) * _matchings(l - n + u)
+            re, im = _I_POWERS[(u + 3 * m) % 4]
+            x += weight * re
+            y += weight * im
+        scale = (self._den // 2) ** n * int(self.c * self._den) ** ((j + l - n) // 2)
+        return x * scale, y * scale
 
-        The first generator pairs with each later one, weighted by how many of
-        that type remain: a recursion on exponent 4-tuples, run on an explicit
-        stack (no recursion limit on the degree) and memoized on the table.
-        The memo holds one entry per reachable exponent 4-tuple, at most
-        (j+1)(k+1)(l+1)(m+1) per key asked for.
-        """
-        memo = self._moments
-        stack = [key]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            pairings = self._pairings(top)
-            missing = [rest for _, rest in pairings if rest not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            x = y = 0
-            for (wx, wy), rest in pairings:
-                mx, my = memo[rest]
-                x += wx * mx - wy * my
-                y += wx * my + wy * mx
-            memo[top] = (x, y)
-            stack.pop()
-        return memo[key]
 
-    def _pairings(self, key: MonomialKey) -> list[tuple[tuple[int, int], MonomialKey]]:
-        """(weight numerator, remaining key) for each pairing of the first generator of ``key``."""
-        if sum(key) % 2:
-            return []
-        counts = list(key)
-        first = next(g for g in range(4) if counts[g])
-        counts[first] -= 1
-        out = []
-        for later in range(first, 4):
-            value = self._table[first][later]
-            if counts[later] and value:
-                rest = list(counts)
-                rest[later] -= 1
-                out.append(((value[0] * counts[later], value[1] * counts[later]), tuple(rest)))
-        return out
+def _matchings(count: int) -> int:
+    """(count - 1)!!, the number of perfect matchings of an even ``count`` of items."""
+    half = count // 2
+    return math.factorial(count) // (math.factorial(half) << half)
 
 
 def pair_partition_sum(items, pair):

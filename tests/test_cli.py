@@ -449,6 +449,12 @@ def test_suite_at_the_largest_seed_derives_valid_seeds(capsys):
     assert all(check["tolerance"] > 0 for row in report["results"] for check in row["checks"])
 
 
+@pytest.mark.parametrize("seed, criteria", [("-1", "1"), (str(2**64), "8")])
+def test_suite_refuses_a_seed_out_of_range_whatever_the_criteria(capsys, seed, criteria):
+    err = one_line_usage_error(capsys, "suite", "--quick", "--seed", seed, "--criteria", criteria)
+    assert "seed must be in [0, 2**64)" in err
+
+
 def test_suite_prints_criterion_lines(capsys):
     code, out, _ = run_cli(capsys, "suite", "--quick", "--criteria", "5")
     assert code == 0

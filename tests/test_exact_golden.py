@@ -1,4 +1,4 @@
-"""Frozen exact strings: Wick values, normal forms, a determinant and CLI moments.
+"""Frozen exact strings: Wick values, normal forms, table moments, a determinant and CLI moments.
 
 ``tests/golden/exact_strings.json`` holds the inputs and the printed exact
 outputs; the test recomputes every output from the stored inputs and asks
@@ -24,6 +24,18 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "exact_strings.json"
 WORD_SEED = 20240611
 WORD_COUNT = 50
 C_VALUES = ("0", "2/7")
+KEY_SEED = 20261018
+KEY_DRAWS = 80
+# Deep keys, far past the exponents of the random draws (at most 12).
+DEEP_KEYS = (
+    (300, 300, 0, 0),
+    (300, 300, 10, 0),
+    (120, 60, 0, 60),
+    (60, 40, 50, 30),
+    (200, 0, 0, 200),
+    (0, 150, 150, 0),
+    (40, 30, 30, 40),
+)
 # The three `ccrlab moments` expressions of the `exact` benchmark workload at
 # its default seed 987654321.
 EXPRESSIONS = (
@@ -37,7 +49,16 @@ def seeded_inputs() -> dict:
     rng = np.random.default_rng(WORD_SEED)
     # even lengths 2-16, as digit strings of Generator values
     words = ["".join(map(str, rng.integers(0, 4, 2 * int(rng.integers(1, 9))))) for _ in range(WORD_COUNT)]
-    return {"words": words, "c_values": list(C_VALUES), "expressions": list(EXPRESSIONS), "max_degree": 6}
+    # monomial keys with exponents 0-12, the odd-degree draws (moment 0) dropped
+    draws = np.random.default_rng(KEY_SEED).integers(0, 13, (KEY_DRAWS, 4)).tolist()
+    keys = [key for key in draws if sum(key) % 2 == 0] + [list(key) for key in DEEP_KEYS]
+    return {
+        "words": words,
+        "c_values": list(C_VALUES),
+        "expressions": list(EXPRESSIONS),
+        "max_degree": 6,
+        "table_keys": keys,
+    }
 
 
 def outputs(inputs: dict) -> dict:
@@ -47,6 +68,7 @@ def outputs(inputs: dict) -> dict:
     out = {
         "normal_order": [str(hb.normal_order(word)) for word in words],
         "wick_value": {c: [str(hb.wick_value(word, table)) for word in words] for c, table in tables.items()},
+        "table_moments": {c: [str(table.moment(key)) for key in inputs["table_keys"]] for c, table in tables.items()},
         "det_exact": str(hb.moment_matrix(inputs["max_degree"], tables["0"]).det_exact),
         "moments": {},
     }

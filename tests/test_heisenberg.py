@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -87,10 +88,11 @@ def test_normal_order_mixed_primed():
     assert normal_order([Generator.P, Generator.P_PRIME, Generator.Q]) == expected
 
 
-def test_normal_order_length_bound():
+def test_normal_order_length_bound(monkeypatch):
     with pytest.raises(WordLengthError):
         normal_order([Generator.Q] * 33)
-    assert normal_order([Generator.Q] * 33, max_len=64) == AlgebraElement.monomial((33, 0, 0, 0))
+    monkeypatch.setattr(heisenberg, "DEFAULT_WORD_LIMIT", 64)
+    assert normal_order([Generator.Q] * 33) == AlgebraElement.monomial((33, 0, 0, 0))
 
 
 def test_commutation_relations():
@@ -314,9 +316,28 @@ def test_moment_engine_matches_wick_value(c):
         if sum(key) <= 10:
             word = [g for g, exp in zip(Generator, key) for _ in range(exp)]
             assert table.moment(key) == wick_value(word, table), key
-    # the filled memo stays out of equality, hashing and repr
+    # the derived fields stay out of equality, hashing and repr
     assert table == CovarianceTable(c) and hash(table) == hash(CovarianceTable(c))
     assert repr(table) == repr(CovarianceTable(c))
+
+
+def test_deep_moment_keeps_no_per_state_memo():
+    # the bound rules out a memo on exponent 4-tuples: it would hold about 24000 entries here (near 5 MB)
+    table = CovarianceTable(1)
+    tracemalloc.start()
+    try:
+        value = table.moment((300, 300, 10, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value and peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("key", [(-1, 1, 0, 0), (1.5, 0.5, 0, 0), (2, -2, 0, 0), (1, 1, 0)])
+def test_malformed_monomial_keys_are_refused(key):
+    for build in (AlgebraElement.monomial, lambda k: AlgebraElement({k: ONE}), CovarianceTable(1).moment):
+        with pytest.raises(ValueError, match="four nonnegative ints"):
+            build(key)
 
 
 def test_moments_diagonal_closed_form():
