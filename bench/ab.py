@@ -20,7 +20,10 @@ run, each side's median and quartiles and source hashes, the median ratio of
 paired ``wall_s`` (working tree over base)
 with a 95% bootstrap interval (pairs resampled with a fixed seed, so the
 interval is reproducible from the runs in the file), the wins of the working
-tree, both digests, the host part of perfbench's environment stamp, and
+tree, both digests, each side's run-time BLAS kernel (the core numpy's bundled
+OpenBLAS picked, such as ``SkylakeX``, or null without one: perfbench's stamp
+holds only the build string, and equal digests hold for one kernel), the host
+part of perfbench's environment stamp, and
 whether a gain may be claimed: wins in at least nine tenths of the pairs, a
 median gap larger than the base's interquartile range, every working-tree run
 passing all its gates and failing no more operations than the base runs (the
@@ -64,6 +67,14 @@ BOUNDED_METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 RUN_TIMEOUT_S = 600.0
 BOOTSTRAP_RESAMPLES = 10_000
 BOOTSTRAP_SEED = 20131104
+BLAS_CORE_PROBE = """
+import ctypes, glob, os, numpy
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+if corename is not None:
+    corename.restype = ctypes.c_char_p
+    print(corename().decode())
+"""
 
 
 def parse_args(argv):
@@ -116,6 +127,14 @@ def run_once(root: str, workload: str, seed: int) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
     }
+
+
+def blas_core(root: str) -> str | None:
+    """The kernel numpy's bundled OpenBLAS picks at run time for a run in root, or None without one."""
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_CORE_PROBE], cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+    )
+    return proc.stdout.strip() or None
 
 
 def spread(values: list[float]) -> dict:
@@ -232,6 +251,7 @@ def main(argv=None) -> int:
             print(f"cannot export revision {args.base!r}: {err}", file=sys.stderr)
             return 2
         roots = {"base": os.path.join(workdir, "tree"), "change": ROOT}
+        cores = {side: blas_core(root) for side, root in roots.items()}
         pairs = []
         for index in range(args.pairs):
             order = ("base", "change") if index % 2 == 0 else ("change", "base")
@@ -257,6 +277,8 @@ def main(argv=None) -> int:
         **summarize(pairs),
         "runs": pairs,
     }
+    for side, core in cores.items():
+        report["sides"][side]["blas_core"] = core
     rule = report["gain_rule"]
     out = destination(args.workload, rule["holds"])
     os.makedirs(os.path.dirname(out), exist_ok=True)
@@ -273,6 +295,7 @@ def main(argv=None) -> int:
                 "ratio_ci95": report["wall_s_ratio_ci95"],
                 "wins": f"{report['wins']}/{report['pairs']}",
                 "digests_equal": report["digests_equal"],
+                "blas_core": cores,
                 "gain_rule_holds": rule["holds"],
                 "gain_rule_refused": rule.get("refused"),
                 "bounds": report["bounds"],

@@ -474,7 +474,8 @@ class CovarianceTable:
             * sum_u C(k+m, u) i^u j!/(j-u)! l!/r! (j-u-1)!! (r-1)!!,
 
     over the u with j-u and r even and >= 0.  No memo: the sum has at most
-    min(j, k+m)/2 + 1 terms.
+    min(j, k+m)/2 + 1 terms, each the one before times i^2 and the exact
+    ratio (k+m-u)(k+m-u-1)(j-u) / ((u+1)(u+2)(r+2)) of small ints.
     """
 
     c: Fraction = Fraction(0)
@@ -513,16 +514,19 @@ class CovarianceTable:
         n = k + m
         if n > j + l:  # some momentum finds no q or q'
             return 0, 0
-        x = y = 0
         low = max(0, n - l)
-        for u in range(low + (j - low) % 2, min(j, n) + 1, 2):
-            weight = math.comb(n, u) * math.perm(j, u) * math.perm(l, n - u)
-            weight *= _matchings(j - u) * _matchings(l - n + u)
-            re, im = _I_POWERS[(u + 3 * m) % 4]
-            x += weight * re
-            y += weight * im
+        first = low + (j - low) % 2
+        if first > min(j, n):
+            return 0, 0
+        weight = math.comb(n, first) * math.perm(j, first) * math.perm(l, n - first)
+        weight *= _matchings(j - first) * _matchings(l - n + first)
+        total = 0  # sum of the weights with sign i^(u - first)
+        for u in range(first, min(j, n) + 1, 2):
+            total += weight if (u - first) % 4 == 0 else -weight
+            weight = weight * (n - u) * (n - u - 1) * (j - u) // ((u + 1) * (u + 2) * (l - n + u + 2))
+        re, im = _I_POWERS[(first + 3 * m) % 4]
         scale = (self._den // 2) ** n * int(self.c * self._den) ** ((j + l - n) // 2)
-        return x * scale, y * scale
+        return total * re * scale, total * im * scale
 
 
 def _matchings(count: int) -> int:

@@ -162,7 +162,8 @@ def brownian_gaps(taus):
     """
     taus = np.asarray(taus, dtype=float)
     for side in (taus, -taus):
-        edges = np.unique(side[side > 0])
+        edges = np.sort(side[side > 0])
+        edges = edges[np.diff(edges, prepend=0.0) > 0]  # distinct, as np.unique, without importing numpy.ma
         last = np.where(side > 0, np.searchsorted(edges, side), -1)
         yield np.sqrt(np.diff(edges, prepend=0.0)), last
 

@@ -136,10 +136,22 @@ def _product(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _paired(left_conj, right) -> np.ndarray:
     """The products from conjugated left factors and right factors (W, A, B)."""
-    w_left, a_left, b_left = left_conj
-    w_right, a_right, b_right = right
-    singular = np.outer(a_left, b_right) + np.outer(b_left, a_right)
-    return w_left @ w_right.T - singular / 2.0
+    return left_conj[0] @ right[0].T - _singular_part(left_conj[1:], right[1:])
+
+
+def _singular_part(left_conj, right) -> np.ndarray:
+    """(A_u^* B_v + B_u^* A_v)/2 from conjugated left and right (A, B)."""
+    (a_left, b_left), (a_right, b_right) = left_conj, right
+    return (np.outer(a_left, b_right) + np.outer(b_left, a_right)) / 2.0
+
+
+def _product_off_grid(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """_product for left rows with no grid part, in O(n) per row: their W vanish.
+
+    Only the d0 and w content pairs, op for op as in _paired, with no cumsum
+    and no matrix product.
+    """
+    return 0.0 - _singular_part(_conj(_singular_content(grid, left)), _singular_content(grid, right))
 
 
 def _conj(factors):
@@ -147,12 +159,17 @@ def _conj(factors):
 
 
 def _factors(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    h = grid.step
     values = rows[:, :-2]
     tails = [scaled * np.cumsum(values[:, ends], axis=1)[:, ::-1] for scaled, ends in grid.gap_tails]
-    a = rows[:, -2] + h * values.sum(axis=1)
-    b = rows[:, -1] + h * (np.abs(grid.points) * values).sum(axis=1)
+    a, b = _singular_content(grid, rows)  # before the concatenated copy, which would raise the peak
     return np.concatenate(tails, axis=1), a, b
+
+
+def _singular_content(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The d0 and w content A = a + h sum f and B = b + h sum |t| f of coordinate rows."""
+    h = grid.step
+    values = rows[:, :-2]
+    return rows[:, -2] + h * values.sum(axis=1), rows[:, -1] + h * (np.abs(grid.points) * values).sum(axis=1)
 
 
 def _stack(family: list[ExtendedVector]) -> np.ndarray:
@@ -241,7 +258,7 @@ def decompose(u: ExtendedVector) -> tuple[complex, complex, ExtendedVector]:
     idempotent by construction.
     """
     pair = np.stack([w_vector(u.grid).coords(), delta_zero(u.grid).coords()])
-    a, b = -2.0 * _product(u.grid, pair, u.coords()[None])[:, 0]
+    a, b = -2.0 * _product_off_grid(u.grid, pair, u.coords()[None])[:, 0]
     rest = ExtendedVector(u.grid, u.values.copy(), a=u.a - a, b=u.b - b)
     return complex(a), complex(b), rest
 
@@ -256,7 +273,7 @@ def krein_direction(grid: Grid, alpha: float) -> ExtendedVector:
 def krein_metric_apply(u: ExtendedVector, alpha: float) -> ExtendedVector:
     """Metric operator at scale alpha: involution flipping the Krein direction."""
     direction = krein_direction(u.grid, alpha)
-    overlap = indefinite_inner(direction, u)
+    overlap = complex(_product_off_grid(u.grid, direction.coords()[None], u.coords()[None])[0, 0])
     return u + (2.0 * overlap) * direction
 
 
@@ -283,8 +300,10 @@ def signature_of(family: list[ExtendedVector]) -> GramMatrix:
 class Projector:
     """Indefinite-orthogonal projection onto the span of a nondegenerate basis.
 
-    The basis is stacked and factored, and its Gram checked, once; a call
-    factors only the projected vector and solves the k x k system.
+    The basis is stacked and factored, and its Gram checked, once.  ``project``
+    takes a list of m vectors: it factors their stack once, forms one
+    k x (k+m) block of products with (basis, vectors) and makes one solve with
+    m right-hand sides.  A call projects one vector the same way.
     """
 
     def __init__(self, basis: list[ExtendedVector]):
@@ -298,15 +317,20 @@ class Projector:
         if not np.isfinite(cond) or cond > PROJECTION_CONDITION_LIMIT:
             raise DegenerateGramError(f"projection Gram is degenerate (cond {cond:.3e})")
 
-    def __call__(self, u: ExtendedVector) -> ExtendedVector:
-        self._member._check(u)
-        # one k x (k+1) block of products with (basis, u), not a stored k x k Gram:
+    def project(self, vectors: list[ExtendedVector]) -> list[ExtendedVector]:
+        for u in vectors:
+            self._member._check(u)
+        grid = self._member.grid
+        # one block of products with (basis, vectors), not a stored k x k Gram:
         # solve then sees the same bits as on the unfactored route
-        right = zip(self._factors, _factors(u.grid, u.coords()[None]))
+        right = zip(self._factors, _factors(grid, np.stack([u.coords() for u in vectors])))
         products = _paired(self._conj, [np.concatenate(pair) for pair in right])
-        gram, moments = products[:, :-1], products[:, -1]
-        out = np.linalg.solve(gram, moments) @ self._coords
-        return ExtendedVector(u.grid, out[:-2], out[-2], out[-1])
+        k = len(self._coords)
+        out = np.linalg.solve(products[:, :k], products[:, k:]).T @ self._coords
+        return [ExtendedVector(grid, row[:-2], row[-2], row[-1]) for row in out]
+
+    def __call__(self, u: ExtendedVector) -> ExtendedVector:
+        return self.project([u])[0]
 
 
 def project_onto(basis: list[ExtendedVector], u: ExtendedVector) -> ExtendedVector:
@@ -383,7 +407,8 @@ def _side_basis(grid: Grid, side: int, n_per_side: int) -> list[ExtendedVector]:
     if chosen.size == 0:
         raise MarkovSetupError("grid has no points on the requested side")
     if n_per_side < chosen.size:
-        picks = np.unique(np.linspace(0, chosen.size - 1, n_per_side).round().astype(int))
+        picks = np.linspace(0, chosen.size - 1, n_per_side).round().astype(int)  # nondecreasing
+        picks = picks[np.diff(picks, prepend=-1) > 0]  # distinct, as np.unique, without importing numpy.ma
         chosen = chosen[picks]
     if chosen.size + 2 > FAMILY_LIMIT:
         raise MarkovSetupError(f"family size limited to {FAMILY_LIMIT}")
@@ -426,20 +451,23 @@ def markov_diagnostics(grid: Grid, n_per_side: int, alpha: float = 1.0, seed: in
     v_basis = [delta_zero(grid), w_vector(grid)]
     e_zero = Projector(v_basis)
 
+    # each projector takes all probes at once, one batch per stage
+    probes = _probe_set(grid, seed)
+    minus, plus, zero = e_minus.project(probes), e_plus.project(probes), e_zero.project(probes)
+    plus_minus, plus_plus, minus_minus = e_plus.project(minus), e_plus.project(plus), e_minus.project(minus)
     markov = 0.0
     idempotence = 0.0
-    for u in _probe_set(grid, seed):
+    for i, u in enumerate(probes):
         norm_u = krein_norm(u, alpha)
         if norm_u == 0.0:
             continue
-        minus_u = e_minus(u)
-        markov = max(markov, krein_norm(e_plus(minus_u) - e_zero(u), alpha) / norm_u)
-        for proj, pu in ((e_plus, e_plus(u)), (e_minus, minus_u)):
-            idempotence = max(idempotence, krein_norm(proj(pu) - pu, alpha) / norm_u)
+        markov = max(markov, krein_norm(plus_minus[i] - zero[i], alpha) / norm_u)
+        for pu, twice in ((plus[i], plus_plus[i]), (minus[i], minus_minus[i])):
+            idempotence = max(idempotence, krein_norm(twice - pu, alpha) / norm_u)
     fixed_v = 0.0
-    for v in v_basis:
-        for proj in (e_plus, e_minus):
-            fixed_v = max(fixed_v, krein_norm(proj(v) - v, alpha))
+    for proj in (e_plus, e_minus):
+        for v, pv in zip(v_basis, proj.project(v_basis)):
+            fixed_v = max(fixed_v, krein_norm(pv - v, alpha))
     return {
         "markov_residual": markov,
         "idempotence_residual": idempotence,

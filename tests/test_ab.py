@@ -4,6 +4,7 @@ import importlib.util
 import pathlib
 
 import pytest
+from test_montecarlo import _dynamic_arch_openblas
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "ab.py"
 
@@ -89,3 +90,15 @@ def test_only_a_holding_gain_writes_the_claim_file(ab):
     assert "won 0 of 10 pairs" in neutral_rule["refused"] and "interquartile" in neutral_rule["refused"]
     assert pathlib.Path(ab.destination("suite", gain)) == root / "BENCH_suite.json"
     assert pathlib.Path(ab.destination("suite", neutral)) == root / "perfbench" / "results" / "ab-suite.json"
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs numpy on a DYNAMIC_ARCH OpenBLAS")
+def test_blas_core_reads_the_run_time_kernel(ab, monkeypatch):
+    assert ab.blas_core(ab.ROOT)  # the kernel picked for this CPU, such as SkylakeX
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")  # the child inherits this environment
+    assert ab.blas_core(ab.ROOT) == "Haswell"
+
+
+def test_blas_core_is_null_when_the_probe_finds_none(ab, monkeypatch):
+    monkeypatch.setattr(ab, "BLAS_CORE_PROBE", "import sys; sys.exit(1)")
+    assert ab.blas_core(ab.ROOT) is None

@@ -77,6 +77,12 @@ def test_moments_past_the_digit_limit_is_usage_error(capsys):
     assert str(sys.get_int_max_str_digits()) in err
 
 
+def test_moments_deep_mixed_key_reaches_the_digit_limit_quickly(capsys):
+    # the closed-form sum has 2001 terms of over 4300 digits; each steps from the last by small ints
+    err = one_line_usage_error(capsys, "moments", "--expr", "q^4000 p^2000 q'^4000 p'^2000", "--c", "1")
+    assert str(sys.get_int_max_str_digits()) in err
+
+
 def test_moments_coefficient_past_the_digit_limit_is_usage_error(capsys):
     # omega(q) = 0 prints, but the normal form's coefficient 10^4400 has 4401 digits
     err = one_line_usage_error(capsys, "moments", "--expr", "10^4400 q")

@@ -302,6 +302,30 @@ def test_estimates_do_not_depend_on_the_blas_kernel():
     assert outputs[0] == outputs[1]
 
 
+def test_timed_paths_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use: about 18 ms and 1.6 MB a process
+    script = """
+import sys
+from ccrlab import montecarlo as mc, nelson as ne
+mc.mc_moment([-1.0, 0.0, 0.5, 0.5], mc.McConfig(samples=2000, seed=3))
+ne.markov_diagnostics(ne.Grid.parse("-2:2:0.1"), 6)
+print("numpy.ma" in sys.modules)
+"""
+    src = str(pathlib.Path(montecarlo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("taus", [[1.0, 0.5, 1.0, -0.5, -0.5, 0.0, 2.0], [-3.0, -3.0], [0.0], [0.25, 0.25, 0.75]])
+def test_brownian_gaps_match_the_unique_construction(taus):
+    for side, (sq, last) in zip((np.array(taus), -np.array(taus)), montecarlo.brownian_gaps(taus)):
+        edges = np.unique(side[side > 0])
+        assert np.array_equal(sq, np.sqrt(np.diff(edges, prepend=0.0)))
+        assert np.array_equal(last, np.where(side > 0, np.searchsorted(edges, side), -1))
+
+
 def test_sample_count_not_multiple_of_block(monkeypatch):
     values = []
 

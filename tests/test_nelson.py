@@ -464,6 +464,100 @@ def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
     assert counts == {"brownian_gaps": 1, "_stack": 3}
 
 
+def bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("spec", ["-5:5:0.1", "-5:5:0.01", "0:5:0.05", "0.3:2.3:0.2", "-3:-1:0.25", "-1.05:2.95:0.1"])
+def test_krein_overlap_in_closed_form_matches_the_full_product_bit_for_bit(spec):
+    grid = Grid.parse(spec)
+    rng = np.random.default_rng(29)
+    vectors = [delta_zero(grid), w_vector(grid), point_mass(grid, grid.start), from_values(grid, np.zeros(grid.n))]
+    for _ in range(40):
+        real = ExtendedVector(grid, rng.standard_normal(grid.n))
+        vectors += [real, real * (1.0 / 3.0) + 1j * from_values(grid, rng.standard_normal(grid.n))]
+        vectors.append(
+            ExtendedVector(
+                grid,
+                rng.standard_normal(grid.n),
+                a=complex(*rng.standard_normal(2)),
+                b=complex(*rng.standard_normal(2)),
+            )
+        )
+    pair = np.stack([w_vector(grid).coords(), delta_zero(grid).coords()])
+    for u in vectors:
+        alpha = float(rng.uniform(0.4, 2.5))
+        direction = krein_direction(grid, alpha)
+        overlap = indefinite_inner(direction, u)
+        closed = nelson._product_off_grid(grid, direction.coords()[None], u.coords()[None])[0, 0]
+        assert bits(closed) == bits(overlap)
+        assert bits(krein_metric_apply(u, alpha).coords()) == bits((u + (2.0 * overlap) * direction).coords())
+        a, b, _ = decompose(u)
+        assert bits([a, b]) == bits(-2.0 * nelson._product(grid, pair, u.coords()[None])[:, 0])
+
+
+@pytest.mark.parametrize("spec, per_side", [("-5:5:0.2", 25), ("-5:5:0.05", 50), ("-2:2:0.1", 6)])
+def test_batched_projection_matches_per_vector_calls(spec, per_side):
+    grid = Grid.parse(spec)
+    probes = nelson._probe_set(grid, 5)
+    bases = [
+        nelson._side_basis(grid, +1, per_side),
+        nelson._side_basis(grid, -1, per_side),
+        [delta_zero(grid), w_vector(grid)],
+    ]
+    for basis in bases:
+        project = Projector(basis)
+        batched = project.project(probes)
+        assert len(batched) == len(probes)
+        for u, pu in zip(probes, batched):
+            # equal floats; a coordinate no basis vector touches is a zero whose sign
+            # the matrix product may set differently for a batch
+            assert np.array_equal(pu.coords(), project(u).coords())
+            assert pu.grid == grid
+    with pytest.raises(GridMismatchError):
+        Projector([delta_zero(GRID), w_vector(GRID)]).project([delta_zero(GRID), delta_zero(Grid.parse("-1:1:0.5"))])
+
+
+def per_probe_markov(grid, n_per_side, alpha, seed):
+    """markov_diagnostics as a loop over probes: every projection on the per-call route."""
+
+    def norm(u):
+        direction = krein_direction(grid, alpha)
+        eta_u = u + (2.0 * indefinite_inner(direction, u)) * direction
+        return math.sqrt(max(indefinite_inner(u, eta_u).real, 0.0))
+
+    def project(basis, u):
+        out = per_call_project(basis, u)
+        return ExtendedVector(grid, out[:-2], out[-2], out[-1])
+
+    plus_basis = nelson._side_basis(grid, +1, n_per_side)
+    minus_basis = nelson._side_basis(grid, -1, n_per_side)
+    v_basis = [delta_zero(grid), w_vector(grid)]
+    markov = idempotence = fixed_v = 0.0
+    for u in nelson._probe_set(grid, seed):
+        norm_u = norm(u)
+        minus_u = project(minus_basis, u)
+        markov = max(markov, norm(project(plus_basis, minus_u) - project(v_basis, u)) / norm_u)
+        for basis, pu in ((plus_basis, project(plus_basis, u)), (minus_basis, minus_u)):
+            idempotence = max(idempotence, norm(project(basis, pu) - pu) / norm_u)
+    for v in v_basis:
+        for basis in (plus_basis, minus_basis):
+            fixed_v = max(fixed_v, norm(project(basis, v) - v))
+    return {"markov_residual": markov, "idempotence_residual": idempotence, "v_fixed_residual": fixed_v}
+
+
+@pytest.mark.parametrize(
+    "spec, per_side, alpha, seed", [("-5:5:0.2", 25, 1.0, 7), ("-4:4:0.2", 10, 0.7, 3), ("-2:2:0.1", 6, 1.9, 11)]
+)
+def test_markov_diagnostics_matches_the_per_probe_loop(spec, per_side, alpha, seed):
+    grid = Grid.parse(spec)
+    got = markov_diagnostics(grid, per_side, alpha=alpha, seed=seed)
+    want = per_probe_markov(grid, per_side, alpha, seed)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=0, abs=1e-13), key
+
+
 # -- Markov identity ----------------------------------------------------------------------------
 
 
