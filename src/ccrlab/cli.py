@@ -28,6 +28,9 @@ SCHEMA_VERSION = "ccrlab.report.v1"
 MC_MODES = ("indefinite", "krein", "weyl", "characteristic")
 # Largest grid `gram --kind os` takes: os_rank's quadrature kernel is a dense n x n matrix.
 OS_GRID_LIMIT = 2001
+# Most bytes of complex coordinate rows (k vectors x n points x 16) `gram --kind
+# nelson` takes; building and factoring the family peaks at about three times this.
+NELSON_FAMILY_BYTES = 2**27
 # Most `mc --taus` takes: each sampling worker holds an (n + 4) x BLOCK float
 # buffer (about 130 MB at this limit).
 MC_TAUS_LIMIT = 1000
@@ -253,6 +256,8 @@ def _gram_results(args) -> list[dict]:
                 raise ValueError(f"kind=markov expects --family probes:N, got {args.family!r}")
             n_per_side = int(count_text)
         else:
+            if args.kind == "nelson":
+                _check_family_bytes(args.family, grid)
             vectors = ne.family(args.family, grid, args.seed)
     except ValueError as err:
         raise UsageError(str(err)) from None
@@ -281,6 +286,19 @@ def _gram_results(args) -> list[dict]:
         {"name": "rank", "value": rank, "provenance": "analytic"},
         {"name": "singular_values", "value": [float(s) for s in singular], "provenance": "analytic"},
     ]
+
+
+def _check_family_bytes(spec: str, grid: ne.Grid):
+    """Refuse a nelson family over NELSON_FAMILY_BYTES before any of it is built."""
+    try:
+        count = int(spec.partition(":")[2])
+    except ValueError:
+        return  # ne.family names the malformed spec
+    if count * grid.n * 16 > NELSON_FAMILY_BYTES:
+        raise ValueError(
+            f"kind=nelson takes families of at most {NELSON_FAMILY_BYTES} bytes of coordinate rows "
+            f"(vectors x points x 16), got {count} x {grid.n}"
+        )
 
 
 def _run_suite(args) -> tuple[dict, bool]:

@@ -34,9 +34,11 @@ def gram_signature(entries: np.ndarray) -> tuple[tuple[int, int, int], np.ndarra
     """Eigen-signature (n+, n-, n0) of a Hermitian matrix.
 
     The zero tolerance is SIGNATURE_TOL_FACTOR times the spectral radius.  Raises if
-    the input fails hermiticity beyond HERMITICITY_TOL (relative).
+    the input fails hermiticity beyond HERMITICITY_TOL (relative).  Real input
+    stays real, so a real symmetric Gram takes the real eigensolver.
     """
-    entries = np.asarray(entries, dtype=complex)
+    entries = np.asarray(entries)
+    entries = entries.astype(np.result_type(entries, float), copy=False)
     if entries.size == 0:
         return (0, 0, 0), np.array([])
     scale = max(1.0, float(np.abs(entries).max()))

@@ -722,25 +722,51 @@ def _qp_basis_keys(max_degree: int) -> list[MonomialKey]:
 
 
 def _exact_det(rows: list[list[ComplexRational]]) -> ComplexRational:
+    """Determinant by Bareiss's fraction-free elimination on Gaussian integers.
+
+    Each row is brought to (re, im) int pairs over its common denominator.  Every
+    step divides by the previous pivot exactly (Bareiss, Math. Comp. 22, 1968),
+    so no gcd is taken until the one that reduces the result.
+    """
     n = len(rows)
-    rows = [list(r) for r in rows]
-    det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+    if n == 0:
+        return ONE
+    scale = 1
+    matrix = []
+    for row in rows:
+        den = math.lcm(*(c._d for c in row))
+        scale *= den
+        matrix.append([(c._x * (den // c._d), c._y * (den // c._d)) for c in row])
+    sign = 1
+    prev = (1, 0)
+    for col in range(n - 1):
+        pivot = next((r for r in range(col, n) if matrix[r][col] != (0, 0)), None)
         if pivot is None:
             return ZERO
         if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = ONE / rows[col][col]
-        for r in range(col + 1, n):
-            if not rows[r][col]:
-                continue
-            factor = rows[r][col] * inv
-            for cidx in range(col, n):
-                rows[r][cidx] = rows[r][cidx] - factor * rows[col][cidx]
-    return det
+            matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
+            sign = -sign
+        top = matrix[col]
+        p_re, p_im = pivot_value = top[col]
+        prev_re, prev_im = prev
+        norm = prev_re * prev_re + prev_im * prev_im
+        for row in matrix[col + 1 :]:
+            l_re, l_im = row[col]
+            if not (l_re or l_im) and pivot_value == prev:
+                continue  # the step would scale this row by pivot / prev = 1
+            for cidx in range(col + 1, n):
+                # (row[c] pivot - row[col] top[c]) / prev, exact in Z[i]
+                x_re, x_im = row[cidx]
+                t_re, t_im = top[cidx]
+                re = x_re * p_re - x_im * p_im - l_re * t_re + l_im * t_im
+                im = x_re * p_im + x_im * p_re - l_re * t_im - l_im * t_re
+                if re or im:
+                    row[cidx] = ((re * prev_re + im * prev_im) // norm, (im * prev_re - re * prev_im) // norm)
+                else:
+                    row[cidx] = (0, 0)
+        prev = pivot_value
+    det_re, det_im = matrix[-1][-1]
+    return _reduced(sign * det_re, sign * det_im, scale)
 
 
 def moment_matrix(max_degree: int, table: CovarianceTable) -> GramMatrix:

@@ -77,9 +77,19 @@ class Grid:
         start, stop, step = (float(p) for p in parts)
         return cls.make(start, stop, step)
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return self.start + self.step * np.arange(self.n)
+        """start + i*step for i < n (read-only).
+
+        Computed once per grid, as are abs_points and gap_tails; none is a field,
+        so eq, hash and repr ignore them.
+        """
+        return _read_only(self.start + self.step * np.arange(self.n))
+
+    @cached_property
+    def abs_points(self) -> np.ndarray:
+        """|points| (read-only): the weights of the w content and of the OS kernel."""
+        return _read_only(np.abs(self.points))
 
     @property
     def stop(self) -> float:
@@ -105,10 +115,13 @@ class Grid:
         for sq, last in brownian_gaps(self.points):
             on = np.flatnonzero(last >= 0)
             ends = on[np.argsort(last[on])][::-1].copy()  # grid points are distinct: one ends each gap
-            scaled = self.step * sq
-            scaled.flags.writeable = ends.flags.writeable = False
-            sides.append((scaled, ends))
+            sides.append((_read_only(self.step * sq), _read_only(ends)))
         return tuple(sides)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def metric_matrix(grid: Grid) -> np.ndarray:
@@ -118,7 +131,7 @@ def metric_matrix(grid: Grid) -> np.ndarray:
     h = grid.step
     m = np.zeros((n + 2, n + 2))
     m[:n, :n] = -0.5 * h * h * np.abs(pts[:, None] - pts[None, :])
-    m[:n, n] = m[n, :n] = -0.5 * h * np.abs(pts)
+    m[:n, n] = m[n, :n] = -0.5 * h * grid.abs_points
     m[:n, n + 1] = m[n + 1, :n] = -0.5 * h
     m[n, n + 1] = m[n + 1, n] = -0.5
     return m
@@ -155,7 +168,7 @@ def _product_off_grid(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.nda
 
 
 def _conj(factors):
-    return tuple(f.conj() for f in factors)
+    return tuple(f.conj() if np.iscomplexobj(f) else f for f in factors)
 
 
 def _factors(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,7 +182,21 @@ def _singular_content(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     """The d0 and w content A = a + h sum f and B = b + h sum |t| f of coordinate rows."""
     h = grid.step
     values = rows[:, :-2]
-    return rows[:, -2] + h * values.sum(axis=1), rows[:, -1] + h * (np.abs(grid.points) * values).sum(axis=1)
+    return rows[:, -2] + h * values.sum(axis=1), rows[:, -1] + h * (grid.abs_points * values).sum(axis=1)
+
+
+def _rows(vectors: list[ExtendedVector]) -> np.ndarray:
+    """Stacked coordinate rows: float64 when every imaginary part is exactly 0.
+
+    The one place the layer picks a dtype, for families, projection bases and
+    the rows of krein_inner; the products follow their rows, so real data take
+    real cumsums and a real Gram product.
+    """
+    values = np.stack([v.values for v in vectors])
+    singular = np.array([(v.a, v.b) for v in vectors], dtype=complex)
+    if values.imag.any() or singular.imag.any():
+        return np.concatenate((values, singular), axis=1)
+    return np.concatenate((values.real, singular.real), axis=1)
 
 
 def _stack(family: list[ExtendedVector]) -> np.ndarray:
@@ -178,7 +205,7 @@ def _stack(family: list[ExtendedVector]) -> np.ndarray:
         raise ValueError(f"family size limited to {FAMILY_LIMIT}")
     for v in family:
         family[0]._check(v)
-    return np.stack([v.coords() for v in family])
+    return _rows(family)
 
 
 @dataclass
@@ -277,13 +304,35 @@ def krein_metric_apply(u: ExtendedVector, alpha: float) -> ExtendedVector:
     return u + (2.0 * overlap) * direction
 
 
+def _krein_overlaps(grid: Grid, rows: np.ndarray, alpha: float) -> np.ndarray:
+    """<kappa, u> for each coordinate row u, kappa = alpha d0 + w/alpha."""
+    return _product_off_grid(grid, _rows([krein_direction(grid, alpha)]), rows)[0]
+
+
 def krein_inner(u: ExtendedVector, v: ExtendedVector, alpha: float) -> complex:
-    """Positive product [u, v]_alpha = <u, eta_alpha v>."""
-    return indefinite_inner(u, krein_metric_apply(v, alpha))
+    """Positive product [u, v]_alpha = <u, eta_alpha v> = <u, v> + 2 <u, kappa><kappa, v>."""
+    u._check(v)
+    rows = _rows([u, v])
+    overlap_u, overlap_v = _krein_overlaps(u.grid, rows, alpha)
+    w, a, b = _factors(u.grid, rows)
+    product = _paired(_conj((w[:1], a[:1], b[:1])), (w[1:], a[1:], b[1:]))[0, 0]
+    return complex(product + 2.0 * np.conj(overlap_u) * overlap_v)
 
 
-def krein_norm(u: ExtendedVector, alpha: float) -> float:
-    return math.sqrt(max(krein_inner(u, u, alpha).real, 0.0))
+def _krein_norms(grid: Grid, rows: np.ndarray, alpha: float) -> np.ndarray:
+    """Krein norms sqrt([u, u]_alpha) of a stack of coordinate rows, from one factoring.
+
+    [u, u]_alpha = sum |W|^2 - Re(A^* B) + 2 |<kappa, u>|^2, row by row: the
+    diagonal of <u, u> plus the flipped Krein direction.
+    """
+    overlaps = _krein_overlaps(grid, rows, alpha)
+    w, a, b = _factors(grid, rows)
+    squares = _squared_moduli(w).sum(axis=1) - (np.conj(a) * b).real + 2.0 * _squared_moduli(overlaps)
+    return np.sqrt(np.maximum(squares, 0.0))
+
+
+def _squared_moduli(values: np.ndarray) -> np.ndarray:
+    return (np.conj(values) * values).real
 
 
 def signature_of(family: list[ExtendedVector]) -> GramMatrix:
@@ -303,7 +352,9 @@ class Projector:
     The basis is stacked and factored, and its Gram checked, once.  ``project``
     takes a list of m vectors: it factors their stack once, forms one
     k x (k+m) block of products with (basis, vectors) and makes one solve with
-    m right-hand sides.  A call projects one vector the same way.
+    m right-hand sides.  A call projects one vector the same way.  The vectors
+    are stacked as complex whatever their values, so a vector projects to the
+    same values in any batch.
     """
 
     def __init__(self, basis: list[ExtendedVector]):
@@ -320,14 +371,16 @@ class Projector:
     def project(self, vectors: list[ExtendedVector]) -> list[ExtendedVector]:
         for u in vectors:
             self._member._check(u)
-        grid = self._member.grid
-        # one block of products with (basis, vectors), not a stored k x k Gram:
+        out = self._project_rows(np.stack([u.coords() for u in vectors]))
+        return [ExtendedVector(self._member.grid, row[:-2], row[-2], row[-1]) for row in out]
+
+    def _project_rows(self, rows: np.ndarray) -> np.ndarray:
+        # one block of products with (basis, rows), not a stored k x k Gram:
         # solve then sees the same bits as on the unfactored route
-        right = zip(self._factors, _factors(grid, np.stack([u.coords() for u in vectors])))
+        right = zip(self._factors, _factors(self._member.grid, rows))
         products = _paired(self._conj, [np.concatenate(pair) for pair in right])
         k = len(self._coords)
-        out = np.linalg.solve(products[:, :k], products[:, k:]).T @ self._coords
-        return [ExtendedVector(grid, row[:-2], row[-2], row[-1]) for row in out]
+        return np.linalg.solve(products[:, :k], products[:, k:]).T @ self._coords
 
     def __call__(self, u: ExtendedVector) -> ExtendedVector:
         return self.project([u])[0]
@@ -360,7 +413,7 @@ def _require_positive_support(grid: Grid, values: np.ndarray):
 
 def _os_kernel(grid: Grid, c: float) -> np.ndarray:
     """The reflected kernel c - (|tau| + |sigma|)/2 on the grid (dense)."""
-    abs_pts = np.abs(grid.points)
+    abs_pts = grid.abs_points
     return c - (abs_pts[:, None] + abs_pts[None, :]) / 2.0
 
 
@@ -448,31 +501,35 @@ def markov_diagnostics(grid: Grid, n_per_side: int, alpha: float = 1.0, seed: in
         raise MarkovSetupError("Markov projections need a symmetric grid containing 0")
     e_plus = Projector(_side_basis(grid, +1, n_per_side))
     e_minus = Projector(_side_basis(grid, -1, n_per_side))
-    v_basis = [delta_zero(grid), w_vector(grid)]
-    e_zero = Projector(v_basis)
+    e_zero = Projector([delta_zero(grid), w_vector(grid)])
+    v_rows = e_zero._coords
 
-    # each projector takes all probes at once, one batch per stage
-    probes = _probe_set(grid, seed)
-    minus, plus, zero = e_minus.project(probes), e_plus.project(probes), e_zero.project(probes)
-    plus_minus, plus_plus, minus_minus = e_plus.project(minus), e_plus.project(plus), e_minus.project(minus)
-    markov = 0.0
-    idempotence = 0.0
-    for i, u in enumerate(probes):
-        norm_u = krein_norm(u, alpha)
-        if norm_u == 0.0:
-            continue
-        markov = max(markov, krein_norm(plus_minus[i] - zero[i], alpha) / norm_u)
-        for pu, twice in ((plus[i], plus_plus[i]), (minus[i], minus_minus[i])):
-            idempotence = max(idempotence, krein_norm(twice - pu, alpha) / norm_u)
-    fixed_v = 0.0
-    for proj in (e_plus, e_minus):
-        for v, pv in zip(v_basis, proj.project(v_basis)):
-            fixed_v = max(fixed_v, krein_norm(pv - v, alpha))
+    # each projector takes all its rows at once, one batch per stage, and every
+    # norm comes from one factored diagonal
+    rows = np.stack([u.coords() for u in _probe_set(grid, seed)])
+    m = len(rows)
+    minus, plus, zero = (proj._project_rows(rows) for proj in (e_minus, e_plus, e_zero))
+    twice_plus = e_plus._project_rows(np.concatenate((minus, plus, v_rows)))
+    twice_minus = e_minus._project_rows(np.concatenate((minus, v_rows)))
+    differences = (
+        twice_plus[:m] - zero,  # E+ E- u - E0 u
+        twice_plus[m : 2 * m] - plus,  # E+ E+ u - E+ u
+        twice_minus[:m] - minus,  # E- E- u - E- u
+        twice_plus[2 * m :] - v_rows,  # E+ v - v
+        twice_minus[m:] - v_rows,  # E- v - v
+    )
+    norms = _krein_norms(grid, np.concatenate((rows,) + differences), alpha)
+    norm_u, markov, plus_plus, minus_minus = norms[: 4 * m].reshape(4, m)
+    live = norm_u != 0.0
     return {
-        "markov_residual": markov,
-        "idempotence_residual": idempotence,
-        "v_fixed_residual": fixed_v,
+        "markov_residual": _worst(markov[live] / norm_u[live]),
+        "idempotence_residual": _worst(np.maximum(plus_plus, minus_minus)[live] / norm_u[live]),
+        "v_fixed_residual": _worst(norms[4 * m :]),
     }
+
+
+def _worst(residuals: np.ndarray) -> float:
+    return float(np.max(residuals, initial=0.0))
 
 
 def conditional_independence_residual(

@@ -416,6 +416,24 @@ def test_gram_family_limit_is_usage_error(capsys, monkeypatch, kind, spec, grid)
     assert "family size limited to 200" in err
 
 
+def test_gram_nelson_refuses_a_family_over_the_byte_budget_before_building_it(capsys, monkeypatch):
+    # meanzero:20 on -5:5:0.1 is 20 vectors x 101 points x 16 bytes
+    monkeypatch.setattr(cli, "NELSON_FAMILY_BYTES", 20 * 101 * 16)
+    code, out, _ = run_cli(capsys, "gram", "--kind", "nelson", "--family", "meanzero:20", "--grid", "-5:5:0.1")
+    assert code == 0 and json.loads(out)["results"][0]["value"] == [20, 0, 0]
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setattr(cli, "NELSON_FAMILY_BYTES", 20 * 101 * 16 - 1)
+    monkeypatch.setattr(nelson, "ExtendedVector", unbuilt)
+    for spec in ("meanzero:20", "bumps:+20", "possupport: 21"):
+        err = one_line_usage_error(capsys, "gram", "--kind", "nelson", "--family", spec, "--grid", "-5:5:0.1")
+        assert "bytes" in err and "x 101" in err
+    # the spec's own errors still name the spec
+    assert "not of the form" in one_line_usage_error(capsys, "gram", "--kind", "nelson", "--family", "meanzero:x", "--grid", "-5:5:0.1")
+
+
 def test_gram_refuses_what_it_cannot_compute(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -533,6 +533,38 @@ def test_moment_matrix_small():
     assert gram1.signature == (2, 1, 0)
 
 
+def leibniz_det(rows):
+    """The determinant as the signed sum over permutations, in ComplexRational arithmetic."""
+    total = ZERO
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = ONE
+        for row, col in enumerate(perm):
+            term = term * rows[row][col]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_exact_det_matches_the_permutation_sum():
+    rng = np.random.default_rng(41)
+
+    def entry():
+        if rng.random() < 0.35:
+            return ZERO
+        parts = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))) for _ in range(2)]
+        return ComplexRational(parts[0], parts[1] if rng.random() < 0.5 else 0)
+
+    for size in (1, 2, 3, 4, 5):
+        for trial in range(40):
+            rows = [[entry() for _ in range(size)] for _ in range(size)]
+            if size > 1 and trial % 5 == 0:
+                rows[-1] = list(rows[0])  # singular
+            if size > 2 and trial % 7 == 0:
+                rows[0][0] = rows[1][0] = ZERO  # a zero pivot to swap past
+            assert heisenberg._exact_det(rows) == leibniz_det(rows), rows
+    assert heisenberg._exact_det([]) == ONE
+
+
 def test_moment_matrix_faithfulness_witness():
     gram = moment_matrix(4, TABLE)
     assert gram.det_exact != ZERO

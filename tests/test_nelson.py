@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -446,8 +447,23 @@ def test_cached_gaps_are_read_only_and_outside_eq_and_hash():
     assert filled == empty and hash(filled) == hash(empty) and repr(filled) == repr(empty)
 
 
+def test_cached_points_are_read_only_and_outside_eq_and_hash():
+    filled, empty = Grid.parse("-2:2:0.5"), Grid.parse("-2:2:0.5")
+    assert filled.points is filled.points and filled.abs_points is filled.abs_points
+    assert np.array_equal(filled.points, [-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2])
+    assert np.array_equal(filled.abs_points, np.abs(filled.points))
+    for cached in (filled.points, filled.abs_points):
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+    assert "points" in vars(filled) and "abs_points" in vars(filled)
+    assert "points" not in vars(empty) and "abs_points" not in vars(empty)
+    assert filled == empty and hash(filled) == hash(empty) and repr(filled) == repr(empty)
+
+
 def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
-    counts = {"brownian_gaps": 0, "_stack": 0}
+    # one factoring per basis, per projection batch and for all the norms together:
+    # a norm taken one vector at a time would add one per vector
+    counts = {"brownian_gaps": 0, "_stack": 0, "_factors": 0}
 
     def counted(name):
         original = getattr(nelson, name)
@@ -461,7 +477,7 @@ def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
     for name in counts:
         monkeypatch.setattr(nelson, name, counted(name))
     markov_diagnostics(Grid.parse("-5:5:0.2"), 25)
-    assert counts == {"brownian_gaps": 1, "_stack": 3}
+    assert counts == {"brownian_gaps": 1, "_stack": 3, "_factors": 9}
 
 
 def bits(values):
@@ -556,6 +572,103 @@ def test_markov_diagnostics_matches_the_per_probe_loop(spec, per_side, alpha, se
     assert got.keys() == want.keys()
     for key in want:
         assert got[key] == pytest.approx(want[key], rel=0, abs=1e-13), key
+
+
+# -- Krein norms against an exact oracle ---------------------------------------------------------
+
+
+def exact_krein_square(grid, coords, alpha):
+    """[u, u]_alpha in rationals: the dense kernel over Fraction(float) grid points and values.
+
+    With u = x + i y and a real symmetric metric M, <u, u> = x M x + y M y and
+    <kappa, u> = kappa M x + i kappa M y, kappa = (0, ..., 0, alpha, 1/alpha).
+    """
+    n, h = grid.n, Fraction(grid.step)
+    pts = [Fraction(t) for t in grid.points]
+    metric = [[-h * h * abs(s - t) / 2 for t in pts] + [-h * abs(s) / 2, -h / 2] for s in pts]
+    metric += [[-h * abs(s) / 2 for s in pts] + [0, Fraction(-1, 2)], [-h / 2] * n + [Fraction(-1, 2), 0]]
+
+    def product(x, y):
+        return sum(xi * sum(m * yj for m, yj in zip(row, y) if yj) for xi, row in zip(x, metric) if xi)
+
+    kappa = [Fraction(0)] * n + [Fraction(alpha), Fraction(1.0 / alpha)]
+    square = Fraction(0)
+    for part in (coords.real, coords.imag):
+        x = [Fraction(float(c)) for c in part]
+        square += product(x, x) + 2 * product(kappa, x) ** 2
+    return square
+
+
+def krein_scale(grid, rows, alpha):
+    """Per row, the terms of [u, u]_alpha in absolute value: the scale of its roundoff."""
+    metric = np.abs(metric_matrix(grid))
+    kappa = np.abs(krein_direction(grid, alpha).coords())
+    sizes = np.abs(rows)
+    return np.einsum("ij,jk,ik->i", sizes, metric, sizes) + 2.0 * (sizes @ metric @ kappa) ** 2
+
+
+@pytest.mark.parametrize("spec", ["-1:1:0.25", "0:2:0.2", "-3:-1:0.5", "-0.7:1.1:0.3"])
+@pytest.mark.parametrize("alpha", [0.4, 1.0, 2.3])
+def test_krein_norms_match_the_exact_oracle(spec, alpha):
+    grid = Grid.parse(spec)
+    rng = np.random.default_rng(31)
+    real = [delta_zero(grid), w_vector(grid), krein_direction(grid, alpha), point_mass(grid, grid.stop)]
+    complex_ab = []
+    for _ in range(4):
+        real.append(ExtendedVector(grid, rng.standard_normal(grid.n), a=rng.standard_normal(), b=rng.standard_normal()))
+        complex_ab.append(
+            ExtendedVector(
+                grid,
+                rng.standard_normal(grid.n),
+                a=complex(*rng.standard_normal(2)),
+                b=complex(*rng.standard_normal(2)),
+            )
+        )
+    for vectors in (real, real + complex_ab):
+        rows = nelson._stack(vectors)
+        assert rows.dtype == (float if vectors is real else complex)
+        norms, scales = nelson._krein_norms(grid, rows, alpha), krein_scale(grid, rows, alpha)
+        for u, row, norm, scale in zip(vectors, rows, norms, scales):
+            exact = float(exact_krein_square(grid, row, alpha))
+            assert abs(norm**2 - exact) <= 1e-13 * scale, (spec, alpha, row)
+            value = krein_inner(u, u, alpha)
+            assert abs(value.real - exact) <= 1e-13 * scale and abs(value.imag) <= 1e-13 * scale, (spec, alpha, row)
+
+
+def test_real_rows_agree_with_their_complex_cast():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.given(
+        n=st.integers(2, 60),
+        start=st.floats(-3.0, 3.0),
+        step=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.2, 5.0),
+    )
+    def check(n, start, step, seed, alpha):
+        grid = Grid(start=start, step=step, n=n)
+        rows = np.random.default_rng(seed).standard_normal((5, n + 2))
+        cast = rows.astype(complex)
+        real_product, cast_product = nelson._product(grid, rows, rows), nelson._product(grid, cast, cast)
+        assert real_product.dtype == float and cast_product.dtype == complex
+        sizes = np.abs(rows)
+        assert np.abs(real_product - cast_product).max() <= 1e-13 * (sizes @ np.abs(metric_matrix(grid)) @ sizes.T).max()
+        real_norms, cast_norms = nelson._krein_norms(grid, rows, alpha), nelson._krein_norms(grid, cast, alpha)
+        assert np.all(np.abs(real_norms**2 - cast_norms**2) <= 1e-13 * krein_scale(grid, rows, alpha))
+
+    check()
+
+
+def test_families_of_real_vectors_take_real_arithmetic():
+    grid = Grid.parse("-2:2:0.1")
+    real = family("meanzero:6", grid, 3)
+    assert nelson._stack(real).dtype == float
+    assert signature_of(real).entries.dtype == float
+    mixed = real + [ExtendedVector(grid, np.zeros(grid.n), a=1j)]
+    assert nelson._stack(mixed).dtype == complex
+    assert signature_of(mixed).entries.dtype == complex
 
 
 # -- Markov identity ----------------------------------------------------------------------------
