@@ -12,6 +12,12 @@ The indefinite ground state is encoded by a :class:`CovarianceTable` of
 ordered two-point values; all higher moments follow from the Gaussian
 pair-partition rule (truncated correlations vanish), in closed form on
 normal-ordered monomials and by :func:`pair_partition_sum` on raw words.
+That engine walks a word once, left to right, over states that count the
+open (not yet paired) items of each distinct item, and drops a state whose
+open items outnumber the items left.  Its cost is polynomial in the length
+for a fixed number of distinct items (a word has at most four), and 2^n for
+n distinct items.  It asks that ``pair`` be pure and treats items equal
+under ``==`` as interchangeable (0.0 and -0.0 merge).
 On top of the state sit the GNS-label operations: the adjoint map
 ``A |0> -> A* |0>``, the modular phases, diagonal on canonical monomials,
 and the metric conjugation ``q <-> p'``, ``p <-> q'``.
@@ -539,31 +545,66 @@ def pair_partition_sum(items, pair):
     """Sum over the perfect matchings of ``items`` of the products of pair values.
 
     Each pair contributes ``pair(earlier, later)``; pairs whose value is zero
-    are skipped and an odd number of items gives 0.  Memoized on the
-    remaining subsequence, which collapses the exponentially many matchings
-    of repeated items.  The sum starts from the ints 0 and 1, so it takes the
-    type of the pair values (an int when no matching contributes).
+    are skipped and an odd number of items gives 0.  ``pair`` must be pure,
+    and items equal under ``==`` are interchangeable: they share one label,
+    and ``pair`` sees the first of them (so 0.0 and -0.0 merge).
+
+    One left-to-right pass over a state that counts the open (not yet paired)
+    items of each label.  An item either opens, or closes one of the count_t
+    open items of a label t, which multiplies by count_t * pair(t, item): the
+    open items of one label are interchangeable.  A state is an int, a mixed
+    radix over the label multiplicities (a bitmask when every item is
+    distinct) above a lowest digit that holds the total open count, so the
+    pruning reads one digit: a state with as many open items as items left
+    cannot open another.  The sum is the weight of the all-closed state.
+    There are at most prod(m_t + 1) states for multiplicities m_t: polynomial
+    in the length for a fixed number of labels, 2^n subsets for n distinct
+    items.  The sum starts from the ints 0 and 1, so it takes the type of the
+    pair values (an int when no matching contributes).
     """
     items = tuple(items)
-    if len(items) % 2 == 1:
+    n = len(items)
+    if n % 2:
         return 0
-    memo = {(): 1}
-
-    def rec(sub: tuple):
-        cached = memo.get(sub)
-        if cached is not None:
-            return cached
-        first = sub[0]
-        total = 0
-        for pos in range(1, len(sub)):
-            value = pair(first, sub[pos])
-            if not value:
-                continue
-            total = total + value * rec(sub[1:pos] + sub[pos + 1 :])
-        memo[sub] = total
-        return total
-
-    return rec(items)
+    spans = {}  # label -> [first position, last position, multiplicity], in order of first appearance
+    for pos, x in enumerate(items):
+        span = spans.get(x)
+        if span is None:
+            spans[x] = [pos, pos, 1]
+        else:
+            span[1] = pos
+            span[2] += 1
+    counted = n // 2 + 1  # radix of the open-count digit
+    digits = []  # (label, first position, last position, place value, radix), one digit per label
+    place = counted
+    for x, (first, last, multiplicity) in spans.items():
+        digits.append((x, first, last, place, multiplicity + 1))
+        place *= multiplicity + 1
+    moves = {}  # label -> (key step to open one, [(place, radix, key step, pair value)] of the labels it closes)
+    for x, _, last, place, _ in digits:
+        closes = [
+            (at, radix, at + 1, value) for y, first, _, at, radix in digits if first < last and (value := pair(y, x))
+        ]
+        moves[x] = (place + 1, closes)
+    states = {0: 1}
+    left = n
+    for x in items:
+        left -= 1
+        opening, closes = moves[x]
+        after = {}
+        for key, weight in states.items():
+            still_open = key % counted
+            if still_open:
+                for at, radix, step, value in closes:
+                    count = key // at % radix
+                    if count:
+                        target = key - step
+                        after[target] = after.get(target, 0) + weight * count * value
+            if still_open < left:
+                target = key + opening
+                after[target] = after.get(target, 0) + weight
+        states = after
+    return states.get(0, 0)
 
 
 def wick_value(word, table: CovarianceTable) -> ComplexRational:

@@ -46,7 +46,7 @@ from .heisenberg import pair_partition_sum
 from .weyl import to_label_fraction
 
 BLOCK = 16384
-PAIR_MOMENT_LIMIT = 20
+PAIR_MOMENT_LIMIT = 20  # n distinct taus give the pair-partition engine 2^n states
 # Budget for the workers' scratch buffers of one estimate; it caps the worker count for wide rows.
 SCRATCH_LIMIT_BYTES = 2**29
 

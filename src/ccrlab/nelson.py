@@ -159,12 +159,18 @@ def _singular_part(left_conj, right) -> np.ndarray:
 
 
 def _product_off_grid(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """_product for left rows with no grid part, in O(n) per row: their W vanish.
+    """_product for left rows with no grid part, in O(n) per row: their W vanish."""
+    return _off_grid_products(grid, _singular_content(grid, left), right)
+
+
+def _off_grid_products(grid: Grid, content, right: np.ndarray) -> np.ndarray:
+    """Products <k_i, v_j> of left rows k_i with no grid part, given by their content (A, B).
 
     Only the d0 and w content pairs, op for op as in _paired, with no cumsum
-    and no matrix product.
+    and no matrix product.  A row with no grid part has content (a, b), so the
+    callers pass it in closed form and sum no zero grid values.
     """
-    return 0.0 - _singular_part(_conj(_singular_content(grid, left)), _singular_content(grid, right))
+    return 0.0 - _singular_part(_conj(content), _singular_content(grid, right))
 
 
 def _conj(factors):
@@ -284,8 +290,8 @@ def decompose(u: ExtendedVector) -> tuple[complex, complex, ExtendedVector]:
     |tau|-weighted mass of the grid part (plus any explicit coordinates);
     idempotent by construction.
     """
-    pair = np.stack([w_vector(u.grid).coords(), delta_zero(u.grid).coords()])
-    a, b = -2.0 * _product_off_grid(u.grid, pair, u.coords()[None])[:, 0]
+    pair = (np.array([0.0, 1.0], dtype=complex), np.array([1.0, 0.0], dtype=complex))  # (A, B) of w and d0
+    a, b = -2.0 * _off_grid_products(u.grid, pair, u.coords()[None])[:, 0]
     rest = ExtendedVector(u.grid, u.values.copy(), a=u.a - a, b=u.b - b)
     return complex(a), complex(b), rest
 
@@ -297,16 +303,23 @@ def krein_direction(grid: Grid, alpha: float) -> ExtendedVector:
     return ExtendedVector(grid, np.zeros(grid.n), a=alpha, b=1.0 / alpha)
 
 
+def _krein_content(alpha: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The content (A, B) = (alpha, 1/alpha) of the Krein direction, in the dtype of its row."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return np.array([alpha], dtype=dtype), np.array([1.0 / alpha], dtype=dtype)
+
+
 def krein_metric_apply(u: ExtendedVector, alpha: float) -> ExtendedVector:
     """Metric operator at scale alpha: involution flipping the Krein direction."""
     direction = krein_direction(u.grid, alpha)
-    overlap = complex(_product_off_grid(u.grid, direction.coords()[None], u.coords()[None])[0, 0])
+    overlap = complex(_off_grid_products(u.grid, _krein_content(alpha, complex), u.coords()[None])[0, 0])
     return u + (2.0 * overlap) * direction
 
 
 def _krein_overlaps(grid: Grid, rows: np.ndarray, alpha: float) -> np.ndarray:
     """<kappa, u> for each coordinate row u, kappa = alpha d0 + w/alpha."""
-    return _product_off_grid(grid, _rows([krein_direction(grid, alpha)]), rows)[0]
+    return _off_grid_products(grid, _krein_content(alpha, float), rows)[0]
 
 
 def krein_inner(u: ExtendedVector, v: ExtendedVector, alpha: float) -> complex:
