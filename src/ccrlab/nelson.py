@@ -144,37 +144,21 @@ def _product(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     W_u^H W_v - (A_u^* B_v + B_u^* A_v)/2: W holds the grid part's tail sums over
     the Brownian gaps, A = a + h sum f and B = b + h sum |t| f the d0 and w content.
     """
-    return _paired(_conj(_factors(grid, left)), _factors(grid, right))
+    return _paired(_factors(grid, left), _factors(grid, right))
 
 
-def _paired(left_conj, right) -> np.ndarray:
-    """The products from conjugated left factors and right factors (W, A, B)."""
-    return left_conj[0] @ right[0].T - _singular_part(left_conj[1:], right[1:])
+def _paired(left, right) -> np.ndarray:
+    """The products from left and right factors (W, A, B), conjugating the left ones.
 
-
-def _singular_part(left_conj, right) -> np.ndarray:
-    """(A_u^* B_v + B_u^* A_v)/2 from conjugated left and right (A, B)."""
-    (a_left, b_left), (a_right, b_right) = left_conj, right
-    return (np.outer(a_left, b_right) + np.outer(b_left, a_right)) / 2.0
-
-
-def _product_off_grid(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """_product for left rows with no grid part, in O(n) per row: their W vanish."""
-    return _off_grid_products(grid, _singular_content(grid, left), right)
-
-
-def _off_grid_products(grid: Grid, content, right: np.ndarray) -> np.ndarray:
-    """Products <k_i, v_j> of left rows k_i with no grid part, given by their content (A, B).
-
-    Only the d0 and w content pairs, op for op as in _paired, with no cumsum
-    and no matrix product.  A row with no grid part has content (a, b), so the
-    callers pass it in closed form and sum no zero grid values.
+    ndarray.conj() of a real array is the array itself, so real factors take no copy.
     """
-    return 0.0 - _singular_part(_conj(content), _singular_content(grid, right))
+    return left[0].conj() @ right[0].T - _singular_part(left[1:], right[1:])
 
 
-def _conj(factors):
-    return tuple(f.conj() if np.iscomplexobj(f) else f for f in factors)
+def _singular_part(left, right) -> np.ndarray:
+    """(A_u^* B_v + B_u^* A_v)/2 from left and right (A, B)."""
+    (a_left, b_left), (a_right, b_right) = left, right
+    return (np.outer(a_left.conj(), b_right) + np.outer(b_left.conj(), a_right)) / 2.0
 
 
 def _factors(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,17 +176,15 @@ def _singular_content(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _rows(vectors: list[ExtendedVector]) -> np.ndarray:
-    """Stacked coordinate rows: float64 when every imaginary part is exactly 0.
+    """Stacked coordinate rows, in the dtype their vectors store.
 
-    The one place the layer picks a dtype, for families, projection bases and
-    the rows of krein_inner; the products follow their rows, so real data take
-    real cumsums and a real Gram product.
+    Families, projection bases and the rows of krein_inner are stacked here; the
+    products follow their rows, so real vectors take real cumsums and a real
+    Gram product.  The values are stacked whole, not as per-vector coords()
+    copies, which would leave the allocator holding more at the peak.
     """
     values = np.stack([v.values for v in vectors])
-    singular = np.array([(v.a, v.b) for v in vectors], dtype=complex)
-    if values.imag.any() or singular.imag.any():
-        return np.concatenate((values, singular), axis=1)
-    return np.concatenate((values.real, singular.real), axis=1)
+    return np.concatenate((values, np.array([(v.a, v.b) for v in vectors])), axis=1)
 
 
 def _stack(family: list[ExtendedVector]) -> np.ndarray:
@@ -216,7 +198,12 @@ def _stack(family: list[ExtendedVector]) -> np.ndarray:
 
 @dataclass
 class ExtendedVector:
-    """Grid function plus coefficients of the singular elements d0 and w."""
+    """Grid function plus coefficients of the singular elements d0 and w.
+
+    The layer's one dtype decision: bool, int and float values are stored as
+    float64, anything else (complex values, objects such as Fractions) as
+    complex128.  Rows and products follow what the vectors store.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -224,7 +211,8 @@ class ExtendedVector:
     b: complex = 0.0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values)
+        values = np.asarray(self.values, dtype=float if values.dtype.kind in "biuf" else complex)
         if values.shape != (self.grid.n,):
             raise GridMismatchError(f"expected {self.grid.n} values, got {values.shape}")
         self.values = values
@@ -290,8 +278,9 @@ def decompose(u: ExtendedVector) -> tuple[complex, complex, ExtendedVector]:
     |tau|-weighted mass of the grid part (plus any explicit coordinates);
     idempotent by construction.
     """
-    pair = (np.array([0.0, 1.0], dtype=complex), np.array([1.0, 0.0], dtype=complex))  # (A, B) of w and d0
-    a, b = -2.0 * _off_grid_products(u.grid, pair, u.coords()[None])[:, 0]
+    # -2 <w, u> and -2 <d0, u> from the content (A, B), op for op as on the product
+    # route, whose zero signs they keep
+    a, b = -2.0 * (0.0 - np.concatenate(_singular_content(u.grid, u.coords()[None])) / 2.0)
     rest = ExtendedVector(u.grid, u.values.copy(), a=u.a - a, b=u.b - b)
     return complex(a), complex(b), rest
 
@@ -303,23 +292,22 @@ def krein_direction(grid: Grid, alpha: float) -> ExtendedVector:
     return ExtendedVector(grid, np.zeros(grid.n), a=alpha, b=1.0 / alpha)
 
 
-def _krein_content(alpha: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The content (A, B) = (alpha, 1/alpha) of the Krein direction, in the dtype of its row."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return np.array([alpha], dtype=dtype), np.array([1.0 / alpha], dtype=dtype)
-
-
 def krein_metric_apply(u: ExtendedVector, alpha: float) -> ExtendedVector:
     """Metric operator at scale alpha: involution flipping the Krein direction."""
-    direction = krein_direction(u.grid, alpha)
-    overlap = complex(_off_grid_products(u.grid, _krein_content(alpha, complex), u.coords()[None])[0, 0])
-    return u + (2.0 * overlap) * direction
+    overlap = complex(_krein_overlaps(u.grid, u.coords()[None], alpha)[0])
+    return u + (2.0 * overlap) * krein_direction(u.grid, alpha)
 
 
 def _krein_overlaps(grid: Grid, rows: np.ndarray, alpha: float) -> np.ndarray:
-    """<kappa, u> for each coordinate row u, kappa = alpha d0 + w/alpha."""
-    return _off_grid_products(grid, _krein_content(alpha, float), rows)[0]
+    """<kappa, u> for each coordinate row u, kappa = alpha d0 + w/alpha, in O(n) per row.
+
+    kappa has no grid part and content (alpha, 1/alpha), so only the singular
+    pairing of _paired is left, op for op: no cumsum and no matrix product.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    content_a, content_b = _singular_content(grid, rows)
+    return 0.0 - (alpha * content_b + (1.0 / alpha) * content_a) / 2.0
 
 
 def krein_inner(u: ExtendedVector, v: ExtendedVector, alpha: float) -> complex:
@@ -328,7 +316,7 @@ def krein_inner(u: ExtendedVector, v: ExtendedVector, alpha: float) -> complex:
     rows = _rows([u, v])
     overlap_u, overlap_v = _krein_overlaps(u.grid, rows, alpha)
     w, a, b = _factors(u.grid, rows)
-    product = _paired(_conj((w[:1], a[:1], b[:1])), (w[1:], a[1:], b[1:]))[0, 0]
+    product = _paired((w[:1], a[:1], b[:1]), (w[1:], a[1:], b[1:]))[0, 0]
     return complex(product + 2.0 * np.conj(overlap_u) * overlap_v)
 
 
@@ -352,7 +340,7 @@ def signature_of(family: list[ExtendedVector]) -> GramMatrix:
     """Gram matrix and eigen-signature of a finite family."""
     if family:
         factors = _factors(family[0].grid, _stack(family))
-        entries = _paired(_conj(factors), factors)
+        entries = _paired(factors, factors)
     else:
         entries = np.zeros((0, 0), dtype=complex)
     signature, eigenvalues = gram_signature(entries)
@@ -365,8 +353,8 @@ class Projector:
     The basis is stacked and factored, and its Gram checked, once.  ``project``
     takes a list of m vectors: it factors their stack once, forms one
     k x (k+m) block of products with (basis, vectors) and makes one solve with
-    m right-hand sides.  A call projects one vector the same way.  The vectors
-    are stacked as complex whatever their values, so a vector projects to the
+    m right-hand sides.  A call projects one vector the same way.  The rows are
+    cast to complex whatever the vectors store, so a vector projects to the
     same values in any batch.
     """
 
@@ -376,8 +364,7 @@ class Projector:
         self._coords = _stack(basis)
         self._member = basis[0]
         self._factors = _factors(self._member.grid, self._coords)
-        self._conj = _conj(self._factors)
-        cond = np.linalg.cond(_paired(self._conj, self._factors))
+        cond = np.linalg.cond(_paired(self._factors, self._factors))
         if not np.isfinite(cond) or cond > PROJECTION_CONDITION_LIMIT:
             raise DegenerateGramError(f"projection Gram is degenerate (cond {cond:.3e})")
 
@@ -390,8 +377,8 @@ class Projector:
     def _project_rows(self, rows: np.ndarray) -> np.ndarray:
         # one block of products with (basis, rows), not a stored k x k Gram:
         # solve then sees the same bits as on the unfactored route
-        right = zip(self._factors, _factors(self._member.grid, rows))
-        products = _paired(self._conj, [np.concatenate(pair) for pair in right])
+        right = zip(self._factors, _factors(self._member.grid, rows.astype(complex, copy=False)))
+        products = _paired(self._factors, [np.concatenate(pair) for pair in right])
         k = len(self._coords)
         return np.linalg.solve(products[:, :k], products[:, k:]).T @ self._coords
 

@@ -240,6 +240,15 @@ def test_mc_non_finite_estimate_is_usage_error(capsys, monkeypatch):
                 "--samples", samples,
             )
 
+        # a non-finite target is refused before any sampling; pytest's capture keeps a
+        # numpy RuntimeWarning out of capsys, so only an error here shows one
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled for a non-finite target")
+
+        monkeypatch.setattr(cli.mc, "_estimate", refuse)
+        err = one_line_usage_error(capsys, "mc", "--mode", "characteristic", "--taus", "0,1", "--weights", "1e200,1e200")
+    assert "analytic target of mode=characteristic overflows" in err
+
 
 @pytest.mark.parametrize(
     "mode_args",

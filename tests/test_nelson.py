@@ -392,10 +392,13 @@ def per_call_factors(grid, rows):
 
 
 def per_call_project(basis, u):
-    """Restack the basis, factor (basis, u), check the Gram's cond, solve: every call."""
-    coords = np.stack([v.coords() for v in basis])
+    """Restack the basis, factor (basis, u), check the Gram's cond, solve: every call.
+
+    The stacks are complex whatever the vectors store, as on the projector's route.
+    """
+    coords = np.stack([v.coords() for v in basis]).astype(complex)
     w_left, a_left, b_left = per_call_factors(u.grid, coords)
-    w_right, a_right, b_right = per_call_factors(u.grid, np.vstack((coords, u.coords())))
+    w_right, a_right, b_right = per_call_factors(u.grid, np.vstack((coords, u.coords())).astype(complex))
     singular = np.outer(a_left.conj(), b_right) + np.outer(b_left.conj(), a_right)
     products = w_left.conj() @ w_right.T - singular / 2.0
     gram, moments = products[:, :-1], products[:, -1]
@@ -505,7 +508,7 @@ def test_krein_overlap_in_closed_form_matches_the_full_product_bit_for_bit(spec)
         alpha = float(rng.uniform(0.4, 2.5))
         direction = krein_direction(grid, alpha)
         overlap = indefinite_inner(direction, u)
-        closed = nelson._product_off_grid(grid, direction.coords()[None], u.coords()[None])[0, 0]
+        closed = nelson._krein_overlaps(grid, u.coords()[None], alpha)[0]
         assert bits(closed) == bits(overlap)
         assert bits(krein_metric_apply(u, alpha).coords()) == bits((u + (2.0 * overlap) * direction).coords())
         a, b, _ = decompose(u)
@@ -669,6 +672,22 @@ def test_families_of_real_vectors_take_real_arithmetic():
     mixed = real + [ExtendedVector(grid, np.zeros(grid.n), a=1j)]
     assert nelson._stack(mixed).dtype == complex
     assert signature_of(mixed).entries.dtype == complex
+    # the boundary type stores real input as float64 and anything else as complex128
+    assert all(v.values.nbytes == grid.n * 8 for v in real)
+    n = grid.n
+    for values in (np.arange(n) % 2 == 0, np.arange(n), list(range(n)), np.ones(n), np.ones(n, dtype=np.float32)):
+        assert ExtendedVector(grid, values).values.dtype == np.float64
+    fractions = [Fraction(k, 3) for k in range(n)]
+    for values in (np.ones(n) * 1j, [1.0] * (n - 1) + [1j], fractions):
+        assert ExtendedVector(grid, values).values.dtype == np.complex128
+    assert np.array_equal(ExtendedVector(grid, fractions).values, np.asarray(fractions, dtype=complex))
+    assert from_values(grid, np.ones(n)).values.dtype == np.complex128
+    # projection takes complex rows whatever the vectors store: a real probe projects
+    # to the same values alone as in a mixed batch (a zero's sign may differ)
+    project = Projector(nelson._side_basis(grid, +1, 6))
+    alone = project(real[0]).coords()
+    assert np.array_equal(alone, project.project([mixed[-1], real[0]])[1].coords())
+    assert np.array_equal(alone, project(from_values(grid, real[0].values)).coords())
 
 
 # -- Markov identity ----------------------------------------------------------------------------
