@@ -26,11 +26,11 @@ from .expr import ExprError, parse_element
 SCHEMA_VERSION = "ccrlab.report.v1"
 
 MC_MODES = ("indefinite", "krein", "weyl", "characteristic")
-# Largest grid `gram --kind os` takes: os_rank's quadrature kernel is a dense n x n matrix.
+# Largest grid `gram --kind os` takes: os_rank holds one dense n x n kernel, float64 for a
+# real family; possupport:200 at this limit peaks at 38 MB traced and 77 MB of process RSS.
 OS_GRID_LIMIT = 2001
-# Most bytes of complex coordinate rows (k vectors x n points x 16) `gram --kind
-# nelson` takes.  A family's real rows hold half that; building and factoring
-# meanzero:20 at the bound peaks at 311 MB of RSS, about 2.3 times this.
+# Most bytes of complex coordinate rows (rows x points x 16) `gram --kind nelson` and `--kind
+# markov` take; real rows hold half that.  Peaks at the bound are in README (2.3x to 14x).
 NELSON_FAMILY_BYTES = 2**27
 # Most `mc --taus` takes: each sampling worker holds an (n + 4) x BLOCK float
 # buffer (about 130 MB at this limit).
@@ -258,9 +258,10 @@ def _gram_results(args) -> list[dict]:
             if kind_name != "probes" or not count_text.isdigit():
                 raise ValueError(f"kind=markov expects --family probes:N, got {args.family!r}")
             n_per_side = int(count_text)
+            _check_row_bytes(args.kind, 2 * (n_per_side + 2) + 2 + 15, grid)  # 2 bases, (d0, w), 15 probes
         else:
             if args.kind == "nelson":
-                _check_family_bytes(args.family, grid)
+                _check_row_bytes(args.kind, args.family.partition(":")[2], grid)
             vectors = ne.family(args.family, grid, args.seed)
     except ValueError as err:
         raise UsageError(str(err)) from None
@@ -291,17 +292,14 @@ def _gram_results(args) -> list[dict]:
     ]
 
 
-def _check_family_bytes(spec: str, grid: ne.Grid):
-    """Refuse a nelson family over NELSON_FAMILY_BYTES before any of it is built."""
+def _check_row_bytes(kind: str, rows: int | str, grid: ne.Grid):
+    """Refuse a run over NELSON_FAMILY_BYTES of coordinate rows before any of them is built."""
     try:
-        count = int(spec.partition(":")[2])
+        rows = int(rows)
     except ValueError:
-        return  # ne.family names the malformed spec
-    if count * grid.n * 16 > NELSON_FAMILY_BYTES:
-        raise ValueError(
-            f"kind=nelson takes families of at most {NELSON_FAMILY_BYTES} bytes of coordinate rows "
-            f"(vectors x points x 16), got {count} x {grid.n}"
-        )
+        return  # a family spec's malformed count text, which ne.family names
+    if rows * grid.n * 16 > NELSON_FAMILY_BYTES:
+        raise ValueError(f"kind={kind} takes at most {NELSON_FAMILY_BYTES} bytes of rows, got {rows} x {grid.n} x 16")
 
 
 def _run_suite(args) -> tuple[dict, bool]:

@@ -1,4 +1,5 @@
-"""Hermitian Gram matrices of indefinite inner products, with eigen-signature."""
+"""Hermitian Gram matrices of indefinite inner products: eigen-signature, numerical rank, and
+real_or_complex, the one dtype rule of the Gram and Nelson layers (real data keep real arithmetic)."""
 
 from __future__ import annotations
 
@@ -30,6 +31,11 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
+def real_or_complex(values) -> np.ndarray:
+    """The one dtype rule: bool, int and float values as float64, anything else (complex, Fractions) as complex128."""
+    return np.asarray(values, dtype=float if np.asarray(values).dtype.kind in "biuf" else complex)
+
+
 def gram_signature(entries: np.ndarray) -> tuple[tuple[int, int, int], np.ndarray]:
     """Eigen-signature (n+, n-, n0) of a Hermitian matrix.
 
@@ -37,8 +43,7 @@ def gram_signature(entries: np.ndarray) -> tuple[tuple[int, int, int], np.ndarra
     the input fails hermiticity beyond HERMITICITY_TOL (relative).  Real input
     stays real, so a real symmetric Gram takes the real eigensolver.
     """
-    entries = np.asarray(entries)
-    entries = entries.astype(np.result_type(entries, float), copy=False)
+    entries = real_or_complex(entries)
     if entries.size == 0:
         return (0, 0, 0), np.array([])
     scale = max(1.0, float(np.abs(entries).max()))
@@ -56,7 +61,7 @@ def gram_signature(entries: np.ndarray) -> tuple[tuple[int, int, int], np.ndarra
 
 def numerical_rank(entries: np.ndarray) -> tuple[int, np.ndarray]:
     """Rank by singular values above RANK_TOL times the largest one."""
-    entries = np.asarray(entries, dtype=complex)
+    entries = real_or_complex(entries)
     if entries.size == 0:
         return 0, np.array([])
     singular = np.linalg.svd(entries, compute_uv=False)

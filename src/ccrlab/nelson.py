@@ -16,6 +16,7 @@ operator at scale alpha > 0 flips the sign of ``alpha d0 + w/alpha`` and
 fixes its orthogonal complement, making the product positive (Krein
 structure); projections onto past/future/time-zero spans realize the Markov
 identity E+ E- = E0 without positivity of the underlying product.
+Real data keep real arithmetic throughout, by gram.real_or_complex.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gram import GramMatrix, gram_signature, numerical_rank
+from .gram import GramMatrix, gram_signature, numerical_rank, real_or_complex
 from .montecarlo import brownian_gaps, krein_kernel
 
 FAMILY_LIMIT = 200
@@ -200,7 +201,7 @@ def _stack(family: list[ExtendedVector]) -> np.ndarray:
 class ExtendedVector:
     """Grid function plus coefficients of the singular elements d0 and w.
 
-    The layer's one dtype decision: bool, int and float values are stored as
+    Values are stored by gram.real_or_complex: bool, int and float values as
     float64, anything else (complex values, objects such as Fractions) as
     complex128.  Rows and products follow what the vectors store.
     """
@@ -211,8 +212,7 @@ class ExtendedVector:
     b: complex = 0.0
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        values = np.asarray(self.values, dtype=float if values.dtype.kind in "biuf" else complex)
+        values = real_or_complex(self.values)
         if values.shape != (self.grid.n,):
             raise GridMismatchError(f"expected {self.grid.n} values, got {values.shape}")
         self.values = values
@@ -412,9 +412,9 @@ def _require_positive_support(grid: Grid, values: np.ndarray):
 
 
 def _os_kernel(grid: Grid, c: float) -> np.ndarray:
-    """The reflected kernel c - (|tau| + |sigma|)/2 on the grid (dense)."""
-    abs_pts = grid.abs_points
-    return c - (abs_pts[:, None] + abs_pts[None, :]) / 2.0
+    """The reflected kernel c - (|tau| + |sigma|)/2 on the grid: one dense n x n array, built in place."""
+    kernel = np.add.outer(grid.abs_points, grid.abs_points)
+    return np.subtract(c, np.divide(kernel, 2.0, out=kernel), out=kernel)
 
 
 def os_inner_routes(
@@ -424,8 +424,7 @@ def os_inner_routes(
 
     All three agree analytically; the spread is a discretization self-check.
     """
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
+    f, g = real_or_complex(f), real_or_complex(g)
     _require_positive_support(grid, f)
     _require_positive_support(grid, g)
     h = grid.step
@@ -443,8 +442,8 @@ def os_inner_routes(
 
 
 def os_rank(grid: Grid, family: list[np.ndarray]) -> tuple[int, np.ndarray]:
-    """Numerical rank of the OS Gram of positive-support functions (codim-two law)."""
-    rows = np.array([np.asarray(f, dtype=complex) for f in family]).reshape(len(family), grid.n)
+    """Numerical rank of the OS Gram of positive-support functions (codim-two law); real rows stay real."""
+    rows = real_or_complex(family).reshape(len(family), grid.n)
     for f in rows:
         _require_positive_support(grid, f)
     h = grid.step
@@ -552,15 +551,12 @@ def conditional_independence_residual(
         return 0.0
     zero = int(np.where(np.abs(pts) <= GRID_POINT_TOL)[0][0])
 
-    dim = pts.size + 1
-    cov = np.zeros((dim, dim))
-    for i, t in enumerate(pts):
-        for j, s in enumerate(pts):
-            cov[i, j] = krein_kernel(t, s, alpha)
-        cov[i, -1] = cov[-1, i] = abs(t) * alpha**2 / 2.0
+    cov = np.empty((pts.size + 1, pts.size + 1))
+    cov[:-1, :-1] = krein_kernel(pts[:, None], pts[None, :], alpha)
+    cov[:-1, -1] = cov[-1, :-1] = np.abs(pts) * alpha**2 / 2.0
     cov[-1, -1] = alpha**2 / 2.0
 
-    cond = [zero, dim - 1] if condition_on_v else [zero]
+    cond = [zero, pts.size] if condition_on_v else [zero]
     c_block = cov[np.ix_(cond, cond)]
     if abs(np.linalg.det(c_block)) < 1e-300:
         raise ValueError("conditioning block is singular")
@@ -581,7 +577,7 @@ def reflect_values(grid: Grid, values) -> np.ndarray:
 
 def second_difference_operator(grid: Grid, values) -> np.ndarray:
     """D g = -g'' by the central second difference (zero at the boundary rows)."""
-    g = np.asarray(values, dtype=complex)
+    g = real_or_complex(values)
     out = np.zeros_like(g)
     out[1:-1] = -(g[2:] - 2.0 * g[1:-1] + g[:-2]) / grid.step**2
     return out
@@ -590,7 +586,7 @@ def second_difference_operator(grid: Grid, values) -> np.ndarray:
 def duality_residual(grid: Grid, f, g) -> float:
     """|<f, D g> - (f, g)_L2| for the duality operator D = -d^2/dtau^2."""
     dg = second_difference_operator(grid, g)
-    lhs = indefinite_inner(from_values(grid, f), from_values(grid, dg))
+    lhs = indefinite_inner(ExtendedVector(grid, f), ExtendedVector(grid, dg))
     return abs(lhs - grid.step * (np.conj(np.asarray(f)) * np.asarray(g)).sum())
 
 

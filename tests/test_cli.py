@@ -443,6 +443,21 @@ def test_gram_nelson_refuses_a_family_over_the_byte_budget_before_building_it(ca
     assert "not of the form" in one_line_usage_error(capsys, "gram", "--kind", "nelson", "--family", "meanzero:x", "--grid", "-5:5:0.1")
 
 
+def test_gram_markov_refuses_rows_over_the_byte_budget_before_building_a_basis(capsys, monkeypatch):
+    # probes:2 on -1:1:0.5 stacks 2 x (2 + 2) basis rows, the time-zero pair and 15 probes of 5 points
+    monkeypatch.setattr(cli, "NELSON_FAMILY_BYTES", 25 * 5 * 16)
+    code, _, _ = run_cli(capsys, "gram", "--kind", "markov", "--family", "probes:2", "--grid", "-1:1:0.5")
+    assert code == 0
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(cli, "NELSON_FAMILY_BYTES", 25 * 5 * 16 - 1)
+    monkeypatch.setattr(nelson, "ExtendedVector", unbuilt)
+    err = one_line_usage_error(capsys, "gram", "--kind", "markov", "--family", "probes:2", "--grid", "-1:1:0.5")
+    assert "kind=markov" in err and "bytes" in err and "25 x 5" in err
+
+
 def test_gram_refuses_what_it_cannot_compute(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from ccrlab.gram import GramMatrix, gram_signature, numerical_rank
+from ccrlab.gram import GramMatrix, gram_signature, numerical_rank, real_or_complex
 
 
 def test_signature_counts_sum_to_dimension():
@@ -37,6 +39,25 @@ def test_numerical_rank():
     rank, singular = numerical_rank(vec @ vec.T)
     assert rank == 1
     assert singular[1] / singular[0] < 1e-12
+
+
+def test_one_dtype_rule_for_signature_and_rank(monkeypatch):
+    # bool, int and float (float32 too) stay real; complex and objects such as Fractions go complex
+    svd, eigvalsh, seen = np.linalg.svd, np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: (seen.append(a.dtype), svd(a, **kw))[1])
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: (seen.append(a.dtype), eigvalsh(a))[1])
+    for entries, dtype in (
+        (np.eye(2, dtype=bool), np.float64),
+        (np.eye(2, dtype=int), np.float64),
+        ([[1, 0], [0, 2]], np.float64),
+        (np.eye(2, dtype=np.float32), np.float64),
+        (np.array([[2, 1j], [-1j, 2]]), np.complex128),
+        ([[Fraction(1, 3), 0], [0, 1]], np.complex128),
+    ):
+        seen.clear()
+        assert real_or_complex(entries).dtype == dtype
+        assert numerical_rank(entries)[0] == 2 and gram_signature(entries)[0] == (2, 0, 0)
+        assert seen == [dtype, dtype]
 
 
 def test_grammatrix_dimension():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -223,12 +224,39 @@ def test_os_support_enforced():
         os_inner_routes(GRID, values, values)
 
 
-def test_os_gram_rank_two():
+def test_os_gram_rank_two(monkeypatch):
     grid = Grid.parse("0:5:0.05")
     funcs = [v.values for v in family("possupport:10", grid, seed=11)]
+    svd, seen = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: (seen.append(a.dtype), svd(a, **kw))[1])
     rank, singular = os_rank(grid, funcs)
     assert rank == 2
     assert singular[2] / singular[0] < 1e-8
+    # real input keeps float64 up to the SVD; its complex cast gives the same rank, and
+    # singular values within the roundoff of the two routes' products: entrywise at most
+    # gamma_2n h^2 |F| |K| |F|^T each (they share the kernel K), which moves a singular
+    # value by at most its Frobenius norm (Weyl), plus each SVD's backward error
+    cast_rank, cast_singular = os_rank(grid, [f.astype(complex) for f in funcs])
+    assert seen == [np.float64, np.complex128] and cast_rank == rank
+    rows, eps = np.array(funcs), np.finfo(float).eps
+    sizes = grid.step**2 * (np.abs(rows) @ np.abs(nelson._os_kernel(grid, 0.0)) @ np.abs(rows).T)
+    bound = 2 * (2 * grid.n * eps) * np.linalg.norm(sizes) + 2 * len(funcs) * eps * singular[0]
+    assert np.all(np.abs(singular - cast_singular) <= bound)
+
+
+def test_os_sector_holds_one_dense_kernel():
+    # real input takes no complex copy of the n x n kernel, which is built in place: a
+    # complex cast plus the kernel and its temporaries would hold about 3 x 8 n^2 bytes
+    grid = Grid.parse("0:20:0.01")
+    funcs = [v.values for v in family("possupport:10", grid, seed=5)]
+    for call in (lambda: os_rank(grid, funcs), lambda: os_inner_routes(grid, funcs[0], funcs[1])):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * grid.n**2
 
 
 def test_os_rank_empty_family_and_support():
