@@ -19,19 +19,22 @@ of the waited-for children, before and after).  One JSON record holds every
 run, each side's median and quartiles and source hashes, the median ratio of
 paired ``wall_s`` (working tree over base)
 with a 95% bootstrap interval (pairs resampled with a fixed seed, so the
-interval is reproducible from the runs in the file), the wins of the working
-tree, both digests, each side's run-time BLAS kernel (the core numpy's bundled
+interval is reproducible from the runs in the file), the ``wall_s`` wins of
+the working tree, both digests, each side's run-time BLAS kernel (the core numpy's bundled
 OpenBLAS picked, such as ``SkylakeX``, or null without one: perfbench's stamp
 holds only the build string, and equal digests hold for one kernel), the host
 part of perfbench's environment stamp, and
-whether a gain may be claimed: wins in at least nine tenths of the pairs, a
-median gap larger than the base's interquartile range, every working-tree run
-passing all its gates and failing no more operations than the base runs (the
-``attempted`` and ``failed`` counts of perfbench's result line are kept per
-run), one source hash a side (runs of a side that imported different
-sources, as after an edit in mid-run, time no single revision), and every
-bounded metric within its bound (below); the file and the printed summary
-say why a gain is refused, naming each rule it misses.  For ``wall_s``,
+whether a gain may be claimed.  Each of ``wall_s``, ``setup_s`` and
+``peak_rss_mb`` gets its own verdict: wins in at least nine tenths of the pairs
+and a median gap larger than the base's interquartile range.  A gain may be
+claimed when it holds on at least one of them (the record and the summary
+name which), every working-tree run passes all its gates and fails no more
+operations than the base runs (the ``attempted`` and ``failed`` counts of
+perfbench's result line are kept per run), each side has one source hash
+(runs of a side that imported different sources, as after an edit in
+mid-run, time no single revision), and every bounded metric lies within its
+bound (below); the file and the printed summary say why a gain is refused,
+naming each rule it misses.  For ``wall_s``,
 ``setup_s`` and ``peak_rss_mb`` it records, and prints, the ratio of the
 medians (working tree over base) and whether it lies within the bound that
 ``BENCHMARK.json`` fixes for that metric, which the script only reads.  The
@@ -152,10 +155,14 @@ def bootstrap_median_ci(ratios: list[float], level: float = 0.95) -> list[float]
     return [medians[int(tail * BOOTSTRAP_RESAMPLES)], medians[math.ceil((1.0 - tail) * BOOTSTRAP_RESAMPLES) - 1]]
 
 
-def bound_checks(sides: dict) -> dict:
-    """Median ratio (change over base) of each bounded metric against its BENCHMARK.json bound."""
+def declared_metrics() -> dict:
+    """BENCHMARK.json's end-to-end metrics by name: unit, which way is better, and bound."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        declared = {metric["name"]: metric for metric in json.load(handle)["end_to_end"]}
+        return {metric["name"]: metric for metric in json.load(handle)["end_to_end"]}
+
+
+def bound_checks(sides: dict, declared: dict) -> dict:
+    """Median ratio (change over base) of each bounded metric against its BENCHMARK.json bound."""
     checks = {}
     for name in BOUNDED_METRICS:
         metric = declared[name]
@@ -170,6 +177,30 @@ def bound_checks(sides: dict) -> dict:
     return checks
 
 
+def gain_verdict(pairs: list[dict], sides: dict, metric: dict) -> dict:
+    """Whether the change gains on one metric: nine tenths of the pairs won, and a median gap
+    (in the better direction) larger than the base's interquartile range.
+    """
+    name, unit = metric["name"], metric["unit"]
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    wins = sum(sign * (pair["base"][name] - pair["change"][name]) > 0 for pair in pairs)
+    base = sides["base"][name]
+    gap = sign * (base["median"] - sides["change"][name]["median"])
+    iqr = base["q3"] - base["q1"]
+    needed = math.ceil(0.9 * len(pairs))
+    misses = []
+    if wins < needed:
+        misses.append(f"the change won {wins} of {len(pairs)} pairs, fewer than {needed}")
+    if gap <= iqr:
+        misses.append(
+            f"the median gap of {gap:.4f} {unit} is not larger than the base's interquartile range {iqr:.4f} {unit}"
+        )
+    verdict = {"wins": wins, "median_gap": gap, "base_iqr": iqr, "unit": unit, "holds": not misses}
+    if misses:
+        verdict["refused"] = "; ".join(misses)
+    return verdict
+
+
 def summarize(pairs: list[dict]) -> dict:
     sides = {}
     for side in ("base", "change"):
@@ -181,28 +212,30 @@ def summarize(pairs: list[dict]) -> dict:
         sides[side]["attempted"] = sum(run["attempted"] for run in runs)
         sides[side]["failed"] = sum(run["failed"] for run in runs)
     ratios = [pair["change"]["wall_s"] / pair["base"]["wall_s"] for pair in pairs]
-    wins = sum(pair["change"]["wall_s"] < pair["base"]["wall_s"] for pair in pairs)
-    base_wall, change_wall = sides["base"]["wall_s"], sides["change"]["wall_s"]
-    gap = base_wall["median"] - change_wall["median"]
-    iqr = base_wall["q3"] - base_wall["q1"]
+    declared = declared_metrics()
+    verdicts = {name: gain_verdict(pairs, sides, declared[name]) for name in BOUNDED_METRICS}
+    gains = [name for name, verdict in verdicts.items() if verdict["holds"]]
     mixed = [side for side in ("base", "change") if len(sides[side]["source_sha256"]) > 1]
     change = sides["change"]
     gates_hold = change["all_correct"] and change["failed"] <= sides["base"]["failed"]
-    bounds = bound_checks(sides)
+    bounds = bound_checks(sides, declared)
     broken = [name for name, check in bounds.items() if not check["within"]]
     gain_rule = {
         "wins_needed": math.ceil(0.9 * len(pairs)),
-        "median_gap_s": gap,
-        "base_iqr_s": iqr,
+        "median_gap_s": verdicts["wall_s"]["median_gap"],
+        "base_iqr_s": verdicts["wall_s"]["base_iqr"],
+        "metrics": verdicts,
+        "gains": gains,
         "mixed_sources": mixed,
         "change_gates_hold": gates_hold,
         "broken_bounds": broken,
     }
     refusals = []
-    if wins < gain_rule["wins_needed"]:
-        refusals.append(f"the change won {wins} of {len(pairs)} pairs, fewer than {gain_rule['wins_needed']}")
-    if gap <= iqr:
-        refusals.append(f"the median gap of {gap:.4f} s is not larger than the base's interquartile range {iqr:.4f} s")
+    if not gains:
+        refusals.append(
+            "no bounded metric gained: "
+            + "; ".join(f"{name}: {verdict['refused']}" for name, verdict in verdicts.items())
+        )
     if mixed:
         refusals.append(
             f"the {' and '.join(mixed)} runs imported more than one source_sha256 "
@@ -227,7 +260,7 @@ def summarize(pairs: list[dict]) -> dict:
         "wall_s_ratio_median": statistics.median(ratios),
         "wall_s_ratio_ci95": bootstrap_median_ci(ratios),
         "bootstrap": {"resamples": BOOTSTRAP_RESAMPLES, "seed": BOOTSTRAP_SEED, "method": "percentile, pairs resampled"},
-        "wins": wins,
+        "wins": verdicts["wall_s"]["wins"],
         "pairs": len(pairs),
         "digests_equal": sides["base"]["digests"] == sides["change"]["digests"],
         "bounds": bounds,
@@ -297,6 +330,7 @@ def main(argv=None) -> int:
                 "digests_equal": report["digests_equal"],
                 "blas_core": cores,
                 "gain_rule_holds": rule["holds"],
+                "gains": rule["gains"],
                 "gain_rule_refused": rule.get("refused"),
                 "bounds": report["bounds"],
                 "out": out,

@@ -30,7 +30,8 @@ MC_MODES = ("indefinite", "krein", "weyl", "characteristic")
 # real family; possupport:200 at this limit peaks at 38 MB traced and 77 MB of process RSS.
 OS_GRID_LIMIT = 2001
 # Most bytes of complex coordinate rows (rows x points x 16) `gram --kind nelson` and `--kind
-# markov` take; real rows hold half that.  Peaks at the bound are in README (2.3x to 14x).
+# markov` take; real rows hold half that.  Peaks at the bound are in README (about 1x for
+# nelson, whose products hold column blocks of W; 1.8x to 9x for markov's stage stacks).
 NELSON_FAMILY_BYTES = 2**27
 # Most `mc --taus` takes: each sampling worker holds an (n + 4) x BLOCK float
 # buffer (about 130 MB at this limit).

@@ -38,6 +38,8 @@ from .exactcomplex import I, ONE, ZERO, ComplexRational, _reduced
 from .gram import GramMatrix, gram_signature
 
 DEFAULT_WORD_LIMIT = 32
+# Most encoded tables (one per digit width, so per even word length) a CovarianceTable keeps for wick_value.
+ENCODED_WIDTHS = 64
 
 
 class WordLengthError(ValueError):
@@ -487,6 +489,8 @@ class CovarianceTable:
     c: Fraction = Fraction(0)
     _den: int = field(init=False, repr=False, compare=False)
     _table: tuple = field(init=False, repr=False, compare=False)
+    _size: int = field(init=False, repr=False, compare=False)
+    _encodings: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = Fraction(self.c)
@@ -502,6 +506,23 @@ class CovarianceTable:
         )
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_table", table)
+        # the largest |x| + |y| of a value: wick_value's digit width grows with it
+        object.__setattr__(self, "_size", max(abs(x) + abs(y) for row in table for x, y in filter(None, row)))
+        object.__setattr__(self, "_encodings", {})
+
+    def _encoded(self, bits: int) -> tuple[tuple[int, ...], ...]:
+        """The values x + y i as the ints x + y 2^bits (0 stays 0), built once per digit width.
+
+        The store holds at most ENCODED_WIDTHS widths (one per even word length in
+        use); a new width past that empties it first.
+        """
+        encoded = self._encodings.get(bits)
+        if encoded is None:
+            if len(self._encodings) >= ENCODED_WIDTHS:
+                self._encodings.clear()
+            encoded = tuple(tuple(v and v[0] + (v[1] << bits) for v in row) for row in self._table)
+            self._encodings[bits] = encoded
+        return encoded
 
     def value(self, x: Generator, y: Generator) -> ComplexRational:
         scaled = self._table[x][y]
@@ -614,7 +635,7 @@ def wick_value(word, table: CovarianceTable) -> ComplexRational:
     ordered two-point value of its (earlier, later) generators; odd words
     vanish.
     """
-    items = tuple(Generator(g) for g in word)
+    items = tuple(g if type(g) is Generator else Generator(g) for g in word)
     half = len(items) // 2
     if len(items) % 2:
         return ZERO
@@ -624,9 +645,8 @@ def wick_value(word, table: CovarianceTable) -> ComplexRational:
     # evaluated at X = 2^bits instead.  Each |a_k| is at most
     # (n-1)!! max(|x| + |y|)^(n/2) < 2^(bits-1), so the signed base-2^bits
     # digits of the sum are the a_k, and i^k folds them back into x + y i.
-    size = max(abs(x) + abs(y) for row in table._table for x, y in filter(None, row))
-    bits = (math.prod(range(len(items) - 1, 0, -2)) * size**half).bit_length() + 1
-    encoded = [[scaled and scaled[0] + (scaled[1] << bits) for scaled in row] for row in table._table]
+    bits = (math.prod(range(len(items) - 1, 0, -2)) * table._size**half).bit_length() + 1
+    encoded = table._encoded(bits)
     total = pair_partition_sum(items, lambda a, b: encoded[a][b])
     x = y = 0
     for k in range(half + 1):

@@ -17,13 +17,20 @@ fixes its orthogonal complement, making the product positive (Krein
 structure); projections onto past/future/time-zero spans realize the Markov
 identity E+ E- = E0 without positivity of the underlying product.
 Real data keep real arithmetic throughout, by gram.real_or_complex.
+
+Products go through the factored form W_u^H W_v - (A_u^* B_v + B_u^* A_v)/2
+(see _product).  Every Gram, product, projection and Krein norm sums W over
+column blocks of at most FACTOR_BLOCK_BYTES, so it holds O(k block + k^2)
+bytes besides its inputs, never W whole; a product whose columns fit one
+block is a single matrix product, with the bits of the unblocked one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -33,6 +40,8 @@ from .montecarlo import brownian_gaps, krein_kernel
 FAMILY_LIMIT = 200
 PROJECTION_CONDITION_LIMIT = 1e8
 GRID_POINT_TOL = 1e-9
+# Most bytes of one column block of the tail sums W that every factored product sums over.
+FACTOR_BLOCK_BYTES = 2**19
 
 
 class GridMismatchError(ValueError):
@@ -144,16 +153,29 @@ def _product(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     -|t - s|/2 is the Brownian covariance minus (|t| + |s|)/2, so <u, v> =
     W_u^H W_v - (A_u^* B_v + B_u^* A_v)/2: W holds the grid part's tail sums over
     the Brownian gaps, A = a + h sum f and B = b + h sum |t| f the d0 and w content.
+    W_u^H W_v is summed over column blocks that left and right share.
     """
-    return _paired(_factors(grid, left), _factors(grid, right))
+    columns = _block_columns(len(left) + len(right), np.result_type(left, right))
+    blocks = zip(*(_tail_blocks(grid, rows[:, :-2], rows.dtype, columns) for rows in (left, right)))
+    return _summed(w_left.conj() @ w_right.T for w_left, w_right in blocks) - _singular_part(
+        _contents(grid, left[:, :-2], left[:, -2:]), _contents(grid, right[:, :-2], right[:, -2:])
+    )
 
 
-def _paired(left, right) -> np.ndarray:
-    """The products from left and right factors (W, A, B), conjugating the left ones.
+def _gram(grid: Grid, values, coefficients: np.ndarray) -> np.ndarray:
+    """Products <u_i, u_j> of one set of rows: each block of W is used on both sides."""
+    content = _contents(grid, values, coefficients)
+    dtype = coefficients.dtype
+    blocks = _tail_blocks(grid, values, dtype, _block_columns(len(coefficients), dtype))
+    return _summed(w.conj() @ w.T for w in blocks) - _singular_part(content, content)
 
-    ndarray.conj() of a real array is the array itself, so real factors take no copy.
+
+def _summed(terms):
+    """The sum of per-block terms, added in place; a single block's term is returned as it is.
+
+    ndarray.conj() of a real array is the array itself, so real blocks take no copy.
     """
-    return left[0].conj() @ right[0].T - _singular_part(left[1:], right[1:])
+    return reduce(operator.iadd, terms)
 
 
 def _singular_part(left, right) -> np.ndarray:
@@ -162,39 +184,108 @@ def _singular_part(left, right) -> np.ndarray:
     return (np.outer(a_left.conj(), b_right) + np.outer(b_left.conj(), a_right)) / 2.0
 
 
+def _block_columns(rows: int, dtype) -> int:
+    """Columns of one block of W over `rows` rows: at most FACTOR_BLOCK_BYTES of them, at least one."""
+    return max(1, FACTOR_BLOCK_BYTES // (rows * np.dtype(dtype).itemsize))
+
+
+def _tail_blocks(grid: Grid, values, dtype, columns: int):
+    """W, the tail sums of grid parts over the Brownian gaps, in blocks of at most `columns` columns.
+
+    ``values`` holds the grid parts: a stack's rows, gathered by one fancy index
+    a block, or a family's own arrays, gathered row by row and never stacked
+    whole.  Each side of 0 is walked from its far end; a block's cumsum starts
+    from the running sum of the blocks before it, put in front as a first
+    column, and cumsum is sequential, so the blocks hold the bits of one cumsum
+    over the side.  When all columns fit in one block, that block is both sides
+    joined, near to far: the whole W, with the bits of an unblocked factoring.
+    """
+    sides = grid.gap_tails
+    if sum(ends.size for _, ends in sides) <= columns:
+        yield np.concatenate([_side_tails(values, dtype, side, 0, side[1].size, None)[0] for side in sides], axis=1)
+        return
+    for side in sides:
+        carry = None
+        for start in range(0, side[1].size, columns):
+            block, carry = _side_tails(values, dtype, side, start, min(start + columns, side[1].size), carry)
+            yield block
+
+
+def _side_tails(values, dtype, side, start: int, stop: int, carry):
+    """One side's tails at positions start:stop of its far-to-near order, near to far, and their running sum.
+
+    The tails come out column-major, the layout of a values[:, index] gather, which
+    row sums and the matrix product see.
+    """
+    scaled, ends = side
+    index = ends[start:stop]
+    lead = 0 if carry is None else 1
+    sums = np.empty((len(values), lead + index.size), dtype)
+    if lead:
+        sums[:, :1] = carry
+    if isinstance(values, np.ndarray):
+        sums[:, lead:] = values[:, index]
+    else:
+        for i, row in enumerate(values):
+            sums[i, lead:] = row[index]
+    np.cumsum(sums, axis=1, out=sums)  # in place, with the bits of a cumsum into a new array
+    count = ends.size
+    tails = np.multiply(scaled[count - stop : count - start], sums[:, lead:][:, ::-1], order="F")
+    return tails, sums[:, -1:].copy()
+
+
 def _factors(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    values = rows[:, :-2]
-    tails = [scaled * np.cumsum(values[:, ends], axis=1)[:, ::-1] for scaled, ends in grid.gap_tails]
-    a, b = _singular_content(grid, rows)  # before the concatenated copy, which would raise the peak
-    return np.concatenate(tails, axis=1), a, b
+    """(W, A, B) of coordinate rows unblocked: W is the one block a product sees when it fits one."""
+    return (*_tail_blocks(grid, rows[:, :-2], rows.dtype, grid.n), *_contents(grid, rows[:, :-2], rows[:, -2:]))
 
 
-def _singular_content(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The d0 and w content A = a + h sum f and B = b + h sum |t| f of coordinate rows."""
+def _contents(grid: Grid, values, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The d0 and w content A = a + h sum f and B = b + h sum |t| f in the dtype of the (a, b) rows.
+
+    The sums run over chunks of rows of at most FACTOR_BLOCK_BYTES, with the bits of
+    a whole stack's row sums but no k x n |t| f temporary.
+    """
     h = grid.step
-    values = rows[:, :-2]
-    return rows[:, -2] + h * values.sum(axis=1), rows[:, -1] + h * (grid.abs_points * values).sum(axis=1)
+    dtype = coefficients.dtype
+    step = max(1, FACTOR_BLOCK_BYTES // (grid.n * dtype.itemsize))
+    sums = np.empty((2, len(coefficients)), dtype)
+    for start in range(0, len(coefficients), step):
+        chunk = np.asarray(values[start : start + step], dtype)
+        chunk.sum(axis=1, out=sums[0, start : start + step])
+        (grid.abs_points * chunk).sum(axis=1, out=sums[1, start : start + step])
+    return coefficients[:, 0] + h * sums[0], coefficients[:, 1] + h * sums[1]
 
 
 def _rows(vectors: list[ExtendedVector]) -> np.ndarray:
     """Stacked coordinate rows, in the dtype their vectors store.
 
-    Families, projection bases and the rows of krein_inner are stacked here; the
-    products follow their rows, so real vectors take real cumsums and a real
-    Gram product.  The values are stacked whole, not as per-vector coords()
-    copies, which would leave the allocator holding more at the peak.
+    Projection bases and the rows of krein_inner are stacked here; the products
+    follow their rows, so real vectors take real cumsums and a real Gram
+    product.  The values are stacked whole, not as per-vector coords() copies,
+    which would leave the allocator holding more at the peak.
     """
     values = np.stack([v.values for v in vectors])
     return np.concatenate((values, np.array([(v.a, v.b) for v in vectors])), axis=1)
 
 
-def _stack(family: list[ExtendedVector]) -> np.ndarray:
-    """Coordinate rows of a family on one grid, at most FAMILY_LIMIT of them."""
+def _coefficients(vectors: list[ExtendedVector]) -> np.ndarray:
+    """The (a, b) rows of vectors, in the dtype of their stacked coordinate rows, without the stack."""
+    pairs = np.array([(v.a, v.b) for v in vectors])
+    return pairs.astype(np.result_type(pairs, *{v.values.dtype for v in vectors}), copy=False)
+
+
+def _checked(family: list[ExtendedVector]) -> list[ExtendedVector]:
+    """A family on one grid, at most FAMILY_LIMIT of them."""
     if len(family) > FAMILY_LIMIT:
         raise ValueError(f"family size limited to {FAMILY_LIMIT}")
     for v in family:
         family[0]._check(v)
-    return _rows(family)
+    return family
+
+
+def _stack(family: list[ExtendedVector]) -> np.ndarray:
+    """Coordinate rows of a family on one grid, at most FAMILY_LIMIT of them."""
+    return _rows(_checked(family))
 
 
 @dataclass
@@ -280,7 +371,8 @@ def decompose(u: ExtendedVector) -> tuple[complex, complex, ExtendedVector]:
     """
     # -2 <w, u> and -2 <d0, u> from the content (A, B), op for op as on the product
     # route, whose zero signs they keep
-    a, b = -2.0 * (0.0 - np.concatenate(_singular_content(u.grid, u.coords()[None])) / 2.0)
+    coords = u.coords()[None]
+    a, b = -2.0 * (0.0 - np.concatenate(_contents(u.grid, coords[:, :-2], coords[:, -2:])) / 2.0)
     rest = ExtendedVector(u.grid, u.values.copy(), a=u.a - a, b=u.b - b)
     return complex(a), complex(b), rest
 
@@ -299,14 +391,19 @@ def krein_metric_apply(u: ExtendedVector, alpha: float) -> ExtendedVector:
 
 
 def _krein_overlaps(grid: Grid, rows: np.ndarray, alpha: float) -> np.ndarray:
-    """<kappa, u> for each coordinate row u, kappa = alpha d0 + w/alpha, in O(n) per row.
+    """<kappa, u> for each coordinate row u, kappa = alpha d0 + w/alpha, in O(n) per row."""
+    return _krein_pairing(_contents(grid, rows[:, :-2], rows[:, -2:]), alpha)
+
+
+def _krein_pairing(content, alpha: float) -> np.ndarray:
+    """<kappa, u> from the content (A, B) of u.
 
     kappa has no grid part and content (alpha, 1/alpha), so only the singular
-    pairing of _paired is left, op for op: no cumsum and no matrix product.
+    pairing of a product is left, op for op: no cumsum and no matrix product.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    content_a, content_b = _singular_content(grid, rows)
+    content_a, content_b = content
     return 0.0 - (alpha * content_b + (1.0 / alpha) * content_a) / 2.0
 
 
@@ -314,21 +411,25 @@ def krein_inner(u: ExtendedVector, v: ExtendedVector, alpha: float) -> complex:
     """Positive product [u, v]_alpha = <u, eta_alpha v> = <u, v> + 2 <u, kappa><kappa, v>."""
     u._check(v)
     rows = _rows([u, v])
-    overlap_u, overlap_v = _krein_overlaps(u.grid, rows, alpha)
-    w, a, b = _factors(u.grid, rows)
-    product = _paired((w[:1], a[:1], b[:1]), (w[1:], a[1:], b[1:]))[0, 0]
-    return complex(product + 2.0 * np.conj(overlap_u) * overlap_v)
+    a, b = content = _contents(u.grid, rows[:, :-2], rows[:, -2:])
+    overlap_u, overlap_v = _krein_pairing(content, alpha)
+    blocks = _tail_blocks(u.grid, rows[:, :-2], rows.dtype, _block_columns(2, rows.dtype))
+    product = _summed(w[:1].conj() @ w[1:].T for w in blocks) - _singular_part((a[:1], b[:1]), (a[1:], b[1:]))
+    return complex(product[0, 0] + 2.0 * np.conj(overlap_u) * overlap_v)
 
 
 def _krein_norms(grid: Grid, rows: np.ndarray, alpha: float) -> np.ndarray:
     """Krein norms sqrt([u, u]_alpha) of a stack of coordinate rows, from one factoring.
 
     [u, u]_alpha = sum |W|^2 - Re(A^* B) + 2 |<kappa, u>|^2, row by row: the
-    diagonal of <u, u> plus the flipped Krein direction.
+    diagonal of <u, u> plus the flipped Krein direction.  sum |W|^2 is summed
+    block by block.
     """
-    overlaps = _krein_overlaps(grid, rows, alpha)
-    w, a, b = _factors(grid, rows)
-    squares = _squared_moduli(w).sum(axis=1) - (np.conj(a) * b).real + 2.0 * _squared_moduli(overlaps)
+    a, b = content = _contents(grid, rows[:, :-2], rows[:, -2:])
+    overlaps = _krein_pairing(content, alpha)
+    blocks = _tail_blocks(grid, rows[:, :-2], rows.dtype, _block_columns(len(rows), rows.dtype))
+    squares = _summed(_squared_moduli(w).sum(axis=1) for w in blocks)
+    squares = squares - (np.conj(a) * b).real + 2.0 * _squared_moduli(overlaps)
     return np.sqrt(np.maximum(squares, 0.0))
 
 
@@ -339,8 +440,9 @@ def _squared_moduli(values: np.ndarray) -> np.ndarray:
 def signature_of(family: list[ExtendedVector]) -> GramMatrix:
     """Gram matrix and eigen-signature of a finite family."""
     if family:
-        factors = _factors(family[0].grid, _stack(family))
-        entries = _paired(factors, factors)
+        # the blocks are gathered from the vectors' own values: the family is never stacked
+        values = [v.values for v in _checked(family)]
+        entries = _gram(family[0].grid, values, _coefficients(family))
     else:
         entries = np.zeros((0, 0), dtype=complex)
     signature, eigenvalues = gram_signature(entries)
@@ -350,12 +452,12 @@ def signature_of(family: list[ExtendedVector]) -> GramMatrix:
 class Projector:
     """Indefinite-orthogonal projection onto the span of a nondegenerate basis.
 
-    The basis is stacked and factored, and its Gram checked, once.  ``project``
-    takes a list of m vectors: it factors their stack once, forms one
-    k x (k+m) block of products with (basis, vectors) and makes one solve with
-    m right-hand sides.  A call projects one vector the same way.  The rows are
-    cast to complex whatever the vectors store, so a vector projects to the
-    same values in any batch.
+    The basis is stacked, and its Gram checked, once.  ``project`` takes a list
+    of m vectors: it factors the basis and their stack over one column
+    partition, forms one k x (k+m) block of products with (basis, vectors) and
+    makes one solve with m right-hand sides.  A call projects one vector the
+    same way.  The rows are cast to complex whatever the vectors store, so a
+    vector projects to the same values in any batch.
     """
 
     def __init__(self, basis: list[ExtendedVector]):
@@ -363,10 +465,10 @@ class Projector:
             raise DegenerateGramError("empty projection basis")
         self._coords = _stack(basis)
         self._member = basis[0]
-        self._factors = _factors(self._member.grid, self._coords)
-        cond = np.linalg.cond(_paired(self._factors, self._factors))
+        cond = np.linalg.cond(_gram(self._member.grid, self._coords[:, :-2], self._coords[:, -2:]))
         if not np.isfinite(cond) or cond > PROJECTION_CONDITION_LIMIT:
             raise DegenerateGramError(f"projection Gram is degenerate (cond {cond:.3e})")
+        self._content = _contents(self._member.grid, self._coords[:, :-2], self._coords[:, -2:])  # kept; W is not
 
     def project(self, vectors: list[ExtendedVector]) -> list[ExtendedVector]:
         for u in vectors:
@@ -377,9 +479,16 @@ class Projector:
     def _project_rows(self, rows: np.ndarray) -> np.ndarray:
         # one block of products with (basis, rows), not a stored k x k Gram:
         # solve then sees the same bits as on the unfactored route
-        right = zip(self._factors, _factors(self._member.grid, rows.astype(complex, copy=False)))
-        products = _paired(self._factors, [np.concatenate(pair) for pair in right])
-        k = len(self._coords)
+        grid, basis = self._member.grid, self._coords
+        k = len(basis)
+        a_rows, b_rows = _contents(grid, rows[:, :-2], rows[:, -2:].astype(complex))
+        right = (np.concatenate((self._content[0], a_rows)), np.concatenate((self._content[1], b_rows)))
+        columns = _block_columns(k + len(rows), complex)
+        blocks = zip(
+            _tail_blocks(grid, basis[:, :-2], basis.dtype, columns), _tail_blocks(grid, rows[:, :-2], complex, columns)
+        )
+        products = _summed(w.conj() @ np.concatenate((w, v)).T for w, v in blocks)
+        products = products - _singular_part(self._content, right)
         return np.linalg.solve(products[:, :k], products[:, k:]).T @ self._coords
 
     def __call__(self, u: ExtendedVector) -> ExtendedVector:

@@ -82,6 +82,21 @@ def test_gain_refused_when_change_breaks_a_bound(ab):
     assert pathlib.Path(ab.destination("suite", rule["holds"])).name == "ab-suite.json"
 
 
+def test_gain_holds_on_peak_rss_alone_and_is_named(ab):
+    # equal wall and setup times; peak RSS falls 55 -> 48.4 MB in every pair, far beyond the base's spread
+    made_up = [{"base": run(1.0), "change": run(1.0), "first": "base"} for _ in range(10)]
+    for i, pair in enumerate(made_up):
+        pair["base"]["peak_rss_mb"] = 55.0 + 0.01 * i
+        pair["change"]["peak_rss_mb"] = 48.4 + 0.01 * i
+    summary = ab.summarize(made_up)
+    rule = summary["gain_rule"]
+    assert summary["wins"] == 0 and rule["metrics"]["wall_s"]["holds"] is False
+    assert rule["metrics"]["setup_s"]["holds"] is False
+    assert rule["metrics"]["peak_rss_mb"]["holds"] is True and rule["metrics"]["peak_rss_mb"]["wins"] == 10
+    assert rule["holds"] is True and rule["gains"] == ["peak_rss_mb"] and "refused" not in rule
+    assert pathlib.Path(ab.destination("nelson", rule["holds"])).name == "BENCH_nelson.json"
+
+
 def test_only_a_holding_gain_writes_the_claim_file(ab):
     root = pathlib.Path(ab.ROOT)
     gain = ab.summarize(pairs(["c" * 64] * 10))["gain_rule"]["holds"]

@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import warnings
 
@@ -456,6 +458,42 @@ def test_gram_markov_refuses_rows_over_the_byte_budget_before_building_a_basis(c
     monkeypatch.setattr(nelson, "ExtendedVector", unbuilt)
     err = one_line_usage_error(capsys, "gram", "--kind", "markov", "--family", "probes:2", "--grid", "-1:1:0.5")
     assert "kind=markov" in err and "bytes" in err and "25 x 5" in err
+
+
+PEAK_SCRIPT = """
+import os, resource, sys
+from ccrlab.cli import main
+code = main(["gram", "--kind", "nelson", "--family", sys.argv[1], "--grid", sys.argv[2], "--output", os.devnull])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
+"""
+
+
+def gram_peak_bytes(family: str, grid: str) -> int:
+    """Peak RSS, in bytes, of `gram --kind nelson` run in a fresh interpreter."""
+    src = str(pathlib.Path(nelson.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", PEAK_SCRIPT, family, grid], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    code, peak = child.stdout.split()
+    assert code == "0"
+    return int(peak)
+
+
+def test_gram_nelson_at_the_byte_budget_holds_about_the_family():
+    # meanzero:20 on the most points the budget lets it take.  From the code, over the
+    # interpreter's base (the same run on a 5-point grid) the run holds the family's
+    # real values, k n 8 bytes, at most ten n-point arrays of the grid (points, |points|,
+    # the kept gap tails and the transients of building them) and four column blocks of
+    # W: (1 + 10/k) times the family bytes plus the blocks.  The unblocked factoring
+    # held about three more copies of the family.
+    k = 20
+    n = cli.NELSON_FAMILY_BYTES // (k * 16)
+    family_bytes = k * n * 8
+    base = gram_peak_bytes(f"meanzero:{k}", "-1:1:0.5")
+    peak = gram_peak_bytes(f"meanzero:{k}", f"{-(n // 2)}:{n - 1 - n // 2}:1")
+    assert peak - base <= (1 + 10 / k) * family_bytes + 4 * nelson.FACTOR_BLOCK_BYTES
 
 
 def test_gram_refuses_what_it_cannot_compute(capsys):

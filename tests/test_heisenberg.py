@@ -309,6 +309,28 @@ def test_wick_vs_normal_order_random_words(c):
         assert wick_value(word, table) == omega(normal_order(word), table)
 
 
+def test_wick_value_letters_and_encoded_tables(monkeypatch):
+    # ints are read as generators and anything else is refused, as before letters
+    # that are already generators skipped the conversion
+    word = [Generator.Q, Generator.P, Generator.Q_PRIME, Generator.P_PRIME]
+    assert wick_value([0, 1, 2, 3], TABLE) == wick_value(word, TABLE)
+    for bad in ([0, 4], [Generator.Q, "q"], [Generator.P, -1]):
+        with pytest.raises(ValueError):
+            wick_value(bad, TABLE)
+    # one encoded table per digit width, built once and kept in a bounded store
+    table = CovarianceTable(Fraction(1, 3))
+    for length in (2, 4, 4, 6):
+        wick_value([Generator.Q] * length, table)
+    assert len(table._encodings) == 3
+    encoded = table._encodings[max(table._encodings)]
+    assert wick_value([Generator.Q] * 6, table) == omega(Q**6, table) and table._encodings[max(table._encodings)] is encoded
+    monkeypatch.setattr(heisenberg, "ENCODED_WIDTHS", 4)
+    for length in range(8, 20, 2):
+        word = [Generator.Q, Generator.P] * (length // 2)
+        assert wick_value(word, table) == omega(normal_order(word), table)
+        assert len(table._encodings) <= 4
+
+
 @pytest.mark.parametrize("c", [Fraction(0), Fraction(2, 7)])
 def test_moment_engine_matches_wick_value(c):
     table = CovarianceTable(c)

@@ -282,6 +282,26 @@ def test_signature_one_negative_with_bump():
     assert gram.signature[1] == 1
 
 
+def test_signature_of_holds_blocks_not_the_family_factors():
+    # transient bound: at most four column blocks at once (the block a product reads,
+    # the next block's running sums, its scaled tails, and one more for ufunc
+    # buffers and the carried column) plus four k x k arrays (the running sum and a
+    # block's product, or the entries and the singular part's or gram_signature's
+    # temporaries); the unblocked factoring held about three k x n copies, 9.8 MB here
+    grid = Grid.parse("-10:10:0.01")
+    vectors = family(f"meanzero:{nelson.FAMILY_LIMIT}", grid, seed=23)
+    k = len(vectors)
+    assert k * grid.n * 8 > 4 * nelson.FACTOR_BLOCK_BYTES
+    signature_of(vectors)  # fill the grid's caches, which outlive the call
+    tracemalloc.start()
+    try:
+        signature_of(vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * nelson.FACTOR_BLOCK_BYTES + 4 * k * k * 8
+
+
 def test_signature_empty_family():
     gram = signature_of([])
     assert gram.signature == (0, 0, 0)
@@ -461,6 +481,25 @@ def test_cached_gaps_give_the_per_call_factors_bit_for_bit(spec):
             assert np.array_equal(got, want), spec
 
 
+@pytest.mark.parametrize("spec", ["-3:-1:0.25", "1:3:0.5", "-1.05:2.95:0.1", "-5:5:0.1"])
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_column_blocks_join_to_the_unblocked_factors_bit_for_bit(spec, columns):
+    # each side's blocks come far to near; read back near to far, they are the one block
+    grid = Grid.parse(spec)
+    rng = np.random.default_rng(19)
+    for rows in (rng.standard_normal((5, grid.n + 2)), rng.standard_normal((5, grid.n + 2)) * (1 - 2j)):
+        whole = nelson._factors(grid, rows)[0]
+        for values in (rows[:, :-2], list(rows[:, :-2])):  # a stack's rows, or a family's own arrays
+            blocks = list(nelson._tail_blocks(grid, values, rows.dtype, columns))
+            sides = []
+            for _, ends in grid.gap_tails:
+                count = -(-ends.size // columns)
+                sides += blocks[:count][::-1]
+                blocks = blocks[count:]
+            assert not blocks
+            assert np.array_equal(np.concatenate(sides, axis=1), whole), spec
+
+
 def test_projector_checks_the_grid():
     project = Projector([delta_zero(GRID), w_vector(GRID)])
     with pytest.raises(GridMismatchError):
@@ -492,9 +531,11 @@ def test_cached_points_are_read_only_and_outside_eq_and_hash():
 
 
 def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
-    # one factoring per basis, per projection batch and for all the norms together:
-    # a norm taken one vector at a time would add one per vector
-    counts = {"brownian_gaps": 0, "_stack": 0, "_factors": 0}
+    # one factoring per basis when its Gram is checked, two per projection batch (the
+    # basis, whose W is not kept, and the batch, over one column partition) and one
+    # for all the norms together: 3 + 2 x 5 + 1.  A norm or a projection taken one
+    # vector at a time would add one per vector
+    counts = {"brownian_gaps": 0, "_stack": 0, "_tail_blocks": 0}
 
     def counted(name):
         original = getattr(nelson, name)
@@ -508,7 +549,7 @@ def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
     for name in counts:
         monkeypatch.setattr(nelson, name, counted(name))
     markov_diagnostics(Grid.parse("-5:5:0.2"), 25)
-    assert counts == {"brownian_gaps": 1, "_stack": 3, "_factors": 9}
+    assert counts == {"brownian_gaps": 1, "_stack": 3, "_tail_blocks": 14}
 
 
 def bits(values):
@@ -868,6 +909,62 @@ def test_factored_product_matches_dense_metric():
         dense = coords.conj() @ metric @ coords.T
         entries = signature_of(vectors).entries
         assert np.abs(entries - dense).max() <= 1e-13 * np.abs(dense).max(), spec
+
+
+def test_column_blocks_keep_the_dense_metric_bounds(monkeypatch):
+    # the checks of test_factored_product_matches_dense_metric with blocks of
+    # max(1, n // 100) columns over 12 complex rows (krein_inner's 2 rows take six
+    # times that), so the products, Krein norms and projections sum up to a hundred
+    # blocks a side
+    rng = np.random.default_rng(43)
+    for spec in ("-5:5:0.1", "0:5:0.01", "1:3:0.5", "-3:-1:0.25", "-10:10:0.01"):
+        grid = Grid.parse(spec)
+        monkeypatch.setattr(nelson, "FACTOR_BLOCK_BYTES", 12 * 16 * max(1, grid.n // 100))
+        complex_rows = [
+            ExtendedVector(
+                grid,
+                rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n),
+                a=complex(*rng.uniform(0.5, 1.5, 2)),
+                b=complex(*rng.uniform(0.5, 1.5, 2)),
+            )
+            for _ in range(6)
+        ]
+        real_rows = [ExtendedVector(grid, rng.standard_normal(grid.n), a=rng.uniform(0.5, 1.5)) for _ in range(6)]
+        metric = metric_matrix(grid)
+        for vectors in (complex_rows, real_rows, complex_rows + real_rows):
+            coords = np.stack([v.coords() for v in vectors])
+            dense = coords.conj() @ metric @ coords.T
+            for factored in (signature_of(vectors).entries, nelson._product(grid, coords, coords)):
+                assert factored.dtype == coords.dtype
+                assert np.abs(factored - dense).max() <= 1e-13 * np.abs(dense).max(), spec
+            # the Krein bounds of test_krein_norms_match_the_exact_oracle: 1e-13 of the terms' sizes
+            sizes, sized_metric = np.abs(coords), np.abs(coords) @ np.abs(metric)
+            for alpha in (0.4, 2.3):
+                kappa = krein_direction(grid, alpha).coords()
+                krein = dense + 2.0 * np.outer(coords.conj() @ metric @ kappa, kappa @ metric @ coords.T)
+                scales = (sized_metric * sizes).sum(axis=1) + 2.0 * (sized_metric @ np.abs(kappa)) ** 2
+                norms = nelson._krein_norms(grid, coords, alpha)
+                assert np.all(np.abs(norms**2 - krein.diagonal().real) <= 1e-13 * scales), spec
+                value = krein_inner(vectors[0], vectors[-1], alpha)
+                assert abs(value - krein[0, -1]) <= 1e-13 * np.abs(krein).max(), spec
+        # projection: the products hold to tol each, so the coefficients c' solve
+        # (G + dG) c' = r + dr with |dG|_2 <= k tol and |dr|_2 <= sqrt(k) tol, and
+        # |c' - c|_2 <= |G^-1|_2 tol (sqrt(k) + k |c'|_2)
+        basis = complex_rows[:2] + real_rows[:2]
+        k = len(basis)
+        basis_coords = np.stack([v.coords() for v in basis]).astype(complex)
+        sized = basis_coords.conj() @ metric
+        gram = sized @ basis_coords.T
+        inverse_norm, row_norm = np.linalg.norm(np.linalg.inv(gram), 2), np.linalg.norm(basis_coords, axis=1).max()
+        project = Projector(basis)
+        for u in complex_rows[2:] + real_rows[2:]:
+            moments = sized @ u.coords()
+            want = np.linalg.solve(gram, moments) @ basis_coords
+            got = project(u).coords()
+            tol = 1e-13 * max(np.abs(gram).max(), np.abs(moments).max())
+            solved = np.linalg.lstsq(basis_coords.T, got, rcond=None)[0]
+            drift = inverse_norm * tol * (math.sqrt(k) + k * np.linalg.norm(solved))
+            assert np.abs(got - want).max() <= drift * row_norm, spec
 
 
 def test_factored_product_matches_dense_metric_on_random_grids():
