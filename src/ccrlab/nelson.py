@@ -201,7 +201,7 @@ def _tail_blocks(grid: Grid, values, dtype, columns: int):
     joined, near to far: the whole W, with the bits of an unblocked factoring.
     """
     sides = grid.gap_tails
-    if sum(ends.size for _, ends in sides) <= columns:
+    if _one_block(grid, columns):
         yield np.concatenate([_side_tails(values, dtype, side, 0, side[1].size, None)[0] for side in sides], axis=1)
         return
     for side in sides:
@@ -209,6 +209,11 @@ def _tail_blocks(grid: Grid, values, dtype, columns: int):
         for start in range(0, side[1].size, columns):
             block, carry = _side_tails(values, dtype, side, start, min(start + columns, side[1].size), carry)
             yield block
+
+
+def _one_block(grid: Grid, columns: int) -> bool:
+    """Whether all of W's columns fit one block of `columns` columns."""
+    return sum(ends.size for _, ends in grid.gap_tails) <= columns
 
 
 def _side_tails(values, dtype, side, start: int, stop: int, carry):
@@ -455,9 +460,11 @@ class Projector:
     The basis is stacked, and its Gram checked, once.  ``project`` takes a list
     of m vectors: it factors the basis and their stack over one column
     partition, forms one k x (k+m) block of products with (basis, vectors) and
-    makes one solve with m right-hand sides.  A call projects one vector the
-    same way.  The rows are cast to complex whatever the vectors store, so a
-    vector projects to the same values in any batch.
+    makes one solve with m right-hand sides.  A basis whose W is one block (at
+    most FACTOR_BLOCK_BYTES) keeps it for every batch whose partition is one
+    block too; a larger W is walked again per batch.  A call projects one
+    vector the same way.  The rows are cast to complex whatever the vectors
+    store, so a vector projects to the same values in any batch.
     """
 
     def __init__(self, basis: list[ExtendedVector]):
@@ -465,10 +472,15 @@ class Projector:
             raise DegenerateGramError("empty projection basis")
         self._coords = _stack(basis)
         self._member = basis[0]
-        cond = np.linalg.cond(_gram(self._member.grid, self._coords[:, :-2], self._coords[:, -2:]))
+        grid, values, dtype = self._member.grid, self._coords[:, :-2], self._coords.dtype
+        self._content = _contents(grid, values, self._coords[:, -2:])
+        columns = _block_columns(len(values), dtype)
+        blocks = _tail_blocks(grid, values, dtype, columns)
+        self._tails = next(blocks) if _one_block(grid, columns) else None
+        gram = _summed(w.conj() @ w.T for w in (blocks if self._tails is None else [self._tails]))
+        cond = np.linalg.cond(gram - _singular_part(self._content, self._content))
         if not np.isfinite(cond) or cond > PROJECTION_CONDITION_LIMIT:
             raise DegenerateGramError(f"projection Gram is degenerate (cond {cond:.3e})")
-        self._content = _contents(self._member.grid, self._coords[:, :-2], self._coords[:, -2:])  # kept; W is not
 
     def project(self, vectors: list[ExtendedVector]) -> list[ExtendedVector]:
         for u in vectors:
@@ -484,9 +496,13 @@ class Projector:
         a_rows, b_rows = _contents(grid, rows[:, :-2], rows[:, -2:].astype(complex))
         right = (np.concatenate((self._content[0], a_rows)), np.concatenate((self._content[1], b_rows)))
         columns = _block_columns(k + len(rows), complex)
-        blocks = zip(
-            _tail_blocks(grid, basis[:, :-2], basis.dtype, columns), _tail_blocks(grid, rows[:, :-2], complex, columns)
-        )
+        # k + m complex rows take no more columns a block than the basis alone, so a
+        # partition of one block finds the basis's W kept
+        if _one_block(grid, columns):
+            basis_blocks = [self._tails]
+        else:
+            basis_blocks = _tail_blocks(grid, basis[:, :-2], basis.dtype, columns)
+        blocks = zip(basis_blocks, _tail_blocks(grid, rows[:, :-2], complex, columns))
         products = _summed(w.conj() @ np.concatenate((w, v)).T for w, v in blocks)
         products = products - _singular_part(self._content, right)
         return np.linalg.solve(products[:, :k], products[:, k:]).T @ self._coords

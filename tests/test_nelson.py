@@ -531,10 +531,8 @@ def test_cached_points_are_read_only_and_outside_eq_and_hash():
 
 
 def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
-    # one factoring per basis when its Gram is checked, two per projection batch (the
-    # basis, whose W is not kept, and the batch, over one column partition) and one
-    # for all the norms together: 3 + 2 x 5 + 1.  A norm or a projection taken one
-    # vector at a time would add one per vector
+    # one factoring per basis, per projection batch and for all the norms together:
+    # a norm taken one vector at a time would add one per vector
     counts = {"brownian_gaps": 0, "_stack": 0, "_tail_blocks": 0}
 
     def counted(name):
@@ -549,7 +547,7 @@ def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
     for name in counts:
         monkeypatch.setattr(nelson, name, counted(name))
     markov_diagnostics(Grid.parse("-5:5:0.2"), 25)
-    assert counts == {"brownian_gaps": 1, "_stack": 3, "_tail_blocks": 14}
+    assert counts == {"brownian_gaps": 1, "_stack": 3, "_tail_blocks": 9}
 
 
 def bits(values):
@@ -915,7 +913,7 @@ def test_column_blocks_keep_the_dense_metric_bounds(monkeypatch):
     # the checks of test_factored_product_matches_dense_metric with blocks of
     # max(1, n // 100) columns over 12 complex rows (krein_inner's 2 rows take six
     # times that), so the products, Krein norms and projections sum up to a hundred
-    # blocks a side
+    # blocks a side; a projector whose basis W is one block is checked too
     rng = np.random.default_rng(43)
     for spec in ("-5:5:0.1", "0:5:0.01", "1:3:0.5", "-3:-1:0.25", "-10:10:0.01"):
         grid = Grid.parse(spec)
@@ -956,15 +954,23 @@ def test_column_blocks_keep_the_dense_metric_bounds(monkeypatch):
         sized = basis_coords.conj() @ metric
         gram = sized @ basis_coords.T
         inverse_norm, row_norm = np.linalg.norm(np.linalg.inv(gram), 2), np.linalg.norm(basis_coords, axis=1).max()
-        project = Projector(basis)
-        for u in complex_rows[2:] + real_rows[2:]:
+        probes = complex_rows[2:] + real_rows[2:]
+        projected = [Projector(basis).project(probes)]
+        # a basis whose W is just one block keeps it, while a batch's partition, with more
+        # rows, takes more than one
+        monkeypatch.setattr(nelson, "FACTOR_BLOCK_BYTES", k * 16 * sum(ends.size for _, ends in grid.gap_tails))
+        kept = Projector(basis)
+        assert kept._tails is not None
+        projected.append([kept(u) for u in probes])
+        for u, *outs in zip(probes, *projected):
             moments = sized @ u.coords()
             want = np.linalg.solve(gram, moments) @ basis_coords
-            got = project(u).coords()
             tol = 1e-13 * max(np.abs(gram).max(), np.abs(moments).max())
-            solved = np.linalg.lstsq(basis_coords.T, got, rcond=None)[0]
-            drift = inverse_norm * tol * (math.sqrt(k) + k * np.linalg.norm(solved))
-            assert np.abs(got - want).max() <= drift * row_norm, spec
+            for out in outs:
+                got = out.coords()
+                solved = np.linalg.lstsq(basis_coords.T, got, rcond=None)[0]
+                drift = inverse_norm * tol * (math.sqrt(k) + k * np.linalg.norm(solved))
+                assert np.abs(got - want).max() <= drift * row_norm, spec
 
 
 def test_factored_product_matches_dense_metric_on_random_grids():
