@@ -125,10 +125,6 @@ class ComplexRational:
     def __bool__(self):
         return self._x != 0 or self._y != 0
 
-    @property
-    def is_real(self) -> bool:
-        return self._y == 0
-
     def to_complex(self) -> complex:
         # int true division rounds correctly, as Fraction.__float__ does
         return complex(self._x / self._d, self._y / self._d)

@@ -26,10 +26,6 @@ class GramMatrix:
     eigenvalues: np.ndarray
     det_exact: object | None = None
 
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
 
 def real_or_complex(values) -> np.ndarray:
     """The one dtype rule: bool, int and float values as float64, anything else (complex, Fractions) as complex128."""

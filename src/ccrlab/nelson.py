@@ -18,11 +18,14 @@ structure); projections onto past/future/time-zero spans realize the Markov
 identity E+ E- = E0 without positivity of the underlying product.
 Real data keep real arithmetic throughout, by gram.real_or_complex.
 
-Products go through the factored form W_u^H W_v - (A_u^* B_v + B_u^* A_v)/2
-(see _product).  Every Gram, product, projection and Krein norm sums W over
-column blocks of at most FACTOR_BLOCK_BYTES, so it holds O(k block + k^2)
-bytes besides its inputs, never W whole; a product whose columns fit one
-block is a single matrix product, with the bits of the unblocked one.
+Every product goes through one kernel, _products, in the factored form
+W_u^H W_v - (A_u^* B_v + B_u^* A_v)/2: a Gram, a cross product, or a basis
+bordered by its batch, over row sets (_Rows) that hold grid parts, (a, b) rows
+and their content (A, B).  W is summed over column blocks of at most
+FACTOR_BLOCK_BYTES, so a product holds O(k block + k^2) bytes besides its
+inputs; a W of one block is one matrix product, with the bits of the unblocked
+one, and its row set keeps it.  indefinite_inner and krein_inner take the same
+cross product, so they differ by the Krein term alone.
 """
 
 from __future__ import annotations
@@ -147,27 +150,64 @@ def metric_matrix(grid: Grid) -> np.ndarray:
     return m
 
 
-def _product(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Products <u_i, v_j> of coordinate rows (values, a, b) in O(n) per row.
+class _Rows:
+    """Rows of vectors on one grid as the product kernel reads them.
+
+    ``values`` holds the grid parts: a stack's rows, gathered by one fancy index
+    a block, or a family's own arrays, gathered row by row (a family is never
+    stacked).  Products run in the dtype of the (a, b) rows; the content (A, B)
+    is computed once.  W is walked in each product's column blocks, except that
+    a W that fits one block (at most FACTOR_BLOCK_BYTES) is kept after its first
+    walk and read again by every later product whose blocks are one.
+    """
+
+    def __init__(self, grid: Grid, values, coefficients: np.ndarray):
+        self.grid, self.values, self.dtype = grid, values, coefficients.dtype
+        self.content = _contents(grid, values, coefficients)
+        self._whole = None
+
+    @classmethod
+    def of(cls, vectors: list[ExtendedVector]) -> _Rows:
+        """The rows of vectors on one grid, in the dtype their stack would take, without the stack."""
+        pairs = np.array([(v.a, v.b) for v in vectors])
+        dtype = np.result_type(pairs, *{v.values.dtype for v in vectors})
+        return cls(vectors[0].grid, [v.values for v in vectors], pairs.astype(dtype, copy=False))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def blocks(self, columns: int):
+        """W in blocks of at most `columns` columns, or whole when it fits one (see _tail_blocks)."""
+        if sum(ends.size for _, ends in self.grid.gap_tails) > columns:
+            return _tail_blocks(self.grid, self.values, self.dtype, columns)
+        if self._whole is None:
+            (self._whole,) = _tail_blocks(self.grid, self.values, self.dtype, None)
+        return (self._whole,)
+
+
+def _products(left: _Rows, *right: _Rows) -> np.ndarray:
+    """Products <u_i, v_j>, u in left and v in right's row sets in turn: the one product kernel.
 
     -|t - s|/2 is the Brownian covariance minus (|t| + |s|)/2, so <u, v> =
     W_u^H W_v - (A_u^* B_v + B_u^* A_v)/2: W holds the grid part's tail sums over
     the Brownian gaps, A = a + h sum f and B = b + h sum |t| f the d0 and w content.
-    W_u^H W_v is summed over column blocks that left and right share.
+    A product is a Gram (rows, rows), a cross product (u, v), or a basis bordered
+    by a batch (basis, basis, batch).  W_u^H W_v is summed over the column blocks
+    that the row sets share; a row set on both sides is walked once.
     """
-    columns = _block_columns(len(left) + len(right), np.result_type(left, right))
-    blocks = zip(*(_tail_blocks(grid, rows[:, :-2], rows.dtype, columns) for rows in (left, right)))
-    return _summed(w_left.conj() @ w_right.T for w_left, w_right in blocks) - _singular_part(
-        _contents(grid, left[:, :-2], left[:, -2:]), _contents(grid, right[:, :-2], right[:, -2:])
-    )
+    sets = list(dict.fromkeys((left, *right)))
+    columns = _block_columns(sum(map(len, sets)), np.result_type(*(rows.dtype for rows in sets)))
+
+    def term(*w):  # one block of each row set; map, unlike zip, holds no block past its term
+        return w[0].conj() @ _joined([w[sets.index(rows)] for rows in right]).T
+
+    products = _summed(map(term, *(rows.blocks(columns) for rows in sets)))
+    return products - _singular_part(left.content, [_joined([rows.content[i] for rows in right]) for i in (0, 1)])
 
 
-def _gram(grid: Grid, values, coefficients: np.ndarray) -> np.ndarray:
-    """Products <u_i, u_j> of one set of rows: each block of W is used on both sides."""
-    content = _contents(grid, values, coefficients)
-    dtype = coefficients.dtype
-    blocks = _tail_blocks(grid, values, dtype, _block_columns(len(coefficients), dtype))
-    return _summed(w.conj() @ w.T for w in blocks) - _singular_part(content, content)
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts stacked along their first axis; a single part as it is (a real Gram stays one syrk)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _summed(terms):
@@ -189,19 +229,17 @@ def _block_columns(rows: int, dtype) -> int:
     return max(1, FACTOR_BLOCK_BYTES // (rows * np.dtype(dtype).itemsize))
 
 
-def _tail_blocks(grid: Grid, values, dtype, columns: int):
+def _tail_blocks(grid: Grid, values, dtype, columns: int | None):
     """W, the tail sums of grid parts over the Brownian gaps, in blocks of at most `columns` columns.
 
-    ``values`` holds the grid parts: a stack's rows, gathered by one fancy index
-    a block, or a family's own arrays, gathered row by row and never stacked
-    whole.  Each side of 0 is walked from its far end; a block's cumsum starts
-    from the running sum of the blocks before it, put in front as a first
-    column, and cumsum is sequential, so the blocks hold the bits of one cumsum
-    over the side.  When all columns fit in one block, that block is both sides
-    joined, near to far: the whole W, with the bits of an unblocked factoring.
+    Each side of 0 is walked from its far end; a block's cumsum starts from the
+    running sum of the blocks before it, put in front as a first column, and
+    cumsum is sequential, so the blocks hold the bits of one cumsum over the side.
+    With columns None the one block is both sides joined, near to far: the whole
+    W, with the bits of an unblocked factoring.
     """
     sides = grid.gap_tails
-    if _one_block(grid, columns):
+    if columns is None:
         yield np.concatenate([_side_tails(values, dtype, side, 0, side[1].size, None)[0] for side in sides], axis=1)
         return
     for side in sides:
@@ -211,16 +249,11 @@ def _tail_blocks(grid: Grid, values, dtype, columns: int):
             yield block
 
 
-def _one_block(grid: Grid, columns: int) -> bool:
-    """Whether all of W's columns fit one block of `columns` columns."""
-    return sum(ends.size for _, ends in grid.gap_tails) <= columns
-
-
 def _side_tails(values, dtype, side, start: int, stop: int, carry):
-    """One side's tails at positions start:stop of its far-to-near order, near to far, and their running sum.
+    """One side's tails at positions start:stop of its far-to-near order, near to far, and the sum to carry.
 
     The tails come out column-major, the layout of a values[:, index] gather, which
-    row sums and the matrix product see.
+    row sums and the matrix product see.  The carry is None at the side's end.
     """
     scaled, ends = side
     index = ends[start:stop]
@@ -233,15 +266,10 @@ def _side_tails(values, dtype, side, start: int, stop: int, carry):
     else:
         for i, row in enumerate(values):
             sums[i, lead:] = row[index]
-    np.cumsum(sums, axis=1, out=sums)  # in place, with the bits of a cumsum into a new array
+    np.add.accumulate(sums, axis=1, out=sums)  # a cumsum in place, with the bits of one into a new array
     count = ends.size
     tails = np.multiply(scaled[count - stop : count - start], sums[:, lead:][:, ::-1], order="F")
-    return tails, sums[:, -1:].copy()
-
-
-def _factors(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, A, B) of coordinate rows unblocked: W is the one block a product sees when it fits one."""
-    return (*_tail_blocks(grid, rows[:, :-2], rows.dtype, grid.n), *_contents(grid, rows[:, :-2], rows[:, -2:]))
+    return tails, (sums[:, -1:].copy() if stop < count else None)
 
 
 def _contents(grid: Grid, values, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,27 +284,10 @@ def _contents(grid: Grid, values, coefficients: np.ndarray) -> tuple[np.ndarray,
     sums = np.empty((2, len(coefficients)), dtype)
     for start in range(0, len(coefficients), step):
         chunk = np.asarray(values[start : start + step], dtype)
-        chunk.sum(axis=1, out=sums[0, start : start + step])
-        (grid.abs_points * chunk).sum(axis=1, out=sums[1, start : start + step])
-    return coefficients[:, 0] + h * sums[0], coefficients[:, 1] + h * sums[1]
-
-
-def _rows(vectors: list[ExtendedVector]) -> np.ndarray:
-    """Stacked coordinate rows, in the dtype their vectors store.
-
-    Projection bases and the rows of krein_inner are stacked here; the products
-    follow their rows, so real vectors take real cumsums and a real Gram
-    product.  The values are stacked whole, not as per-vector coords() copies,
-    which would leave the allocator holding more at the peak.
-    """
-    values = np.stack([v.values for v in vectors])
-    return np.concatenate((values, np.array([(v.a, v.b) for v in vectors])), axis=1)
-
-
-def _coefficients(vectors: list[ExtendedVector]) -> np.ndarray:
-    """The (a, b) rows of vectors, in the dtype of their stacked coordinate rows, without the stack."""
-    pairs = np.array([(v.a, v.b) for v in vectors])
-    return pairs.astype(np.result_type(pairs, *{v.values.dtype for v in vectors}), copy=False)
+        np.add.reduce(chunk, axis=1, out=sums[0, start : start + step])
+        np.add.reduce(grid.abs_points * chunk, axis=1, out=sums[1, start : start + step])
+    content_a, content_b = coefficients.T + h * sums
+    return content_a, content_b
 
 
 def _checked(family: list[ExtendedVector]) -> list[ExtendedVector]:
@@ -289,8 +300,13 @@ def _checked(family: list[ExtendedVector]) -> list[ExtendedVector]:
 
 
 def _stack(family: list[ExtendedVector]) -> np.ndarray:
-    """Coordinate rows of a family on one grid, at most FAMILY_LIMIT of them."""
-    return _rows(_checked(family))
+    """Coordinate rows of a family on one grid, at most FAMILY_LIMIT of them, in the dtype their vectors store.
+
+    The values are stacked whole, not as per-vector coords() copies, which would
+    leave the allocator holding more at the peak.
+    """
+    values = np.stack([v.values for v in _checked(family)])
+    return np.concatenate((values, np.array([(v.a, v.b) for v in family])), axis=1)
 
 
 @dataclass
@@ -364,7 +380,7 @@ def point_mass(grid: Grid, tau: float) -> ExtendedVector:
 def indefinite_inner(u: ExtendedVector, v: ExtendedVector) -> complex:
     """Indefinite product; conjugate-linear in the first argument."""
     u._check(v)
-    return complex(_product(u.grid, u.coords()[None], v.coords()[None])[0, 0])
+    return complex(_products(_Rows.of([u]), _Rows.of([v]))[0, 0])
 
 
 def decompose(u: ExtendedVector) -> tuple[complex, complex, ExtendedVector]:
@@ -376,8 +392,7 @@ def decompose(u: ExtendedVector) -> tuple[complex, complex, ExtendedVector]:
     """
     # -2 <w, u> and -2 <d0, u> from the content (A, B), op for op as on the product
     # route, whose zero signs they keep
-    coords = u.coords()[None]
-    a, b = -2.0 * (0.0 - np.concatenate(_contents(u.grid, coords[:, :-2], coords[:, -2:])) / 2.0)
+    a, b = -2.0 * (0.0 - np.concatenate(_Rows.of([u]).content) / 2.0)
     rest = ExtendedVector(u.grid, u.values.copy(), a=u.a - a, b=u.b - b)
     return complex(a), complex(b), rest
 
@@ -390,18 +405,18 @@ def krein_direction(grid: Grid, alpha: float) -> ExtendedVector:
 
 
 def krein_metric_apply(u: ExtendedVector, alpha: float) -> ExtendedVector:
-    """Metric operator at scale alpha: involution flipping the Krein direction."""
-    overlap = complex(_krein_overlaps(u.grid, u.coords()[None], alpha)[0])
-    return u + (2.0 * overlap) * krein_direction(u.grid, alpha)
+    """Metric operator at scale alpha: involution flipping the Krein direction.
 
-
-def _krein_overlaps(grid: Grid, rows: np.ndarray, alpha: float) -> np.ndarray:
-    """<kappa, u> for each coordinate row u, kappa = alpha d0 + w/alpha, in O(n) per row."""
-    return _krein_pairing(_contents(grid, rows[:, :-2], rows[:, -2:]), alpha)
+    u + 2 <kappa, u> kappa, formed op for op as that sum of vectors would form it:
+    kappa's zero grid part is added too, as it sets the dtype and the zeros' signs.
+    """
+    scale = 2.0 * complex(_krein_pairing(_Rows.of([u]).content, alpha)[0])
+    values = u.values + np.zeros(u.grid.n) * scale
+    return ExtendedVector(u.grid, values, u.a + alpha * scale, u.b + (1.0 / alpha) * scale)
 
 
 def _krein_pairing(content, alpha: float) -> np.ndarray:
-    """<kappa, u> from the content (A, B) of u.
+    """<kappa, u> from the content (A, B) of u, kappa = alpha d0 + w/alpha, in O(1) per row.
 
     kappa has no grid part and content (alpha, 1/alpha), so only the singular
     pairing of a product is left, op for op: no cumsum and no matrix product.
@@ -413,27 +428,26 @@ def _krein_pairing(content, alpha: float) -> np.ndarray:
 
 
 def krein_inner(u: ExtendedVector, v: ExtendedVector, alpha: float) -> complex:
-    """Positive product [u, v]_alpha = <u, eta_alpha v> = <u, v> + 2 <u, kappa><kappa, v>."""
+    """Positive product [u, v]_alpha = <u, eta_alpha v> = <u, v> + 2 <u, kappa><kappa, v>.
+
+    <u, v> takes indefinite_inner's route, so the two differ by the Krein term alone.
+    """
     u._check(v)
-    rows = _rows([u, v])
-    a, b = content = _contents(u.grid, rows[:, :-2], rows[:, -2:])
-    overlap_u, overlap_v = _krein_pairing(content, alpha)
-    blocks = _tail_blocks(u.grid, rows[:, :-2], rows.dtype, _block_columns(2, rows.dtype))
-    product = _summed(w[:1].conj() @ w[1:].T for w in blocks) - _singular_part((a[:1], b[:1]), (a[1:], b[1:]))
-    return complex(product[0, 0] + 2.0 * np.conj(overlap_u) * overlap_v)
+    left, right = _Rows.of([u]), _Rows.of([v])
+    overlap_u, overlap_v = (complex(_krein_pairing(rows.content, alpha)[0]) for rows in (left, right))
+    return complex(_products(left, right)[0, 0]) + 2.0 * overlap_u.conjugate() * overlap_v
 
 
-def _krein_norms(grid: Grid, rows: np.ndarray, alpha: float) -> np.ndarray:
-    """Krein norms sqrt([u, u]_alpha) of a stack of coordinate rows, from one factoring.
+def _krein_norms(rows: _Rows, alpha: float) -> np.ndarray:
+    """Krein norms sqrt([u, u]_alpha) of a row set, from one walk.
 
     [u, u]_alpha = sum |W|^2 - Re(A^* B) + 2 |<kappa, u>|^2, row by row: the
     diagonal of <u, u> plus the flipped Krein direction.  sum |W|^2 is summed
     block by block.
     """
-    a, b = content = _contents(grid, rows[:, :-2], rows[:, -2:])
-    overlaps = _krein_pairing(content, alpha)
-    blocks = _tail_blocks(grid, rows[:, :-2], rows.dtype, _block_columns(len(rows), rows.dtype))
-    squares = _summed(_squared_moduli(w).sum(axis=1) for w in blocks)
+    a, b = rows.content
+    overlaps = _krein_pairing(rows.content, alpha)
+    squares = _summed(_squared_moduli(w).sum(axis=1) for w in rows.blocks(_block_columns(len(rows), rows.dtype)))
     squares = squares - (np.conj(a) * b).real + 2.0 * _squared_moduli(overlaps)
     return np.sqrt(np.maximum(squares, 0.0))
 
@@ -445,9 +459,8 @@ def _squared_moduli(values: np.ndarray) -> np.ndarray:
 def signature_of(family: list[ExtendedVector]) -> GramMatrix:
     """Gram matrix and eigen-signature of a finite family."""
     if family:
-        # the blocks are gathered from the vectors' own values: the family is never stacked
-        values = [v.values for v in _checked(family)]
-        entries = _gram(family[0].grid, values, _coefficients(family))
+        rows = _Rows.of(_checked(family))
+        entries = _products(rows, rows)
     else:
         entries = np.zeros((0, 0), dtype=complex)
     signature, eigenvalues = gram_signature(entries)
@@ -457,14 +470,13 @@ def signature_of(family: list[ExtendedVector]) -> GramMatrix:
 class Projector:
     """Indefinite-orthogonal projection onto the span of a nondegenerate basis.
 
-    The basis is stacked, and its Gram checked, once.  ``project`` takes a list
-    of m vectors: it factors the basis and their stack over one column
-    partition, forms one k x (k+m) block of products with (basis, vectors) and
-    makes one solve with m right-hand sides.  A basis whose W is one block (at
-    most FACTOR_BLOCK_BYTES) keeps it for every batch whose partition is one
-    block too; a larger W is walked again per batch.  A call projects one
-    vector the same way.  The rows are cast to complex whatever the vectors
-    store, so a vector projects to the same values in any batch.
+    The basis is stacked into a row set, and its Gram checked, once.  ``project``
+    takes a list of m vectors and makes one k x (k+m) product, the basis
+    bordered by the batch, and one solve with m right-hand sides.  A basis W of
+    one block is kept by the row set, so it is walked once; a larger one is
+    walked again per batch.  A call projects one vector the same way.  Rows are
+    cast to complex whatever the vectors store, so a vector projects to the
+    same values in any batch.
     """
 
     def __init__(self, basis: list[ExtendedVector]):
@@ -472,13 +484,8 @@ class Projector:
             raise DegenerateGramError("empty projection basis")
         self._coords = _stack(basis)
         self._member = basis[0]
-        grid, values, dtype = self._member.grid, self._coords[:, :-2], self._coords.dtype
-        self._content = _contents(grid, values, self._coords[:, -2:])
-        columns = _block_columns(len(values), dtype)
-        blocks = _tail_blocks(grid, values, dtype, columns)
-        self._tails = next(blocks) if _one_block(grid, columns) else None
-        gram = _summed(w.conj() @ w.T for w in (blocks if self._tails is None else [self._tails]))
-        cond = np.linalg.cond(gram - _singular_part(self._content, self._content))
+        self._basis = _Rows(self._member.grid, self._coords[:, :-2], self._coords[:, -2:])
+        cond = np.linalg.cond(_products(self._basis, self._basis))
         if not np.isfinite(cond) or cond > PROJECTION_CONDITION_LIMIT:
             raise DegenerateGramError(f"projection Gram is degenerate (cond {cond:.3e})")
 
@@ -489,22 +496,12 @@ class Projector:
         return [ExtendedVector(self._member.grid, row[:-2], row[-2], row[-1]) for row in out]
 
     def _project_rows(self, rows: np.ndarray) -> np.ndarray:
-        # one block of products with (basis, rows), not a stored k x k Gram:
-        # solve then sees the same bits as on the unfactored route
-        grid, basis = self._member.grid, self._coords
-        k = len(basis)
-        a_rows, b_rows = _contents(grid, rows[:, :-2], rows[:, -2:].astype(complex))
-        right = (np.concatenate((self._content[0], a_rows)), np.concatenate((self._content[1], b_rows)))
-        columns = _block_columns(k + len(rows), complex)
-        # k + m complex rows take no more columns a block than the basis alone, so a
-        # partition of one block finds the basis's W kept
-        if _one_block(grid, columns):
-            basis_blocks = [self._tails]
-        else:
-            basis_blocks = _tail_blocks(grid, basis[:, :-2], basis.dtype, columns)
-        blocks = zip(basis_blocks, _tail_blocks(grid, rows[:, :-2], complex, columns))
-        products = _summed(w.conj() @ np.concatenate((w, v)).T for w, v in blocks)
-        products = products - _singular_part(self._content, right)
+        # the basis bordered by the batch, not a stored k x k Gram: solve then sees the
+        # same bits as on the unfactored route; the batch's row set and W die before it
+        products = _products(
+            self._basis, self._basis, _Rows(self._member.grid, rows[:, :-2], rows[:, -2:].astype(complex))
+        )
+        k = len(self._basis)
         return np.linalg.solve(products[:, :k], products[:, k:]).T @ self._coords
 
     def __call__(self, u: ExtendedVector) -> ExtendedVector:
@@ -642,7 +639,8 @@ def markov_diagnostics(grid: Grid, n_per_side: int, alpha: float = 1.0, seed: in
         twice_plus[2 * m :] - v_rows,  # E+ v - v
         twice_minus[m:] - v_rows,  # E- v - v
     )
-    norms = _krein_norms(grid, np.concatenate((rows,) + differences), alpha)
+    stacked = np.concatenate((rows,) + differences)
+    norms = _krein_norms(_Rows(grid, stacked[:, :-2], stacked[:, -2:]), alpha)
     norm_u, markov, plus_plus, minus_minus = norms[: 4 * m].reshape(4, m)
     live = norm_u != 0.0
     return {

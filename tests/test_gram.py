@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ccrlab.gram import GramMatrix, gram_signature, numerical_rank, real_or_complex
+from ccrlab.gram import gram_signature, numerical_rank, real_or_complex
 
 
 def test_signature_counts_sum_to_dimension():
@@ -58,10 +58,3 @@ def test_one_dtype_rule_for_signature_and_rank(monkeypatch):
         assert real_or_complex(entries).dtype == dtype
         assert numerical_rank(entries)[0] == 2 and gram_signature(entries)[0] == (2, 0, 0)
         assert seen == [dtype, dtype]
-
-
-def test_grammatrix_dimension():
-    entries = np.eye(3, dtype=complex)
-    signature, eigenvalues = gram_signature(entries)
-    gram = GramMatrix(entries=entries, signature=signature, eigenvalues=eigenvalues)
-    assert gram.dimension == 3

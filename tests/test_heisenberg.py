@@ -590,7 +590,7 @@ def test_exact_det_matches_the_permutation_sum():
 def test_moment_matrix_faithfulness_witness():
     gram = moment_matrix(4, TABLE)
     assert gram.det_exact != ZERO
-    assert gram.det_exact.is_real
+    assert gram.det_exact.im == 0
     assert gram.signature[1] > 0  # indefinite
     with pytest.raises(ValueError):
         moment_matrix(7, TABLE)
