@@ -26,12 +26,10 @@ from .expr import ExprError, parse_element
 SCHEMA_VERSION = "ccrlab.report.v1"
 
 MC_MODES = ("indefinite", "krein", "weyl", "characteristic")
-# Largest grid `gram --kind os` takes: os_rank holds one dense n x n kernel, float64 for a
-# real family; possupport:200 at this limit peaks at 38 MB traced and 77 MB of process RSS.
-OS_GRID_LIMIT = 2001
-# Most bytes of complex coordinate rows (rows x points x 16) `gram --kind nelson` and `--kind
-# markov` take; real rows hold half that.  Peaks at the bound are in README (about 1x for
-# nelson, whose products hold column blocks of W; 1.8x to 9x for markov's stage stacks).
+# Most bytes of complex coordinate rows (rows x points x 16) `gram --kind nelson`, `--kind os`
+# and `--kind markov` take; real rows hold half that.  Peaks at the bound are in README (about
+# 1x for nelson, whose products hold column blocks of W, and os, which reads only the content
+# (A, B); 1.8x to 9x for markov's stage stacks).
 NELSON_FAMILY_BYTES = 2**27
 # Most `mc --taus` takes: each sampling worker holds an (n + 4) x BLOCK float
 # buffer (about 130 MB at this limit).
@@ -251,8 +249,6 @@ def _run_gram(args) -> tuple[dict, bool]:
 def _gram_results(args) -> list[dict]:
     try:
         grid = ne.Grid.parse(args.grid)
-        if args.kind == "os" and grid.n > OS_GRID_LIMIT:
-            raise ValueError(f"kind=os takes grids of at most {OS_GRID_LIMIT} points, got {grid.n}")
         if args.kind == "markov":
             # family carries the per-side point count: probes:N
             kind_name, _, count_text = args.family.partition(":")
@@ -261,8 +257,7 @@ def _gram_results(args) -> list[dict]:
             n_per_side = int(count_text)
             _check_row_bytes(args.kind, 2 * (n_per_side + 2) + 2 + 15, grid)  # 2 bases, (d0, w), 15 probes
         else:
-            if args.kind == "nelson":
-                _check_row_bytes(args.kind, args.family.partition(":")[2], grid)
+            _check_row_bytes(args.kind, args.family.partition(":")[2], grid)
             vectors = ne.family(args.family, grid, args.seed)
     except ValueError as err:
         raise UsageError(str(err)) from None

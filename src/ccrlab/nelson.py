@@ -25,7 +25,9 @@ and their content (A, B).  W is summed over column blocks of at most
 FACTOR_BLOCK_BYTES, so a product holds O(k block + k^2) bytes besides its
 inputs; a W of one block is one matrix product, with the bits of the unblocked
 one, and its row set keeps it.  indefinite_inner and krein_inner take the same
-cross product, so they differ by the Krein term alone.
+cross product, so they differ by the Krein term alone.  The Osterwalder-Schrader
+kernel c - (|tau| + |sigma|)/2 on positive times has rank two: its products are
+c A_f^* A_g minus the singular part, from the content alone, O(n) per function.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class Grid:
 
     @cached_property
     def abs_points(self) -> np.ndarray:
-        """|points| (read-only): the weights of the w content and of the OS kernel."""
+        """|points| (read-only): the weights of the w content, in the Nelson products and the OS sector."""
         return _read_only(np.abs(self.points))
 
     @property
@@ -533,24 +535,29 @@ def _require_positive_support(grid: Grid, values: np.ndarray):
         raise SupportError("function must be supported in tau >= 0")
 
 
-def _os_kernel(grid: Grid, c: float) -> np.ndarray:
-    """The reflected kernel c - (|tau| + |sigma|)/2 on the grid: one dense n x n array, built in place."""
-    kernel = np.add.outer(grid.abs_points, grid.abs_points)
-    return np.subtract(c, np.divide(kernel, 2.0, out=kernel), out=kernel)
+def _os_content(grid: Grid, family) -> tuple[np.ndarray, np.ndarray]:
+    """The content (A, B) = (h sum f, h sum |t| f) of positive-support functions, read from their own arrays."""
+    rows = [real_or_complex(f) for f in family]
+    for f in rows:
+        if f.shape != (grid.n,):
+            raise GridMismatchError(f"expected {grid.n} values, got {f.shape}")
+        _require_positive_support(grid, f)
+    return _contents(grid, rows, np.zeros((len(rows), 2), np.result_type(float, *rows)))
 
 
-def os_inner_routes(
-    grid: Grid, f, g, c: float = 0.0
-) -> tuple[complex, complex, complex]:
-    """The reflected product by three routes: quadrature, closed form, V-sector.
+def _os_gram(left, right, c: float) -> np.ndarray:
+    """The reflected products c A_f^* A_g - (A_f^* B_g + B_f^* A_g)/2 from left and right content (A, B)."""
+    return c * np.outer(left[0].conj(), right[0]) - _singular_part(left, right)
 
-    All three agree analytically; the spread is a discretization self-check.
+
+def os_inner_routes(grid: Grid, f, g, c: float = 0.0) -> tuple[complex, complex, complex]:
+    """The reflected product by three routes: content, closed form, V-sector.
+
+    The content route pairs |t|-weighted sums, the closed form tau-weighted
+    moments; all three are equal sums on positive support, so the spread checks roundoff.
     """
     f, g = real_or_complex(f), real_or_complex(g)
-    _require_positive_support(grid, f)
-    _require_positive_support(grid, g)
-    h = grid.step
-    reflected = complex(h * h * (f.conj() @ _os_kernel(grid, c) @ g))
+    reflected = complex(_os_gram(_os_content(grid, [f]), _os_content(grid, [g]), c)[0, 0])
 
     f0, f1 = _os_moments(grid, f)
     g0, g1 = _os_moments(grid, g)
@@ -565,11 +572,8 @@ def os_inner_routes(
 
 def os_rank(grid: Grid, family: list[np.ndarray]) -> tuple[int, np.ndarray]:
     """Numerical rank of the OS Gram of positive-support functions (codim-two law); real rows stay real."""
-    rows = real_or_complex(family).reshape(len(family), grid.n)
-    for f in rows:
-        _require_positive_support(grid, f)
-    h = grid.step
-    return numerical_rank(h * h * (rows.conj() @ _os_kernel(grid, 0.0) @ rows.T))
+    content = _os_content(grid, family)
+    return numerical_rank(_os_gram(content, content, 0.0))
 
 
 # -- Markov projections --------------------------------------------------------------

@@ -427,11 +427,20 @@ def test_gram_family_limit_is_usage_error(capsys, monkeypatch, kind, spec, grid)
     assert "family size limited to 200" in err
 
 
-def test_gram_nelson_refuses_a_family_over_the_byte_budget_before_building_it(capsys, monkeypatch):
-    # meanzero:20 on -5:5:0.1 is 20 vectors x 101 points x 16 bytes
+# a kind, a family of 20 and a grid of 101 points it takes, and what that family reports
+BUDGET_RUNS = {
+    "nelson": ("meanzero:20", "-5:5:0.1", [20, 0, 0]),
+    "os": ("possupport:20", "0:10:0.1", 2),
+}
+
+
+@pytest.mark.parametrize("kind", BUDGET_RUNS)
+def test_gram_refuses_a_family_over_the_byte_budget_before_building_it(capsys, monkeypatch, kind):
+    # 20 vectors x 101 points x 16 bytes
+    spec, grid, value = BUDGET_RUNS[kind]
     monkeypatch.setattr(cli, "NELSON_FAMILY_BYTES", 20 * 101 * 16)
-    code, out, _ = run_cli(capsys, "gram", "--kind", "nelson", "--family", "meanzero:20", "--grid", "-5:5:0.1")
-    assert code == 0 and json.loads(out)["results"][0]["value"] == [20, 0, 0]
+    code, out, _ = run_cli(capsys, "gram", "--kind", kind, "--family", spec, "--grid", grid)
+    assert code == 0 and json.loads(out)["results"][0]["value"] == value
 
     def unbuilt(*args, **kwargs):
         raise AssertionError("the family was built")
@@ -439,10 +448,10 @@ def test_gram_nelson_refuses_a_family_over_the_byte_budget_before_building_it(ca
     monkeypatch.setattr(cli, "NELSON_FAMILY_BYTES", 20 * 101 * 16 - 1)
     monkeypatch.setattr(nelson, "ExtendedVector", unbuilt)
     for spec in ("meanzero:20", "bumps:+20", "possupport: 21"):
-        err = one_line_usage_error(capsys, "gram", "--kind", "nelson", "--family", spec, "--grid", "-5:5:0.1")
-        assert "bytes" in err and "x 101" in err
+        err = one_line_usage_error(capsys, "gram", "--kind", kind, "--family", spec, "--grid", grid)
+        assert f"kind={kind}" in err and "bytes" in err and "x 101" in err
     # the spec's own errors still name the spec
-    assert "not of the form" in one_line_usage_error(capsys, "gram", "--kind", "nelson", "--family", "meanzero:x", "--grid", "-5:5:0.1")
+    assert "not of the form" in one_line_usage_error(capsys, "gram", "--kind", kind, "--family", "meanzero:x", "--grid", grid)
 
 
 def test_gram_markov_refuses_rows_over_the_byte_budget_before_building_a_basis(capsys, monkeypatch):
@@ -463,17 +472,17 @@ def test_gram_markov_refuses_rows_over_the_byte_budget_before_building_a_basis(c
 PEAK_SCRIPT = """
 import os, resource, sys
 from ccrlab.cli import main
-code = main(["gram", "--kind", "nelson", "--family", sys.argv[1], "--grid", sys.argv[2], "--output", os.devnull])
+code = main(["gram", "--kind", sys.argv[1], "--family", sys.argv[2], "--grid", sys.argv[3], "--output", os.devnull])
 print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
 """
 
 
-def gram_peak_bytes(family: str, grid: str) -> int:
-    """Peak RSS, in bytes, of `gram --kind nelson` run in a fresh interpreter."""
+def gram_peak_bytes(kind: str, family: str, grid: str) -> int:
+    """Peak RSS, in bytes, of `gram --kind KIND` run in a fresh interpreter."""
     src = str(pathlib.Path(nelson.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run(
-        [sys.executable, "-c", PEAK_SCRIPT, family, grid], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", PEAK_SCRIPT, kind, family, grid], env=env, capture_output=True, text=True, timeout=120
     )
     assert child.returncode == 0, child.stderr
     code, peak = child.stdout.split()
@@ -481,18 +490,22 @@ def gram_peak_bytes(family: str, grid: str) -> int:
     return int(peak)
 
 
-def test_gram_nelson_at_the_byte_budget_holds_about_the_family():
-    # meanzero:20 on the most points the budget lets it take.  From the code, over the
+@pytest.mark.parametrize("kind", BUDGET_RUNS)
+def test_gram_at_the_byte_budget_holds_about_the_family(kind):
+    # 20 vectors on the most points the budget lets them take.  From the code, over the
     # interpreter's base (the same run on a 5-point grid) the run holds the family's
-    # real values, k n 8 bytes, at most ten n-point arrays of the grid (points, |points|,
-    # the kept gap tails and the transients of building them) and four column blocks of
-    # W: (1 + 10/k) times the family bytes plus the blocks.  The unblocked factoring
-    # held about three more copies of the family.
-    k = 20
+    # real values, k n 8 bytes, and at most ten n-point arrays of the grid: points,
+    # |points|, the transients of drawing a vector, and for nelson the kept gap tails and
+    # the transients of building them, for os one support mask, one |f| and the content's
+    # row and its |t|-weighted copy (one row is more than FACTOR_BLOCK_BYTES).  nelson
+    # adds four column blocks of W: (1 + 10/k) times the family bytes plus the blocks.
+    # The unblocked factoring held about three more copies of the family.
+    spec, k = BUDGET_RUNS[kind][0], 20
     n = cli.NELSON_FAMILY_BYTES // (k * 16)
     family_bytes = k * n * 8
-    base = gram_peak_bytes(f"meanzero:{k}", "-1:1:0.5")
-    peak = gram_peak_bytes(f"meanzero:{k}", f"{-(n // 2)}:{n - 1 - n // 2}:1")
+    start = 0 if kind == "os" else -(n // 2)
+    base = gram_peak_bytes(kind, spec, "0:2:0.5")
+    peak = gram_peak_bytes(kind, spec, f"{start}:{start + n - 1}:1")
     assert peak - base <= (1 + 10 / k) * family_bytes + 4 * nelson.FACTOR_BLOCK_BYTES
 
 
@@ -501,8 +514,8 @@ def test_gram_refuses_what_it_cannot_compute(capsys):
         warnings.simplefilter("error")
         err = one_line_usage_error(capsys, "gram", "--kind", "nelson", "--family", "bumps:2", "--grid", "0:1e300:1e299")
         assert "float range" in err
-        err = one_line_usage_error(capsys, "gram", "--kind", "os", "--family", "possupport:3", "--grid", "0:1e5:0.5")
-        assert "at most" in err
+        err = one_line_usage_error(capsys, "gram", "--kind", "os", "--family", "possupport:3", "--grid", "0:1e7:1")
+        assert "kind=os takes at most" in err and "bytes" in err
 
 
 # -- suite ----------------------------------------------------------------------------------

@@ -279,13 +279,20 @@ print(repr(mc.mc_krein_moment(taus, 1.3, cfg)))
 """
 
 
-def outputs_under_kernels(script: str) -> list[str]:
-    """Standard output of script run in a child process under the Prescott and then the Haswell kernel."""
-    # the kernel is chosen in each child's environment only: this process keeps its own
+# child environments that pick the Prescott and then the Haswell OpenBLAS kernel
+KERNELS = ({"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"})
+
+
+def outputs_under_kernels(script: str, environments=KERNELS) -> list[str]:
+    """Standard output of script run in a child process under each of environments in turn.
+
+    Each is a set of variables added to this process's environment; the child takes
+    them (a BLAS kernel or thread count, say) and this process keeps its own.
+    """
     src = str(pathlib.Path(montecarlo.__file__).resolve().parents[1])
     outputs = []
-    for coretype in ("Prescott", "Haswell"):
-        env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    for variables in environments:
+        env = dict(os.environ, **variables)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         child = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_montecarlo import outputs_under_kernels
 
 from ccrlab import nelson
 from ccrlab.cli import main
@@ -251,29 +252,91 @@ def test_os_gram_rank_two(monkeypatch):
     assert singular[2] / singular[0] < 1e-8
     # real input keeps float64 up to the SVD; its complex cast gives the same rank, and
     # singular values within the roundoff of the two routes' products: entrywise at most
-    # gamma_2n h^2 |F| |K| |F|^T each (they share the kernel K), which moves a singular
-    # value by at most its Frobenius norm (Weyl), plus each SVD's backward error
+    # gamma_2n h^2 |F| |K| |F|^T each, K = -(|tau| + |sigma|)/2 the reflected kernel,
+    # which moves a singular value by at most its Frobenius norm (Weyl), plus each SVD's
+    # backward error
     cast_rank, cast_singular = os_rank(grid, [f.astype(complex) for f in funcs])
     assert seen == [np.float64, np.complex128] and cast_rank == rank
     rows, eps = np.array(funcs), np.finfo(float).eps
-    sizes = grid.step**2 * (np.abs(rows) @ np.abs(nelson._os_kernel(grid, 0.0)) @ np.abs(rows).T)
+    abs_kernel = np.add.outer(grid.abs_points, grid.abs_points) / 2.0
+    sizes = grid.step**2 * (np.abs(rows) @ abs_kernel @ np.abs(rows).T)
     bound = 2 * (2 * grid.n * eps) * np.linalg.norm(sizes) + 2 * len(funcs) * eps * singular[0]
     assert np.all(np.abs(singular - cast_singular) <= bound)
 
 
-def test_os_sector_holds_one_dense_kernel():
-    # real input takes no complex copy of the n x n kernel, which is built in place: a
-    # complex cast plus the kernel and its temporaries would hold about 3 x 8 n^2 bytes
+def reflected_kernel(grid, c):
+    """The reflected kernel c - (|tau| + |sigma|)/2 on the grid as a dense n x n array: the OS sector's reference."""
+    return c - np.add.outer(grid.abs_points, grid.abs_points) / 2.0
+
+
+def gamma(m):
+    """Higham's gamma_m = m u / (1 - m u) at u = eps, twice the unit roundoff, so that it also
+    bounds complex products (sqrt(2) gamma_2 each) op for op."""
+    u = np.finfo(float).eps
+    return m * u / (1 - m * u)
+
+
+# -1e-10:5:0.05 starts in (-GRID_POINT_TOL, 0), a point of the support weighted by |tau|
+@pytest.mark.parametrize("spec", ["0:5:0.05", "0:5:0.01", "-1e-10:5:0.05", "-2:3:0.1", "0.5:2.5:0.02"])
+def test_os_sector_matches_the_dense_reflected_kernel(spec):
+    grid = Grid.parse(spec)
+    assert spec != "-1e-10:5:0.05" or -nelson.GRID_POINT_TOL < grid.points[0] < 0
+    h, eps = grid.step, np.finfo(float).eps
+    real = [v.values for v in family("possupport:10", grid, seed=31)]
+    phases = np.exp(2j * np.pi * np.random.default_rng(31).uniform(size=(len(real), grid.n)))
+    for funcs in (real, list(real * phases)):
+        rows = np.array(funcs)
+        for c in (0.0, 0.9):
+            dense = h * h * (rows.conj() @ reflected_kernel(grid, c) @ rows.T)
+            # summation error: the dense route takes 2n + 3 rounded ops a term, the content
+            # route n + 5 (n + 1 for a sum, its weight, h and the pairing), each term at most
+            # h^2 |f| (|c| + (|tau| + |sigma|)/2) |g| in size
+            sizes = h * h * (np.abs(rows) @ (abs(c) - reflected_kernel(grid, 0.0)) @ np.abs(rows).T)
+            bound = gamma(3 * grid.n + 8) * sizes
+            reflected = np.array([[os_inner_routes(grid, f, g, c)[0] for g in funcs] for f in funcs])
+            assert np.all(np.abs(reflected - dense) <= bound), (spec, c)
+            if c == 0.0:
+                # os_rank's Gram: its singular values move by at most the Frobenius norm of
+                # the entries' error (Weyl), plus each SVD's backward error
+                reference = np.linalg.svd(dense, compute_uv=False)
+                drift = np.linalg.norm(bound) + 2 * len(funcs) * eps * reference[0]
+                assert np.all(np.abs(os_rank(grid, funcs)[1] - reference) <= drift), spec
+
+
+def test_os_sector_holds_no_dense_kernel():
+    # each content call reads k rows: a chunk of them and its |tau|-weighted product
+    # (2 k n 8 bytes, real), one ufunc buffer of that product, the support mask (n bytes)
+    # and a few k x k Grams; a dense kernel would take 8 n^2 bytes, 32 MB here
     grid = Grid.parse("0:20:0.01")
     funcs = [v.values for v in family("possupport:10", grid, seed=5)]
-    for call in (lambda: os_rank(grid, funcs), lambda: os_inner_routes(grid, funcs[0], funcs[1])):
+    assert len(funcs) * grid.n * 8 <= nelson.FACTOR_BLOCK_BYTES  # one chunk
+    os_rank(grid, funcs)  # fill the grid's caches, which outlive the call
+    for k, call in ((len(funcs), lambda: os_rank(grid, funcs)), (1, lambda: os_inner_routes(grid, funcs[0], funcs[1], 0.9))):
         tracemalloc.start()
         try:
             call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * grid.n**2
+        assert peak < 2 * k * grid.n * 8 + 8 * np.getbufsize() + grid.n + 8 * k * k * 8
+
+
+THREADS_SCRIPT = """
+from ccrlab import nelson as ne
+grid = ne.Grid.parse("0:5:0.01")
+for seed in (1, 5, 11):
+    rank, singular = ne.os_rank(grid, [v.values for v in ne.family("possupport:10", grid, seed)])
+    print(rank, [float(s).hex() for s in singular])
+"""
+
+
+def test_os_rank_does_not_depend_on_the_blas_thread_count():
+    # the nelson workload's OS input: a dense kernel product splits its sums by thread,
+    # which moves the trailing singular values, at roundoff size, with the count
+    threads = ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})
+    outputs = outputs_under_kernels(THREADS_SCRIPT, threads)
+    assert outputs[0].count("0x") == 30
+    assert outputs[0] == outputs[1]
 
 
 def test_os_rank_empty_family_and_support():
@@ -283,6 +346,11 @@ def test_os_rank_empty_family_and_support():
     funcs = [v.values for v in family("possupport:2", GRID, seed=12)]
     with pytest.raises(SupportError):
         os_rank(GRID, funcs + [unit_bump(GRID, -2.0)])
+    # a function of another length is refused, not broadcast over the grid
+    with pytest.raises(ValueError):
+        os_rank(grid, [np.ones(1)])
+    with pytest.raises(ValueError):
+        os_inner_routes(grid, np.ones(grid.n), np.ones(1))
 
 
 # -- signature ---------------------------------------------------------------------------
