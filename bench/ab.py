@@ -37,13 +37,13 @@ bound (below); the file and the printed summary say why a gain is refused,
 naming each rule it misses.  For ``wall_s``,
 ``setup_s`` and ``peak_rss_mb`` it records, and prints, the ratio of the
 medians (working tree over base) and whether it lies within the bound that
-``BENCHMARK.json`` fixes for that metric, which the script only reads.  The
-record goes to ``BENCH_<workload>.json`` at the root of the checkout only when
-a gain may be claimed; any other run, such as a neutrality check, goes to
-``perfbench/results/ab-<workload>.json``, gitignored run output, so it never
-overwrites a committed claim.  The summary prints the path.  The script
-changes no machine setting and writes nothing but that record and perfbench's
-own gitignored results.
+``BENCHMARK.json`` fixes for that metric, which the script only reads.  Every
+record, a gain's or a neutrality check's, goes to
+``perfbench/results/ab-<workload>.json``, gitignored run output, so no run
+overwrites a committed ``BENCH_<workload>.json``; to claim a gain, copy the
+record there.  The summary prints the path.  The script changes no machine
+setting and writes nothing but that record and perfbench's own gitignored
+results.
 """
 
 from __future__ import annotations
@@ -268,13 +268,6 @@ def summarize(pairs: list[dict]) -> dict:
     }
 
 
-def destination(workload: str, gain_holds: bool) -> str:
-    """Where a run's record goes: the committed claim file only for a gain that holds."""
-    if gain_holds:
-        return os.path.join(ROOT, f"BENCH_{workload}.json")
-    return os.path.join(ROOT, "perfbench", "results", f"ab-{workload}.json")
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="ab-base-") as workdir:
@@ -313,7 +306,7 @@ def main(argv=None) -> int:
     for side, core in cores.items():
         report["sides"][side]["blas_core"] = core
     rule = report["gain_rule"]
-    out = destination(args.workload, rule["holds"])
+    out = os.path.join(ROOT, "perfbench", "results", f"ab-{args.workload}.json")
     os.makedirs(os.path.dirname(out), exist_ok=True)
     with open(out, "w") as handle:
         json.dump(report, handle, indent=2)

@@ -28,8 +28,8 @@ SCHEMA_VERSION = "ccrlab.report.v1"
 MC_MODES = ("indefinite", "krein", "weyl", "characteristic")
 # Most bytes of complex coordinate rows (rows x points x 16) `gram --kind nelson`, `--kind os`
 # and `--kind markov` take; real rows hold half that.  Peaks at the bound are in README (about
-# 1x for nelson, whose products hold column blocks of W, and os, which reads only the content
-# (A, B); 1.8x to 9x for markov's stage stacks).
+# 1x: nelson's products hold column blocks of W, os reads only the content (A, B), and markov
+# holds its projections as coefficients in its bases).
 NELSON_FAMILY_BYTES = 2**27
 # Most `mc --taus` takes: each sampling worker holds an (n + 4) x BLOCK float
 # buffer (about 130 MB at this limit).

@@ -28,6 +28,9 @@ one, and its row set keeps it.  indefinite_inner and krein_inner take the same
 cross product, so they differ by the Krein term alone.  The Osterwalder-Schrader
 kernel c - (|tau| + |sigma|)/2 on positive times has rank two: its products are
 c A_f^* A_g minus the singular part, from the content alone, O(n) per function.
+The Markov diagnostics hold a projection x as its coefficients c in its basis e:
+<x, x> = c^H G c and <kappa, x> = sum_j c_j <kappa, e_j>, so each residual and
+Krein norm comes from k x k Grams and solves, with no grid-length row.
 """
 
 from __future__ import annotations
@@ -201,23 +204,16 @@ def _products(left: _Rows, *right: _Rows) -> np.ndarray:
     columns = _block_columns(sum(map(len, sets)), np.result_type(*(rows.dtype for rows in sets)))
 
     def term(*w):  # one block of each row set; map, unlike zip, holds no block past its term
-        return w[0].conj() @ _joined([w[sets.index(rows)] for rows in right]).T
+        return w[0].conj() @ _joined([w[sets.index(rows)] for rows in right]).T  # a real block's conj is itself
 
-    products = _summed(map(term, *(rows.blocks(columns) for rows in sets)))
+    # the per-block terms added in place; a single block's term is returned as it is
+    products = reduce(operator.iadd, map(term, *(rows.blocks(columns) for rows in sets)))
     return products - _singular_part(left.content, [_joined([rows.content[i] for rows in right]) for i in (0, 1)])
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
     """The parts stacked along their first axis; a single part as it is (a real Gram stays one syrk)."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _summed(terms):
-    """The sum of per-block terms, added in place; a single block's term is returned as it is.
-
-    ndarray.conj() of a real array is the array itself, so real blocks take no copy.
-    """
-    return reduce(operator.iadd, terms)
 
 
 def _singular_part(left, right) -> np.ndarray:
@@ -440,22 +436,16 @@ def krein_inner(u: ExtendedVector, v: ExtendedVector, alpha: float) -> complex:
     return complex(_products(left, right)[0, 0]) + 2.0 * overlap_u.conjugate() * overlap_v
 
 
-def _krein_norms(rows: _Rows, alpha: float) -> np.ndarray:
-    """Krein norms sqrt([u, u]_alpha) of a row set, from one walk.
+def _coefficient_norms(gram: np.ndarray, overlaps: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Krein norms sqrt([x, x]_alpha) of x = sum_j c_j e_j, one per column c of coefficients: the one norm rule.
 
-    [u, u]_alpha = sum |W|^2 - Re(A^* B) + 2 |<kappa, u>|^2, row by row: the
-    diagonal of <u, u> plus the flipped Krein direction.  sum |W|^2 is summed
-    block by block.
+    [x, x]_alpha = Re c^H G c + 2 |<kappa, x>|^2, with G the Gram of the e_j and
+    <kappa, x> = sum_j c_j <kappa, e_j> from their overlaps, so no x is formed on
+    the grid.  A family's own norms take c = I.
     """
-    a, b = rows.content
-    overlaps = _krein_pairing(rows.content, alpha)
-    squares = _summed(_squared_moduli(w).sum(axis=1) for w in rows.blocks(_block_columns(len(rows), rows.dtype)))
-    squares = squares - (np.conj(a) * b).real + 2.0 * _squared_moduli(overlaps)
-    return np.sqrt(np.maximum(squares, 0.0))
-
-
-def _squared_moduli(values: np.ndarray) -> np.ndarray:
-    return (np.conj(values) * values).real
+    overlaps = overlaps @ coefficients
+    squares = (coefficients.conj() * (gram @ coefficients)).sum(axis=0) + 2.0 * overlaps.conj() * overlaps
+    return np.sqrt(np.maximum(squares.real, 0.0))
 
 
 def signature_of(family: list[ExtendedVector]) -> GramMatrix:
@@ -487,24 +477,20 @@ class Projector:
         self._coords = _stack(basis)
         self._member = basis[0]
         self._basis = _Rows(self._member.grid, self._coords[:, :-2], self._coords[:, -2:])
-        cond = np.linalg.cond(_products(self._basis, self._basis))
-        if not np.isfinite(cond) or cond > PROJECTION_CONDITION_LIMIT:
-            raise DegenerateGramError(f"projection Gram is degenerate (cond {cond:.3e})")
+        _nondegenerate(_products(self._basis, self._basis))
 
     def project(self, vectors: list[ExtendedVector]) -> list[ExtendedVector]:
         for u in vectors:
             self._member._check(u)
-        out = self._project_rows(np.stack([u.coords() for u in vectors]))
-        return [ExtendedVector(self._member.grid, row[:-2], row[-2], row[-1]) for row in out]
-
-    def _project_rows(self, rows: np.ndarray) -> np.ndarray:
+        rows = np.stack([u.coords() for u in vectors])
         # the basis bordered by the batch, not a stored k x k Gram: solve then sees the
         # same bits as on the unfactored route; the batch's row set and W die before it
         products = _products(
             self._basis, self._basis, _Rows(self._member.grid, rows[:, :-2], rows[:, -2:].astype(complex))
         )
         k = len(self._basis)
-        return np.linalg.solve(products[:, :k], products[:, k:]).T @ self._coords
+        out = np.linalg.solve(products[:, :k], products[:, k:]).T @ self._coords
+        return [ExtendedVector(self._member.grid, row[:-2], row[-2], row[-1]) for row in out]
 
     def __call__(self, u: ExtendedVector) -> ExtendedVector:
         return self.project([u])[0]
@@ -513,6 +499,13 @@ class Projector:
 def project_onto(basis: list[ExtendedVector], u: ExtendedVector) -> ExtendedVector:
     """Indefinite-orthogonal projection onto the span of a nondegenerate basis."""
     return Projector(basis)(u)
+
+
+def _nondegenerate(*grams: np.ndarray):
+    """Refuse projection Grams whose largest condition number is not finite or passes PROJECTION_CONDITION_LIMIT."""
+    cond = np.max([np.linalg.cond(gram) for gram in grams])
+    if not cond <= PROJECTION_CONDITION_LIMIT:
+        raise DegenerateGramError(f"projection Gram is degenerate (cond {cond:.3e})")
 
 
 # -- Osterwalder-Schrader sector ---------------------------------------------------
@@ -618,39 +611,44 @@ def markov_diagnostics(grid: Grid, n_per_side: int, alpha: float = 1.0, seed: in
 
     Builds the past/future/time-zero projections from point masses plus the
     singular pair and probes them with seeded vectors; all norms are taken in
-    the positive product at scale alpha.
+    the positive product at scale alpha.  Each projection is held as its
+    coefficients in its basis (see the module docstring).  Each side's basis
+    opens with d0 and closes with w, so E0 is the generic projection onto the
+    (d0, w) pair: the [0, k - 1] sub-block of G+ and the pair's moments.
     """
     if n_per_side < 2:
         raise MarkovSetupError("need at least two points per side")
     if not grid.is_symmetric():
         raise MarkovSetupError("Markov projections need a symmetric grid containing 0")
-    e_plus = Projector(_side_basis(grid, +1, n_per_side))
-    e_minus = Projector(_side_basis(grid, -1, n_per_side))
-    e_zero = Projector([delta_zero(grid), w_vector(grid)])
-    v_rows = e_zero._coords
+    plus, minus = (_Rows.of(_side_basis(grid, side, n_per_side)) for side in (+1, -1))
+    probes = _Rows.of(_probe_set(grid, seed))
+    k, m = len(plus), len(probes)
+    gram_minus, moments_minus = np.split(_products(minus, minus, probes), [len(minus)], axis=1)
+    gram_plus, cross, moments_plus = np.split(_products(plus, plus, minus, probes), [k, k + len(minus)], axis=1)
+    pair = [0, -1]  # d0 and w
+    gram_pair = gram_plus[np.ix_(pair, pair)]
+    _nondegenerate(*(gram.real for gram in (gram_plus, gram_minus, gram_pair)))  # real bases: a real SVD
 
-    # each projector takes all its rows at once, one batch per stage, and every
-    # norm comes from one factored diagonal
-    rows = np.stack([u.coords() for u in _probe_set(grid, seed)])
-    m = len(rows)
-    minus, plus, zero = (proj._project_rows(rows) for proj in (e_minus, e_plus, e_zero))
-    twice_plus = e_plus._project_rows(np.concatenate((minus, plus, v_rows)))
-    twice_minus = e_minus._project_rows(np.concatenate((minus, v_rows)))
-    differences = (
-        twice_plus[:m] - zero,  # E+ E- u - E0 u
-        twice_plus[m : 2 * m] - plus,  # E+ E+ u - E+ u
-        twice_minus[:m] - minus,  # E- E- u - E- u
-        twice_plus[2 * m :] - v_rows,  # E+ v - v
-        twice_minus[m:] - v_rows,  # E- v - v
+    def fixed(gram, c):  # E x - x for the x in the span of coefficients c, then for d0 and w
+        c = np.hstack((c, np.eye(len(gram))[:, pair]))
+        return np.linalg.solve(gram, gram @ c) - c
+
+    minus_u = np.linalg.solve(gram_minus, moments_minus)
+    markov = np.linalg.solve(gram_plus, cross @ minus_u)  # E+ E- u, less E0 u below
+    markov[pair] -= np.linalg.solve(gram_pair, moments_plus[pair])
+    plus_norms, minus_norms, norm_u = (
+        _coefficient_norms(gram, _krein_pairing(rows.content, alpha), columns)
+        for gram, rows, columns in (
+            (gram_plus, plus, np.hstack((markov, fixed(gram_plus, np.linalg.solve(gram_plus, moments_plus))))),
+            (gram_minus, minus, fixed(gram_minus, minus_u)),
+            (_products(probes, probes), probes, np.eye(m)),
+        )
     )
-    stacked = np.concatenate((rows,) + differences)
-    norms = _krein_norms(_Rows(grid, stacked[:, :-2], stacked[:, -2:]), alpha)
-    norm_u, markov, plus_plus, minus_minus = norms[: 4 * m].reshape(4, m)
     live = norm_u != 0.0
     return {
-        "markov_residual": _worst(markov[live] / norm_u[live]),
-        "idempotence_residual": _worst(np.maximum(plus_plus, minus_minus)[live] / norm_u[live]),
-        "v_fixed_residual": _worst(norms[4 * m :]),
+        "markov_residual": _worst(plus_norms[:m][live] / norm_u[live]),
+        "idempotence_residual": _worst(np.maximum(plus_norms[m : 2 * m], minus_norms[:m])[live] / norm_u[live]),
+        "v_fixed_residual": _worst(np.concatenate((plus_norms[2 * m :], minus_norms[m:]))),
     }
 
 

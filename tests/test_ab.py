@@ -1,6 +1,7 @@
 """bench/ab.py's summary of paired runs, on made-up pairs (no subprocess)."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -65,7 +66,6 @@ def test_gain_refused_when_change_runs_fail_gates(ab):
     assert rule["holds"] is False and rule["change_gates_hold"] is False
     assert "failed 1 of 400 operations" in rule["refused"]
     assert summary["sides"]["change"]["all_correct"] is False
-    assert pathlib.Path(ab.destination("suite", rule["holds"])).name == "ab-suite.json"
 
 
 def test_gain_refused_when_change_breaks_a_bound(ab):
@@ -79,7 +79,6 @@ def test_gain_refused_when_change_breaks_a_bound(ab):
     assert summary["bounds"]["peak_rss_mb"]["within"] is False and summary["bounds"]["wall_s"]["within"] is True
     assert rule["holds"] is False and rule["broken_bounds"] == ["peak_rss_mb"]
     assert "peak_rss_mb moved by a median ratio of 1.125" in rule["refused"]
-    assert pathlib.Path(ab.destination("suite", rule["holds"])).name == "ab-suite.json"
 
 
 def test_gain_holds_on_peak_rss_alone_and_is_named(ab):
@@ -94,17 +93,31 @@ def test_gain_holds_on_peak_rss_alone_and_is_named(ab):
     assert rule["metrics"]["setup_s"]["holds"] is False
     assert rule["metrics"]["peak_rss_mb"]["holds"] is True and rule["metrics"]["peak_rss_mb"]["wins"] == 10
     assert rule["holds"] is True and rule["gains"] == ["peak_rss_mb"] and "refused" not in rule
-    assert pathlib.Path(ab.destination("nelson", rule["holds"])).name == "BENCH_nelson.json"
 
 
-def test_only_a_holding_gain_writes_the_claim_file(ab):
-    root = pathlib.Path(ab.ROOT)
-    gain = ab.summarize(pairs(["c" * 64] * 10))["gain_rule"]["holds"]
-    neutral_rule = ab.summarize([{"base": run(1.0), "change": run(1.0), "first": "base"}] * 10)["gain_rule"]
-    neutral = neutral_rule["holds"]
-    assert "won 0 of 10 pairs" in neutral_rule["refused"] and "interquartile" in neutral_rule["refused"]
-    assert pathlib.Path(ab.destination("suite", gain)) == root / "BENCH_suite.json"
-    assert pathlib.Path(ab.destination("suite", neutral)) == root / "perfbench" / "results" / "ab-suite.json"
+@pytest.mark.parametrize("gain", [True, False])
+def test_every_run_writes_the_run_output_not_the_claim_file(ab, monkeypatch, tmp_path, capsys, gain):
+    # main on made-up runs in a scratch checkout: a gain that holds and a neutrality
+    # check both write perfbench/results/ab-suite.json and leave BENCH_suite.json alone
+    made_up = pairs(["c" * 64] * 10) if gain else [{"base": run(1.0), "change": run(1.0)} for _ in range(10)]
+    runs = {side: iter([pair[side] for pair in made_up]) for side in ("base", "change")}
+    declared = ab.declared_metrics()
+    claim = tmp_path / "BENCH_suite.json"
+    claim.write_text("committed\n")
+    monkeypatch.setattr(ab, "ROOT", str(tmp_path))
+    monkeypatch.setattr(ab, "declared_metrics", lambda: declared)
+    monkeypatch.setattr(ab, "export_revision", lambda revision, target: "0" * 40)
+    monkeypatch.setattr(ab, "blas_core", lambda root: None)
+    monkeypatch.setattr(ab, "environment_stamp", lambda seed: {})
+    monkeypatch.setattr(ab, "run_once", lambda root, workload, seed: next(runs["change" if root == ab.ROOT else "base"]))
+    assert ab.main(["--workload", "suite"]) == 0
+    out = tmp_path / "perfbench" / "results" / "ab-suite.json"
+    assert json.loads(capsys.readouterr().out)["out"] == str(out)
+    rule = json.loads(out.read_text())["gain_rule"]
+    assert rule["holds"] is gain
+    assert gain or ("won 0 of 10 pairs" in rule["refused"] and "interquartile" in rule["refused"])
+    assert claim.read_text() == "committed\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCH_suite.json", "perfbench"]
 
 
 @pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs numpy on a DYNAMIC_ARCH OpenBLAS")

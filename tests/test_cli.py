@@ -490,7 +490,7 @@ def gram_peak_bytes(kind: str, family: str, grid: str) -> int:
     return int(peak)
 
 
-@pytest.mark.parametrize("kind", BUDGET_RUNS)
+@pytest.mark.parametrize("kind", [*BUDGET_RUNS, "markov"])
 def test_gram_at_the_byte_budget_holds_about_the_family(kind):
     # 20 vectors on the most points the budget lets them take.  From the code, over the
     # interpreter's base (the same run on a 5-point grid) the run holds the family's
@@ -500,12 +500,28 @@ def test_gram_at_the_byte_budget_holds_about_the_family(kind):
     # row and its |t|-weighted copy (one row is more than FACTOR_BLOCK_BYTES).  nelson
     # adds four column blocks of W: (1 + 10/k) times the family bytes plus the blocks.
     # The unblocked factoring held about three more copies of the family.
-    spec, k = BUDGET_RUNS[kind][0], 20
-    n = cli.NELSON_FAMILY_BYTES // (k * 16)
+    #
+    # markov: probes:2 counts 2 (N + 2) + 17 = 25 rows; on the most points they may take
+    # (odd, for a grid symmetric about 0; step 0.01 keeps the bases' Grams well
+    # conditioned) the run holds its k = 2 (N + 2) + 15 vectors' real values (the two
+    # bases and the probes; the time-zero pair is read from the bases), the same ten
+    # n-point arrays as nelson (the gap tails and their transients, or the content's
+    # complex row and its |t|-weighted copy) and four column blocks of W.  Its
+    # projections are coefficients in the bases, not grid-length rows; with the stage
+    # stacks they replace, the run peaked near nine times the bound.
+    if kind == "markov":
+        spec, k, rows = "probes:2", 2 * (2 + 2) + 15, 2 * (2 + 2) + 17
+        n = cli.NELSON_FAMILY_BYTES // (rows * 16)
+        half = (n - 1) // 2 / 100
+        base_grid, grid = "-1:1:0.5", f"{-half:.2f}:{half:.2f}:0.01"
+    else:
+        spec, k = BUDGET_RUNS[kind][0], 20
+        n = cli.NELSON_FAMILY_BYTES // (k * 16)
+        start = 0 if kind == "os" else -(n // 2)
+        base_grid, grid = "0:2:0.5", f"{start}:{start + n - 1}:1"
     family_bytes = k * n * 8
-    start = 0 if kind == "os" else -(n // 2)
-    base = gram_peak_bytes(kind, spec, "0:2:0.5")
-    peak = gram_peak_bytes(kind, spec, f"{start}:{start + n - 1}:1")
+    base = gram_peak_bytes(kind, spec, base_grid)
+    peak = gram_peak_bytes(kind, spec, grid)
     assert peak - base <= (1 + 10 / k) * family_bytes + 4 * nelson.FACTOR_BLOCK_BYTES
 
 

@@ -17,9 +17,17 @@ def _halve_the_singular_part(monkeypatch):
     monkeypatch.setattr(nelson, "_singular_part", lambda left, right: singular_part(left, right) / 2.0)
 
 
+def _drop_w_from_the_markov_bases(monkeypatch):
+    # the past and future bases without the ergodic-velocity element: E0 is then read at
+    # the index pair of d0 and the last point mass, and E+ E- = E0 fails (criterion 12)
+    side_basis = nelson._side_basis
+    monkeypatch.setattr(nelson, "_side_basis", lambda grid, side, n_per_side: side_basis(grid, side, n_per_side)[:-1])
+
+
 # name -> (injection, the criteria that must each fail under it)
 FAULTS = {
     "nelson singular part halved": (_halve_the_singular_part, (10, 11)),
+    "Markov bases without w": (_drop_w_from_the_markov_bases, (12,)),
 }
 
 

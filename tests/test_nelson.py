@@ -61,6 +61,13 @@ def product(grid, left, right):
     return nelson._products(row_set(grid, left), row_set(grid, right))
 
 
+def krein_norms(grid, rows, alpha):
+    """Krein norms of a stack of coordinate rows by the one norm rule: coefficients I on their own Gram."""
+    rows = row_set(grid, rows)
+    gram, overlaps = nelson._products(rows, rows), nelson._krein_pairing(rows.content, alpha)
+    return nelson._coefficient_norms(gram, overlaps, np.eye(len(rows)))
+
+
 def factors(grid, rows):
     """(W, A, B) of a stack of coordinate rows: W whole, the one block a product sees when it fits one."""
     rows = row_set(grid, rows)
@@ -327,15 +334,20 @@ grid = ne.Grid.parse("0:5:0.01")
 for seed in (1, 5, 11):
     rank, singular = ne.os_rank(grid, [v.values for v in ne.family("possupport:10", grid, seed)])
     print(rank, [float(s).hex() for s in singular])
+for spec, per_side in (("-5:5:0.1", 40), ("-5:5:0.05", 50)):
+    for seed in (1, 5, 11):
+        residuals = ne.markov_diagnostics(ne.Grid.parse(spec), per_side, seed=seed)
+        print(spec, [value.hex() for value in residuals.values()])
 """
 
 
 def test_os_rank_does_not_depend_on_the_blas_thread_count():
     # the nelson workload's OS input: a dense kernel product splits its sums by thread,
-    # which moves the trailing singular values, at roundoff size, with the count
+    # which moves the trailing singular values, at roundoff size, with the count; and
+    # its Markov grids (101 and 201 points), whose products and solves must not either
     threads = ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})
     outputs = outputs_under_kernels(THREADS_SCRIPT, threads)
-    assert outputs[0].count("0x") == 30
+    assert outputs[0].count("0x") == 30 + 2 * 3 * 3
     assert outputs[0] == outputs[1]
 
 
@@ -644,8 +656,8 @@ def test_cached_points_are_read_only_and_outside_eq_and_hash():
 
 
 def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
-    # one factoring per basis, per projection batch and for all the norms together:
-    # a norm taken one vector at a time would add one per vector
+    # one walk per row set (the two bases and the probes), each read from the vectors'
+    # own arrays: no stage is stacked, and a projection held as coefficients needs no walk
     counts = {"brownian_gaps": 0, "_stack": 0, "_tail_blocks": 0}
 
     def counted(name):
@@ -660,7 +672,7 @@ def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
     for name in counts:
         monkeypatch.setattr(nelson, name, counted(name))
     markov_diagnostics(Grid.parse("-5:5:0.2"), 25)
-    assert counts == {"brownian_gaps": 1, "_stack": 3, "_tail_blocks": 9}
+    assert counts == {"brownian_gaps": 1, "_stack": 0, "_tail_blocks": 3}
 
 
 def bits(values):
@@ -810,7 +822,7 @@ def test_krein_norms_match_the_exact_oracle(spec, alpha):
     for vectors in (real, real + complex_ab):
         rows = nelson._stack(vectors)
         assert rows.dtype == (float if vectors is real else complex)
-        norms, scales = nelson._krein_norms(row_set(grid, rows), alpha), krein_scale(grid, rows, alpha)
+        norms, scales = krein_norms(grid, rows, alpha), krein_scale(grid, rows, alpha)
         for u, row, norm, scale in zip(vectors, rows, norms, scales):
             exact = float(exact_krein_square(grid, row, alpha))
             assert abs(norm**2 - exact) <= 1e-13 * scale, (spec, alpha, row)
@@ -838,8 +850,8 @@ def test_real_rows_agree_with_their_complex_cast():
         assert real_product.dtype == float and cast_product.dtype == complex
         sizes = np.abs(rows)
         assert np.abs(real_product - cast_product).max() <= 1e-13 * (sizes @ np.abs(metric_matrix(grid)) @ sizes.T).max()
-        real_norms = nelson._krein_norms(row_set(grid, rows), alpha)
-        cast_norms = nelson._krein_norms(row_set(grid, cast), alpha)
+        real_norms = krein_norms(grid, rows, alpha)
+        cast_norms = krein_norms(grid, cast, alpha)
         assert np.all(np.abs(real_norms**2 - cast_norms**2) <= 1e-13 * krein_scale(grid, rows, alpha))
 
     check()
@@ -1055,7 +1067,7 @@ def test_column_blocks_keep_the_dense_metric_bounds(monkeypatch):
                 kappa = krein_direction(grid, alpha).coords()
                 krein = dense + 2.0 * np.outer(coords.conj() @ metric @ kappa, kappa @ metric @ coords.T)
                 scales = (sized_metric * sizes).sum(axis=1) + 2.0 * (sized_metric @ np.abs(kappa)) ** 2
-                norms = nelson._krein_norms(row_set(grid, coords), alpha)
+                norms = krein_norms(grid, coords, alpha)
                 assert np.all(np.abs(norms**2 - krein.diagonal().real) <= 1e-13 * scales), spec
                 value = krein_inner(vectors[0], vectors[-1], alpha)
                 assert abs(value - krein[0, -1]) <= 1e-13 * np.abs(krein).max(), spec
