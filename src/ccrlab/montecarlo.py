@@ -16,20 +16,21 @@ whose kernel carries a rank-one positive correction (the Krein variant).
 Sampling is deterministic: sample i is produced by the SFC64 stream seeded
 by ``SeedSequence(seed, spawn_key=(i // BLOCK,))`` (numpy's "Parallel Random
 Number Generation" guide), so the estimate depends only on the seed and
-sample count.  A block draws only the prefix of its substream that it
-reads.  Blocks run on up to one worker per CPU (the calling thread and a
-pool thread for each other CPU, within a scratch memory budget).  The calling
+sample count.  A block draws, row after row, z1 and z2 and then one row per
+Brownian gap, each as wide as its sample count.  Blocks run on up to one
+worker per CPU (the calling thread and a pool thread for each other CPU),
+each with a scratch buffer of six rows whatever the taus.  The calling
 thread makes every substream, in block order, and allocates every scratch
 buffer; it hands blocks to the pool up to two unfinished blocks per thread
 ahead and works blocks itself while the pool is that far ahead.  It merges
 the blocks' (count, mean, M2) statistics in block order, so the estimate does
 not depend on the number of CPUs or workers, and a failing block stops the
 hand-out and raises its exception (the lowest failing block's, as in a serial
-loop) in the caller.  A block forms its paths in place, as running sums down
-each side of 0, and calls the integrand once; no step of sampling calls BLAS,
-so the bits do not depend on the BLAS kernel.  The chunk size of
-:class:`McConfig` sets the segments whose statistics are merged; regrouping
-changes results at roundoff level.
+loop) in the caller.  A block streams its paths to one integrand call, as a
+running sum down each side of 0 kept in one row, in gap order; no step of
+sampling calls BLAS, so the bits do not depend on the BLAS kernel.  The
+chunk size of :class:`McConfig` sets the segments whose statistics are
+merged; regrouping changes results at roundoff level.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ from .weyl import to_label_fraction
 
 BLOCK = 16384
 PAIR_MOMENT_LIMIT = 20  # n distinct taus give the pair-partition engine 2^n states
-# Budget for the workers' scratch buffers of one estimate; it caps the worker count for wide rows.
-SCRATCH_LIMIT_BYTES = 2**29
 
 
 @dataclass(frozen=True)
@@ -196,17 +195,16 @@ def _run_blocks(blocks: int, seed: int, work, size: int):
 
     work runs on up to one worker per CPU: the calling thread and a pool of
     threads for the others, each worker with its own scratch buffer of
-    ``size`` floats, with no more workers than blocks or than buffers that fit
-    in SCRATCH_LIMIT_BYTES.  The calling thread allocates every buffer and
-    makes every substream, in block order.  It hands each block to the pool
-    while the pool holds fewer than two unfinished blocks per thread, and
-    works it itself otherwise; it yields the results in block order as they
-    come.  The threads run under the caller's numpy error state.  An exception
+    ``size`` floats, with no more workers than blocks.  The calling thread
+    allocates every buffer and makes every substream, in block order.  It
+    hands each block to the pool while the pool holds fewer than two
+    unfinished blocks per thread, and works it itself otherwise; it yields the
+    results in block order as they come.  The threads run under the caller's numpy error state.  An exception
     raised by work stops the hand-out and is raised here once every thread
     has finished; when several blocks fail, the lowest one's, as in a serial
     loop.
     """
-    workers = min(_cpu_count(), blocks, max(1, SCRATCH_LIMIT_BYTES // (8 * size)))
+    workers = min(_cpu_count(), blocks)
     own, *buffers = (np.empty(size) for _ in range(workers))
     if not buffers:
         for block in range(blocks):
@@ -251,47 +249,61 @@ def _run_blocks(blocks: int, seed: int, work, size: int):
 def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEstimate, McEstimate]:
     """Real and imaginary estimates of E[integrand(paths, z1, z2)].
 
-    Block b holds samples [b BLOCK, (b + 1) BLOCK) and reads the (rows, BLOCK)
-    normals of substream (seed, b) in row-major order: one path row per gap of
-    brownian_gaps, then z1 and z2, halved in place.  It draws only the prefix it
-    reads, (rows - 1) BLOCK + take normals, and with ``uses_z=False`` it drops
-    the z rows and calls integrand(paths).  Each side's path rows become, in
-    place and in gap order, the running sum row[i] = row[i-1] + gap_i normal_i
-    (no BLAS); ``paths[k]`` is the row of tau_k's last gap, or a zero row for
-    tau_k = 0.  The integrand runs once per block, returns one real or complex
-    value per sample and must leave its arguments, views of the worker's
-    buffer, unchanged.
+    Block b holds samples [b BLOCK, (b + 1) BLOCK) and draws from substream
+    (seed, b), row after row, ``take`` normals a row (its sample count): z1 and
+    z2, halved in place, then one row per gap of brownian_gaps, the positive
+    side and then the negative side, each in gap order.  With ``uses_z=False``
+    it draws no z rows and calls integrand(paths).  ``paths`` is an iterator
+    of (k, path of tau_k) pairs in gap order: the taus at 0 first, with a zero
+    row, then at each gap the taus whose last gap it is.  A side's path is the
+    running sum walk + gap_i normal_i (no BLAS), kept in one row that the
+    next pair overwrites: the integrand uses each row before it asks for the
+    next, and leaves its arguments unchanged.  It runs once per block and
+    returns one real or complex value per sample; a real one's imaginary
+    estimate is an exact 0.
 
     Blocks run on up to one worker per CPU (_run_blocks), each with a buffer
-    for the normals and two rows of values (real and imaginary).  A block
-    reduces each segment of its values that ends where the global sample index
-    reaches a multiple of cfg.chunk to (count, mean, M2), in place, and the
-    calling thread merges them in block order (_merge): the estimate does not
-    depend on the number of workers, and a large mean hides no small spread.
+    of six rows whatever the taus: z1, z2, the drawn row, the walk and two rows
+    of values (real and imaginary).  A block reduces each segment of its values
+    that ends where the global sample index reaches a multiple of cfg.chunk to
+    (count, mean, M2), in place, and the calling thread merges them in block
+    order (_merge): the estimate does not depend on the number of workers, and
+    a large mean hides no small spread.
     """
-    gaps, chained, path_rows = [], [], np.full(len(taus), -1)
+    steps, on_a_side = [], np.zeros(len(taus), dtype=bool)
     for sq, last in brownian_gaps(taus):
-        path_rows = np.where(last >= 0, len(gaps) + last, path_rows)
-        chained += range(len(gaps) + 1, len(gaps) + sq.size)  # rows that continue a side's sum
-        gaps += list(sq)
-    n_bm = len(gaps)
-    gaps = np.array(gaps)[:, None]
-    rows = n_bm + 2 if uses_z else n_bm
-    zero = np.zeros(BLOCK)
+        on_a_side |= last >= 0
+        # (gap root, whether it starts its side, the taus whose last gap it is)
+        steps += [(root, i == 0, np.flatnonzero(last == i).tolist()) for i, root in enumerate(sq.tolist())]
+    at_zero = np.flatnonzero(~on_a_side).tolist()
 
     def block_segments(block, generator, buffer):
         start = block * BLOCK
         take = min(BLOCK, cfg.samples - start)
-        generator.standard_normal(out=buffer[: (rows - 1) * BLOCK + take if rows else 0])
-        normals = buffer[: rows * BLOCK].reshape(rows, BLOCK)[:, :take]
-        stats = buffer[rows * BLOCK :].reshape(2, BLOCK)[:, :take]
-        walks, z = normals[:n_bm], normals[n_bm:]
-        np.multiply(walks, gaps, out=walks)
-        for i in chained:
-            np.add(walks[i - 1], walks[i], out=walks[i])
-        np.multiply(0.5, z, out=z)
-        values = integrand([walks[row] if row >= 0 else zero[:take] for row in path_rows], *z)
-        stats[0], stats[1] = values.real, values.imag
+        rows = buffer.reshape(6, BLOCK)[:, :take]
+        drawn, walk, stats = rows[2], rows[3], rows[4:]
+        z = generator.standard_normal(out=buffer[: 2 * take if uses_z else 0])  # z1 then z2, in rows 0 and 1
+        z = np.multiply(0.5, z, out=z).reshape(-1, take)
+
+        def paths():
+            if at_zero:
+                walk.fill(0.0)
+            for k in at_zero:
+                yield k, walk
+            for root, starts_side, ends in steps:
+                generator.standard_normal(out=drawn)
+                if starts_side:
+                    np.multiply(root, drawn, out=walk)
+                else:
+                    np.add(walk, np.multiply(root, drawn, out=drawn), out=walk)
+                for k in ends:
+                    yield k, walk
+
+        values = integrand(paths(), *z)
+        parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+        stats = stats[: len(parts)]
+        for row, part in zip(stats, parts):
+            row[:] = part
         segments = []
         i = 0
         while i < take:
@@ -300,12 +312,14 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
             mean = segment.sum(axis=1) / (end - i)
             np.subtract(segment, mean[:, None], out=segment)
             m2 = np.square(segment, out=segment).sum(axis=1)
-            segments.append([(end - i, float(mean[row]), float(m2[row])) for row in range(2)])
+            # a real integrand's imaginary part is an exact zero: (count, 0.0, 0.0)
+            segments.append([(end - i, float(mean[row]), float(m2[row])) for row in range(len(parts))])
+            segments[-1] += [(end - i, 0.0, 0.0)] * (2 - len(parts))
             i = end
         return segments
 
     totals = [(0, 0.0, 0.0)] * 2
-    for segments in _run_blocks(-(-cfg.samples // BLOCK), cfg.seed, block_segments, (rows + 2) * BLOCK):
+    for segments in _run_blocks(-(-cfg.samples // BLOCK), cfg.seed, block_segments, 6 * BLOCK):
         for segment in segments:
             totals = [_merge(total, part) for total, part in zip(totals, segment)]
 
@@ -318,16 +332,17 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
 # -- estimators ----------------------------------------------------------------------
 
 
-def _weighted_sum(weights, paths, size):
-    """sum_k weights[k] paths[k] as a new row of size values, added in tau order (a dot product, no BLAS)."""
-    total, term = np.zeros(size), np.empty(size)
-    for weight, path in zip(weights, paths):
-        total += np.multiply(weight, path, out=term)
-    return total
+def _weighted_sum(weights, paths):
+    """sum_k weights[k] path_k over the (k, path_k) pairs as a new row, added in their order (no BLAS); 0.0 for none."""
+    total = term = None
+    for k, path in paths:
+        term = np.multiply(weights[k], path, out=term)
+        total = term.copy() if total is None else np.add(total, term, out=total)
+    return 0.0 if total is None else total
 
 
 def _product_integrand(taus, dtype, offsets):
-    """integrand(paths, z1, z2) = prod_k ((paths[k] + x) - |tau_k| v), op for op (so bit for bit).
+    """integrand(paths, z1, z2) = prod_k ((path_k + x) - |tau_k| v) over the (k, path_k) pairs, in their order.
 
     offsets(z1, z2, x, v) writes the sample variables x and v in place; the
     product runs in place on per-call work arrays of the given dtype.
@@ -338,9 +353,9 @@ def _product_integrand(taus, dtype, offsets):
         x, v, term, scaled, prod = np.empty((5, z1.size), dtype=dtype)
         offsets(z1, z2, x, v)
         prod.fill(1)
-        for k, abs_tau in enumerate(abs_taus):
-            np.add(paths[k], x, out=term)
-            prod *= np.subtract(term, np.multiply(abs_tau, v, out=scaled), out=term)
+        for k, path in paths:
+            np.add(path, x, out=term)
+            prod *= np.subtract(term, np.multiply(abs_taus[k], v, out=scaled), out=term)
         return prod
 
     return integrand
@@ -375,7 +390,7 @@ def mc_characteristic(taus, weights, cfg: McConfig) -> McEstimate:
 
     def integrand(paths, z1, z2):
         # i(x(f)) with x(f) = xi(f) + a z - b zbar
-        return np.exp(1j * (_weighted_sum(w, paths, z1.size) + (a - b) * z1) - (a + b) * z2)
+        return np.exp(1j * (_weighted_sum(w, paths) + (a - b) * z1) - (a + b) * z2)
 
     real, imag = _estimate(taus, cfg, integrand)
     return McEstimate(
@@ -397,13 +412,13 @@ def mc_weyl_schwinger(alphas, taus, cfg: McConfig) -> McEstimate:
     fractions = [to_label_fraction(a) for a in alphas]
     if sum(fractions) != 0:
         return McEstimate(mean=0.0, stderr=0.0, samples=0)
-    # no labels: sample the label 0 at tau 0, so that paths[0] sizes the phase (exp(0) = 1 either way)
+    # no labels: sample the label 0 at tau 0, so that the phase is a row (cos 0 = 1 either way)
     coeffs = np.array([float(a) for a in fractions] or [0.0])
     taus = taus if len(taus) else [0.0]
 
-    def integrand(paths):
-        phase = 1j * _weighted_sum(coeffs, paths, paths[0].size)
-        return np.exp(phase, out=phase)
+    def integrand(paths):  # the real part of exp(i theta)
+        theta = _weighted_sum(coeffs, paths)
+        return np.cos(theta, out=theta)
 
     real, _imag = _estimate(taus, cfg, integrand, uses_z=False)
     return real

@@ -472,17 +472,17 @@ def test_gram_markov_refuses_rows_over_the_byte_budget_before_building_a_basis(c
 PEAK_SCRIPT = """
 import os, resource, sys
 from ccrlab.cli import main
-code = main(["gram", "--kind", sys.argv[1], "--family", sys.argv[2], "--grid", sys.argv[3], "--output", os.devnull])
+code = main(sys.argv[1:] + ["--output", os.devnull])
 print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
 """
 
 
-def gram_peak_bytes(kind: str, family: str, grid: str) -> int:
-    """Peak RSS, in bytes, of `gram --kind KIND` run in a fresh interpreter."""
+def peak_bytes(*argv: str) -> int:
+    """Peak RSS, in bytes, of `ccrlab ARGV` run in a fresh interpreter."""
     src = str(pathlib.Path(nelson.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run(
-        [sys.executable, "-c", PEAK_SCRIPT, kind, family, grid], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", PEAK_SCRIPT, *argv], env=env, capture_output=True, text=True, timeout=120
     )
     assert child.returncode == 0, child.stderr
     code, peak = child.stdout.split()
@@ -520,9 +520,33 @@ def test_gram_at_the_byte_budget_holds_about_the_family(kind):
         start = 0 if kind == "os" else -(n // 2)
         base_grid, grid = "0:2:0.5", f"{start}:{start + n - 1}:1"
     family_bytes = k * n * 8
-    base = gram_peak_bytes(kind, spec, base_grid)
-    peak = gram_peak_bytes(kind, spec, grid)
+    base = peak_bytes("gram", "--kind", kind, "--family", spec, "--grid", base_grid)
+    peak = peak_bytes("gram", "--kind", kind, "--family", spec, "--grid", grid)
     assert peak - base <= (1 + 10 / k) * family_bytes + 4 * nelson.FACTOR_BLOCK_BYTES
+
+
+def mc_peak_bytes(mode: str, count: int) -> int:
+    """Peak RSS, in bytes, of `mc --mode MODE` at count taus on [-2, 2], over two sample blocks."""
+    taus = [-2 + 4 * i / (count - 1) for i in range(count)]
+    if mode == "weyl":  # neutral labels: the target is a finite Schwinger value
+        extra = ["--alphas", ",".join(repr(0.5 * (-1) ** k) for k in range(count))]
+    else:  # a smooth f at quadrature step 4/(count - 1): the target is a moderate exp(-<f,f>/2)
+        extra = ["--weights", ",".join(repr(0.3 * math.cos(t)) for t in taus), "--step", repr(4 / (count - 1))]
+    taus_text = ",".join(map(repr, taus))
+    return peak_bytes("mc", "--mode", mode, "--taus", taus_text, "--samples", str(2 * cli.mc.BLOCK), *extra)
+
+
+@pytest.mark.parametrize("mode", ["weyl", "characteristic"])
+def test_mc_at_the_taus_limit_holds_no_row_per_tau(mode):
+    # From the code, a tau adds to the run only scalars: its text in the arguments and
+    # the report, its parsed floats and label fraction, its gap step and index lists,
+    # some dozens of Python objects under 2 KiB together (one BLOCK-wide row is 128 KiB).
+    # characteristic_target also holds two dense n x n float arrays at once.  Each
+    # sampler worker keeps six rows whatever the taus; with a row per Brownian gap in
+    # each worker these 1000-tau runs peaked near 165 MB (290 MB at 200000 samples).
+    count = cli.MC_TAUS_LIMIT
+    allowance = count * 2048 + (2 * 8 * count**2 if mode == "characteristic" else 0)
+    assert mc_peak_bytes(mode, count) <= mc_peak_bytes(mode, 2) + allowance
 
 
 def test_gram_refuses_what_it_cannot_compute(capsys):

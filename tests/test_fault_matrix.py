@@ -7,7 +7,7 @@ default seed.
 
 import pytest
 
-from ccrlab import acceptance, nelson
+from ccrlab import acceptance, montecarlo, nelson
 
 
 def _halve_the_singular_part(monkeypatch):
@@ -24,10 +24,30 @@ def _drop_w_from_the_markov_bases(monkeypatch):
     monkeypatch.setattr(nelson, "_side_basis", lambda grid, side, n_per_side: side_basis(grid, side, n_per_side)[:-1])
 
 
+def _stretch_the_brownian_gaps(monkeypatch):
+    # every gap root 2% long: the path variance 4% high, so the sampled Weyl value (criterion 6),
+    # the indefinite moments (7) and the Krein diagonal at tau 1 (14) drift from their targets
+    brownian_gaps = montecarlo.brownian_gaps
+    monkeypatch.setattr(montecarlo, "brownian_gaps", lambda taus: ((1.02 * sq, last) for sq, last in brownian_gaps(taus)))
+
+
+def _stretch_z(monkeypatch):
+    # z1 and z2 2% long inside the sampler: the singular part of the indefinite kernel (criterion 7)
+    # and the Krein rank-one correction (14) drift; the Weyl sampler draws no z
+    estimate = montecarlo._estimate
+
+    def stretched(taus, cfg, integrand, *args, **kwargs):
+        return estimate(taus, cfg, lambda paths, *z: integrand(paths, *(1.02 * row for row in z)), *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_estimate", stretched)
+
+
 # name -> (injection, the criteria that must each fail under it)
 FAULTS = {
     "nelson singular part halved": (_halve_the_singular_part, (10, 11)),
     "Markov bases without w": (_drop_w_from_the_markov_bases, (12,)),
+    "Brownian gaps 2% long": (_stretch_the_brownian_gaps, (6, 7, 14)),
+    "z 2% long": (_stretch_z, (7, 14)),
 }
 
 

@@ -24,7 +24,7 @@ INPUTS = {
     "substream_seed": 987654321,
     "blocks": [0, 1],
     "normals": 8,
-    # a full block and a partial one: the partial block draws a prefix of its stream
+    # a full block and a partial one: the partial block draws rows as wide as its samples
     "mc_moment": {"taus": [1, -1], "samples": BLOCK + 123, "seed": 60},
 }
 

@@ -350,11 +350,12 @@ def test_sample_count_not_multiple_of_block(monkeypatch):
     assert est.samples == BLOCK + 123
     short = np.concatenate(values)
     values.clear()
-    # leading samples agree with a longer run, bit for bit (values depend only on the index)
+    # the full block agrees with a longer run, bit for bit (its values depend only on the index);
+    # the partial block draws rows as wide as its samples (the serial-loop tests check it)
     longer = mc_moment([1, -1], McConfig(samples=2 * BLOCK, seed=60))
     assert longer.samples == 2 * BLOCK
     assert short.size == BLOCK + 123
-    assert np.concatenate(values)[: BLOCK + 123].tobytes() == short.tobytes()
+    assert np.concatenate(values)[:BLOCK].tobytes() == short[:BLOCK].tobytes()
 
 
 def test_substreams_differ_between_blocks():
@@ -369,25 +370,23 @@ def test_substreams_differ_between_blocks():
 
 
 def _serial_estimate(taus, cfg, integrand, uses_z=True):
-    """The sampler as a serial loop: each block draws its whole (n_bm + 2, BLOCK)
-    normals, and each side of 0 gives its paths as the cumulative sum of its
-    gap-scaled rows (uses_z only drops z1, z2 from the integrand's arguments);
-    the segments' (count, mean, M2) are merged in order by Chan, Golub and
-    LeVeque's update."""
+    """The sampler as a serial loop: each block draws its z1 and z2 rows (none
+    without uses_z), then one (gaps, take) array of normals per side of 0, whose
+    paths are the cumulative sum of its gap-scaled rows; the integrand gets the
+    (k, path) pairs in gap order, the taus at 0 first with a zero row; the
+    segments' (count, mean, M2) are merged in order by Chan, Golub and LeVeque's
+    update."""
     sides = list(montecarlo.brownian_gaps(taus))
-    n_bm = sum(sq.size for sq, _last in sides)
     n, mean, m2 = 0, [0.0, 0.0], [0.0, 0.0]
     for start in range(0, cfg.samples, BLOCK):
         take = min(BLOCK, cfg.samples - start)
-        normals = substream(cfg.seed, start // BLOCK).standard_normal((n_bm + 2, BLOCK))[:, :take]
-        z = (0.5 * normals[n_bm], 0.5 * normals[n_bm + 1]) if uses_z else ()
-        paths = np.zeros((len(taus), take))
-        first = 0
+        generator = substream(cfg.seed, start // BLOCK)
+        z = tuple(0.5 * generator.standard_normal(take) for _ in range(2 if uses_z else 0))
+        pairs = [(k, np.zeros(take)) for k, tau in enumerate(taus) if tau == 0]
         for sq, last in sides:
-            walk = np.cumsum(sq[:, None] * normals[first : first + sq.size], axis=0)
-            paths[last >= 0] = walk[last[last >= 0]]
-            first += sq.size
-        values = integrand(paths, *z)
+            walk = np.cumsum(sq[:, None] * generator.standard_normal((sq.size, take)), axis=0)
+            pairs += [(k, walk[gap]) for gap in range(sq.size) for k in np.flatnonzero(last == gap)]
+        values = integrand(iter(pairs), *z)
         rows = np.stack([values.real, values.imag])
         i = 0
         while i < take:
@@ -478,8 +477,9 @@ def test_integrand_runs_once_per_block(monkeypatch, taus):
 
     def counting(integrand):
         def counted(*args):
-            calls.append(len(args[0][0]))
-            return integrand(*args)
+            values = integrand(*args)
+            calls.append(values.size)
+            return values
 
         return counted
 
@@ -493,12 +493,18 @@ def test_integrand_runs_once_per_block(monkeypatch, taus):
 
 
 def test_integrands_leave_their_arguments_unchanged(monkeypatch):
+    def checked_paths(paths):
+        for k, path in paths:
+            copy = path.copy()
+            yield k, path
+            assert np.array_equal(path, copy)  # asked for the next pair: done with this one
+
     def checking(integrand):
-        def checked(*args):
-            before = [np.array(arg) for arg in args]  # paths is a list of views: copy the rows
-            values = integrand(*args)
-            for arg, copy in zip(args, before):
-                assert np.array_equal(arg, copy)
+        def checked(paths, *z):
+            before = [row.copy() for row in z]
+            values = integrand(checked_paths(paths), *z)
+            for row, copy in zip(z, before):
+                assert np.array_equal(row, copy)
             return values
 
         return checked
@@ -511,62 +517,70 @@ def test_integrands_leave_their_arguments_unchanged(monkeypatch):
 
 
 def test_blocks_draw_only_the_prefix_they_read(monkeypatch):
+    # every row is as wide as the block's sample count: a partial block draws rows x take normals
     drawn = {}
 
     class Recorder:
         def __init__(self, seed, block):
             self.generator, self.block = substream(seed, block), block
+            drawn[block] = 0
 
         def standard_normal(self, out):
-            drawn[self.block] = out.size
+            drawn[self.block] += out.size
             return self.generator.standard_normal(out=out)
 
     monkeypatch.setattr(montecarlo, "substream", Recorder)
     cfg = McConfig(samples=BLOCK + 3, seed=66)
     cases = [
-        (lambda: mc_moment([1.0], cfg), [3 * BLOCK, 2 * BLOCK + 3]),  # a path row, then z1, z2
-        (lambda: mc_weyl_schwinger([1, -1], [1.0, -1.0], cfg), [2 * BLOCK, BLOCK + 3]),  # no z rows
-        (lambda: mc_weyl_schwinger([1, -1], [0.0, 0.0], cfg), [0, 0]),  # no rows at all
+        (lambda: mc_moment([1.0], cfg), 3),  # z1, z2, then a path row
+        (lambda: mc_weyl_schwinger([1, -1], [1.0, -1.0], cfg), 2),  # no z rows
+        (lambda: mc_weyl_schwinger([1, -1], [0.0, 0.0], cfg), 0),  # no rows at all
     ]
-    for run, expected in cases:
+    for run, rows in cases:
         drawn.clear()
         run()
-        assert [drawn[block] for block in range(2)] == expected
+        assert drawn == {0: rows * BLOCK, 1: rows * 3}
+
+
+def _product_plus_z1(paths, z1, z2):
+    """prod_k path_k + z1, each path used before the next is asked for."""
+    product = np.ones(z1.size)
+    for _k, path in paths:
+        product *= path
+    return product + z1
 
 
 def test_many_workers_with_rapid_switching(monkeypatch):
     # more workers than CPUs, switching every microsecond: a lost block would change the bits
     cfg = McConfig(samples=12 * BLOCK, seed=63, chunk=3 * BLOCK)
-    expected = repr(_serial_estimate([0.5, -1.0], cfg, lambda paths, z1, z2: paths[0] * paths[1] + z1))
+    expected = repr(_serial_estimate([0.5, -1.0], cfg, _product_plus_z1))
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = repr(montecarlo._estimate([0.5, -1.0], cfg, lambda paths, z1, z2: paths[0] * paths[1] + z1))
+        got = repr(montecarlo._estimate([0.5, -1.0], cfg, _product_plus_z1))
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
     assert threading.active_count() == before
 
 
-def test_scratch_budget_caps_the_workers(monkeypatch):
-    taus = [0.5, -1.0]
-    n_bm = sum(sq.size for sq, _last in montecarlo.brownian_gaps(taus))
-    buffer_bytes = 8 * (n_bm + 2 + 2) * BLOCK  # normals with z rows, and two value rows
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
-    monkeypatch.setattr(montecarlo, "SCRATCH_LIMIT_BYTES", 3 * buffer_bytes)
-    cfg = McConfig(samples=12 * BLOCK, seed=67, chunk=3 * BLOCK)
-    workers = set()
+def test_worker_buffer_does_not_depend_on_the_taus(monkeypatch):
+    sizes = []
+    run_blocks = montecarlo._run_blocks
 
-    def integrand(paths, z1, z2):
-        workers.add(threading.get_ident())
-        return paths[0] * paths[1] + z1
+    def recording(blocks, seed, work, size):
+        sizes.append(size)
+        return run_blocks(blocks, seed, work, size)
 
-    expected = repr(_serial_estimate(taus, cfg, integrand))
-    workers.clear()
-    assert repr(montecarlo._estimate(taus, cfg, integrand)) == expected
-    assert 1 <= len(workers) <= 3
+    monkeypatch.setattr(montecarlo, "_run_blocks", recording)
+    cfg = McConfig(samples=100, seed=67)
+    for taus in ([1.0, -1.0], [float(t) for t in np.linspace(-2, 2, 1000)]):
+        for run in ESTIMATORS.values():
+            with np.errstate(all="ignore"):  # products of 1000 factors overflow; only the sizes count here
+                run(taus, cfg)
+    assert sizes == [6 * BLOCK] * 2 * len(ESTIMATORS)
 
 
 def test_calling_thread_makes_the_substreams_and_works_blocks_while_the_pool_is_full(monkeypatch):
@@ -584,7 +598,7 @@ def test_calling_thread_makes_the_substreams_and_works_blocks_while_the_pool_is_
             caller_worked.set()
         else:
             waits.append(caller_worked.wait(timeout=5))
-        return paths[0] + z1
+        return _product_plus_z1(paths, z1, z2)
 
     monkeypatch.setattr(montecarlo, "substream", made_here)
     cfg = McConfig(samples=6 * BLOCK, seed=70)
@@ -597,8 +611,8 @@ def test_calling_thread_makes_the_substreams_and_works_blocks_while_the_pool_is_
 
 
 def _block_marker(seed, block):
-    """z1 of the first sample of a block at taus [1.0] (one path row)."""
-    return 0.5 * substream(seed, block).standard_normal(2 * BLOCK)[BLOCK]
+    """z1 of the first sample of a full block: its first normal, halved."""
+    return 0.5 * substream(seed, block).standard_normal()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -620,7 +634,7 @@ def test_worker_exception_reaches_the_caller(monkeypatch, workers):
         def integrand(paths, z1, z2):
             if z1[0] in markers:
                 raise ValueError(markers[z1[0]])
-            return paths[0] + z1
+            return _product_plus_z1(paths, z1, z2)
 
         made.clear()
         with pytest.raises(ValueError, match=message):
@@ -636,5 +650,5 @@ def test_workers_run_under_the_callers_error_state(monkeypatch):
     cfg = McConfig(samples=6 * BLOCK, seed=65)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error")
-        real, _imag = montecarlo._estimate([1.0], cfg, lambda paths, z1, z2: np.exp(1e3 + paths[0] ** 2))
+        real, _imag = montecarlo._estimate([1.0], cfg, lambda paths, z1, z2: np.exp(1e3 + next(paths)[1] ** 2))
     assert not math.isfinite(real.mean)
