@@ -19,7 +19,8 @@ Number Generation" guide), so the estimate depends only on the seed and
 sample count.  A block draws, row after row, z1 and z2 and then one row per
 Brownian gap, each as wide as its sample count.  Blocks run on up to one
 worker per CPU (the calling thread and a pool thread for each other CPU),
-each with a scratch buffer of six rows whatever the taus.  The calling
+each with a scratch buffer of nine rows whatever the taus, from which a
+block takes every row it draws, walks and computes in.  The calling
 thread makes every substream, in block order, and allocates every scratch
 buffer; it hands blocks to the pool up to two unfinished blocks per thread
 ahead and works blocks itself while the pool is that far ahead.  It merges
@@ -131,11 +132,14 @@ def krein_pair_moment(taus, alpha: float) -> float:
 
 
 def characteristic_target(taus, weights, step: float) -> float:
-    """Quadrature value exp(-<f,f>/2) for f given by (taus, weights), at c = 0 as sampled."""
+    """Quadrature value exp(-<f,f>/2) for f given by (taus, weights), at c = 0 as sampled.
+
+    With the taus sorted, <f,f> = -sum_j w_j (tau_j W_j - T_j), W and T the prefix sums of w and w tau.
+    """
     taus = np.asarray(taus, dtype=float)
-    w = np.asarray(weights, dtype=float) * step
-    quad = -np.abs(taus[:, None] - taus[None, :]) / 2.0
-    return math.exp(-0.5 * float(w @ quad @ w))
+    order = np.argsort(taus, kind="stable")
+    t, w = taus[order], np.asarray(weights, dtype=float)[order] * step
+    return math.exp(0.5 * float((w * (t * np.cumsum(w) - np.cumsum(w * t))).sum()))
 
 
 # -- deterministic substreams ------------------------------------------------------
@@ -195,11 +199,12 @@ def _run_blocks(blocks: int, seed: int, work, size: int):
 
     work runs on up to one worker per CPU: the calling thread and a pool of
     threads for the others, each worker with its own scratch buffer of
-    ``size`` floats, with no more workers than blocks.  The calling thread
-    allocates every buffer and makes every substream, in block order.  It
-    hands each block to the pool while the pool holds fewer than two
-    unfinished blocks per thread, and works it itself otherwise; it yields the
-    results in block order as they come.  The threads run under the caller's numpy error state.  An exception
+    ``size`` floats, reused by every block it works, with no more workers
+    than blocks.  The calling thread allocates every buffer and makes every
+    substream, in block order.  It hands each block to the pool while the
+    pool holds fewer than two unfinished blocks per thread, and works it
+    itself otherwise; it yields the results in block order as they come.
+    The threads run under the caller's numpy error state.  An exception
     raised by work stops the hand-out and is raised here once every thread
     has finished; when several blocks fail, the lowest one's, as in a serial
     loop.
@@ -252,23 +257,26 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
     Block b holds samples [b BLOCK, (b + 1) BLOCK) and draws from substream
     (seed, b), row after row, ``take`` normals a row (its sample count): z1 and
     z2, halved in place, then one row per gap of brownian_gaps, the positive
-    side and then the negative side, each in gap order.  With ``uses_z=False``
-    it draws no z rows and calls integrand(paths).  ``paths`` is an iterator
-    of (k, path of tau_k) pairs in gap order: the taus at 0 first, with a zero
-    row, then at each gap the taus whose last gap it is.  A side's path is the
+    side and then the negative side, each in gap order.  The block calls
+    integrand(rows, paths, z1, z2) once, or integrand(rows, paths) with
+    ``uses_z=False``, which draws no z rows.  ``paths`` is an iterator of (k,
+    path of tau_k) pairs in gap order: the taus at 0 first, with a zero row,
+    then at each gap the taus whose last gap it is.  A side's path is the
     running sum walk + gap_i normal_i (no BLAS), kept in one row that the
     next pair overwrites: the integrand uses each row before it asks for the
-    next, and leaves its arguments unchanged.  It runs once per block and
-    returns one real or complex value per sample; a real one's imaginary
-    estimate is an exact 0.
+    next, and leaves paths and z unchanged.  ``rows`` are five rows of the
+    block's width: the integrand writes one value per sample into rows[0]
+    (the real part) and, for a complex integrand, rows[1] (the imaginary
+    part), may use the others as work space, and returns how many value rows
+    it wrote; a real integrand's imaginary estimate is an exact 0.
 
     Blocks run on up to one worker per CPU (_run_blocks), each with a buffer
-    of six rows whatever the taus: z1, z2, the drawn row, the walk and two rows
-    of values (real and imaginary).  A block reduces each segment of its values
-    that ends where the global sample index reaches a multiple of cfg.chunk to
+    of nine rows whatever the taus: z1, z2, the drawn row, the walk and the
+    integrand's five.  A block reduces each segment of its value rows that
+    ends where the global sample index reaches a multiple of cfg.chunk to
     (count, mean, M2), in place, and the calling thread merges them in block
     order (_merge): the estimate does not depend on the number of workers, and
-    a large mean hides no small spread.
+    a large mean hides no small spread.  No step allocates a block-wide array.
     """
     steps, on_a_side = [], np.zeros(len(taus), dtype=bool)
     for sq, last in brownian_gaps(taus):
@@ -280,8 +288,8 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
     def block_segments(block, generator, buffer):
         start = block * BLOCK
         take = min(BLOCK, cfg.samples - start)
-        rows = buffer.reshape(6, BLOCK)[:, :take]
-        drawn, walk, stats = rows[2], rows[3], rows[4:]
+        rows = buffer.reshape(9, BLOCK)[:, :take]
+        drawn, walk = rows[2], rows[3]
         z = generator.standard_normal(out=buffer[: 2 * take if uses_z else 0])  # z1 then z2, in rows 0 and 1
         z = np.multiply(0.5, z, out=z).reshape(-1, take)
 
@@ -299,11 +307,8 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
                 for k in ends:
                     yield k, walk
 
-        values = integrand(paths(), *z)
-        parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
-        stats = stats[: len(parts)]
-        for row, part in zip(stats, parts):
-            row[:] = part
+        parts = integrand(rows[4:], paths(), *z)
+        stats = rows[4 : 4 + parts]
         segments = []
         i = 0
         while i < take:
@@ -313,13 +318,13 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
             np.subtract(segment, mean[:, None], out=segment)
             m2 = np.square(segment, out=segment).sum(axis=1)
             # a real integrand's imaginary part is an exact zero: (count, 0.0, 0.0)
-            segments.append([(end - i, float(mean[row]), float(m2[row])) for row in range(len(parts))])
-            segments[-1] += [(end - i, 0.0, 0.0)] * (2 - len(parts))
+            segments.append([(end - i, float(mean[row]), float(m2[row])) for row in range(parts)])
+            segments[-1] += [(end - i, 0.0, 0.0)] * (2 - parts)
             i = end
         return segments
 
     totals = [(0, 0.0, 0.0)] * 2
-    for segments in _run_blocks(-(-cfg.samples // BLOCK), cfg.seed, block_segments, 6 * BLOCK):
+    for segments in _run_blocks(-(-cfg.samples // BLOCK), cfg.seed, block_segments, 9 * BLOCK):
         for segment in segments:
             totals = [_merge(total, part) for total, part in zip(totals, segment)]
 
@@ -332,43 +337,39 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
 # -- estimators ----------------------------------------------------------------------
 
 
-def _weighted_sum(weights, paths):
-    """sum_k weights[k] path_k over the (k, path_k) pairs as a new row, added in their order (no BLAS); 0.0 for none."""
-    total = term = None
+def _weighted_sum(weights, paths, total, term):
+    """Write sum_k weights[k] path_k over the (k, path_k) pairs into the row total, added in their order (no BLAS)."""
+    total.fill(0.0)
     for k, path in paths:
-        term = np.multiply(weights[k], path, out=term)
-        total = term.copy() if total is None else np.add(total, term, out=total)
-    return 0.0 if total is None else total
-
-
-def _product_integrand(taus, dtype, offsets):
-    """integrand(paths, z1, z2) = prod_k ((path_k + x) - |tau_k| v) over the (k, path_k) pairs, in their order.
-
-    offsets(z1, z2, x, v) writes the sample variables x and v in place; the
-    product runs in place on per-call work arrays of the given dtype.
-    """
-    abs_taus = np.abs(np.asarray(taus, dtype=float))
-
-    def integrand(paths, z1, z2):
-        x, v, term, scaled, prod = np.empty((5, z1.size), dtype=dtype)
-        offsets(z1, z2, x, v)
-        prod.fill(1)
-        for k, path in paths:
-            np.add(path, x, out=term)
-            prod *= np.subtract(term, np.multiply(abs_taus[k], v, out=scaled), out=term)
-        return prod
-
-    return integrand
+        total += np.multiply(weights[k], path, out=term)
 
 
 def mc_moment_components(taus, cfg: McConfig) -> tuple[McEstimate, McEstimate]:
-    """Real and imaginary estimates of <prod_k (xi(tau_k) + z - |tau_k| zbar)>."""
+    """Real and imaginary estimates of <prod_k (xi(tau_k) + z - |tau_k| zbar)>.
 
-    def z_and_zbar(z1, z2, z, zbar):  # z = z1 + 1j z2, zbar = z1 - 1j z2
-        np.add(z1, np.multiply(1j, z2, out=z), out=z)
-        np.subtract(z1, np.multiply(1j, z2, out=zbar), out=zbar)
+    With z = z1 + i z2 a factor is (xi(tau_k) + (1 - |tau_k|) z1) + i (1 + |tau_k|) z2;
+    the product runs in real (re, im) rows, factor by factor in the paths' order.
+    """
+    abs_taus = np.abs(np.asarray(taus, dtype=float))
+    scales = list(zip((1.0 - abs_taus).tolist(), (1.0 + abs_taus).tolist()))
 
-    return _estimate(taus, cfg, _product_integrand(taus, complex, z_and_zbar))
+    def integrand(rows, paths, z1, z2):
+        re, im, factor_re, factor_im, im_factor_im = rows
+        re.fill(1.0)
+        im.fill(0.0)
+        for k, path in paths:
+            scale_re, scale_im = scales[k]
+            np.add(path, np.multiply(scale_re, z1, out=factor_re), out=factor_re)
+            np.multiply(scale_im, z2, out=factor_im)
+            # (re + i im)(factor_re + i factor_im), the old im used before it is overwritten
+            np.multiply(im, factor_im, out=im_factor_im)
+            im *= factor_re
+            im += np.multiply(re, factor_im, out=factor_im)
+            re *= factor_re
+            re -= im_factor_im
+        return 2
+
+    return _estimate(taus, cfg, integrand)
 
 
 def mc_moment(taus, cfg: McConfig) -> McEstimate:
@@ -388,9 +389,15 @@ def mc_characteristic(taus, weights, cfg: McConfig) -> McEstimate:
     a = float(w.sum())
     b = float((np.abs(np.asarray(taus, dtype=float)) * w).sum())
 
-    def integrand(paths, z1, z2):
-        # i(x(f)) with x(f) = xi(f) + a z - b zbar
-        return np.exp(1j * (_weighted_sum(w, paths) + (a - b) * z1) - (a + b) * z2)
+    def integrand(rows, paths, z1, z2):
+        # exp(i x(f)) with x(f) = xi(f) + a z - b zbar: modulus exp(-(a + b) z2), phase xi(f) + (a - b) z1
+        re, im, phase, modulus = rows[:4]
+        _weighted_sum(w, paths, phase, modulus)
+        phase += np.multiply(a - b, z1, out=modulus)
+        np.exp(np.multiply(-(a + b), z2, out=modulus), out=modulus)
+        np.multiply(np.cos(phase, out=re), modulus, out=re)
+        np.multiply(np.sin(phase, out=im), modulus, out=im)
+        return 2
 
     real, imag = _estimate(taus, cfg, integrand)
     return McEstimate(
@@ -412,13 +419,12 @@ def mc_weyl_schwinger(alphas, taus, cfg: McConfig) -> McEstimate:
     fractions = [to_label_fraction(a) for a in alphas]
     if sum(fractions) != 0:
         return McEstimate(mean=0.0, stderr=0.0, samples=0)
-    # no labels: sample the label 0 at tau 0, so that the phase is a row (cos 0 = 1 either way)
-    coeffs = np.array([float(a) for a in fractions] or [0.0])
-    taus = taus if len(taus) else [0.0]
+    coeffs = [float(a) for a in fractions]
 
-    def integrand(paths):  # the real part of exp(i theta)
-        theta = _weighted_sum(coeffs, paths)
-        return np.cos(theta, out=theta)
+    def integrand(rows, paths):  # the real part of exp(i theta)
+        _weighted_sum(coeffs, paths, rows[0], rows[1])
+        np.cos(rows[0], out=rows[0])
+        return 1
 
     real, _imag = _estimate(taus, cfg, integrand, uses_z=False)
     return real
@@ -429,9 +435,17 @@ def mc_krein_moment(taus, alpha: float, cfg: McConfig) -> McEstimate:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
 
-    def real_pair(z1, z2, x, v):  # x = (z1 + z2)/alpha, v = -alpha (z1 - z2)
-        np.divide(np.add(z1, z2, out=x), alpha, out=x)
-        np.multiply(-alpha, np.subtract(z1, z2, out=v), out=v)
+    abs_taus = np.abs(np.asarray(taus, dtype=float))
 
-    real, _imag = _estimate(taus, cfg, _product_integrand(taus, float, real_pair))
+    def integrand(rows, paths, z1, z2):  # prod_k (path_k + x - |tau_k| v), in the paths' order
+        prod, x, v, term, scaled = rows
+        np.divide(np.add(z1, z2, out=x), alpha, out=x)  # x = (z1 + z2)/alpha, v = -alpha (z1 - z2)
+        np.multiply(-alpha, np.subtract(z1, z2, out=v), out=v)
+        prod.fill(1.0)
+        for k, path in paths:
+            np.add(path, x, out=term)
+            prod *= np.subtract(term, np.multiply(abs_taus[k], v, out=scaled), out=term)
+        return 1
+
+    real, _imag = _estimate(taus, cfg, integrand)
     return real

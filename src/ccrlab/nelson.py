@@ -502,8 +502,18 @@ def project_onto(basis: list[ExtendedVector], u: ExtendedVector) -> ExtendedVect
 
 
 def _nondegenerate(*grams: np.ndarray):
-    """Refuse projection Grams whose largest condition number is not finite or passes PROJECTION_CONDITION_LIMIT."""
-    cond = np.max([np.linalg.cond(gram) for gram in grams])
+    """Refuse projection Grams whose largest condition number is not finite or passes PROJECTION_CONDITION_LIMIT.
+
+    Each Gram G is judged equilibrated, as D G D with D = diag(1/sqrt(max_j |G_ij|)), near the
+    best diagonal scaling (van der Sluis, Numer. Math. 14, 1969), so a change of time unit moves
+    the verdict far less than it moves the raw condition number.
+    """
+    conds = []
+    for gram in grams:
+        peak = np.abs(gram).max(axis=1)
+        d = 1.0 / np.sqrt(np.where(peak > 0, peak, 1.0))  # a zero row stays zero: refused
+        conds.append(np.linalg.cond(d[:, None] * gram * d))
+    cond = np.max(conds)
     if not cond <= PROJECTION_CONDITION_LIMIT:
         raise DegenerateGramError(f"projection Gram is degenerate (cond {cond:.3e})")
 

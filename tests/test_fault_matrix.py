@@ -2,8 +2,11 @@
 
 Each fault is injected by monkeypatch only, with no hook in the sources, and
 names the criteria that must each fail under it, run at full size and the
-default seed.
+default seed.  A fault inside a function's body is that function's source with
+one edit, compiled into a copy of its module's namespace.
 """
+
+import inspect
 
 import pytest
 
@@ -37,9 +40,27 @@ def _stretch_z(monkeypatch):
     estimate = montecarlo._estimate
 
     def stretched(taus, cfg, integrand, *args, **kwargs):
-        return estimate(taus, cfg, lambda paths, *z: integrand(paths, *(1.02 * row for row in z)), *args, **kwargs)
+        return estimate(
+            taus, cfg, lambda rows, paths, *z: integrand(rows, paths, *(1.02 * row for row in z)), *args, **kwargs
+        )
 
     monkeypatch.setattr(montecarlo, "_estimate", stretched)
+
+
+def _mutate(monkeypatch, module, name, old, new):
+    """Bind module.name to its source with the one occurrence of old replaced by new."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
+def _drop_zbar_from_the_indefinite_product(monkeypatch):
+    # the imaginary factor (1 + |tau|) z2 read as (1 - |tau|) z2, so each factor samples z - |tau| z
+    # for z - |tau| zbar: E[z z] = 0 removes the singular part, and the indefinite moments (criterion 7)
+    # drift to the Brownian ones
+    _mutate(monkeypatch, montecarlo, "mc_moment_components", "(1.0 + abs_taus)", "(1.0 - abs_taus)")
 
 
 # name -> (injection, the criteria that must each fail under it)
@@ -48,6 +69,7 @@ FAULTS = {
     "Markov bases without w": (_drop_w_from_the_markov_bases, (12,)),
     "Brownian gaps 2% long": (_stretch_the_brownian_gaps, (6, 7, 14)),
     "z 2% long": (_stretch_z, (7, 14)),
+    "zbar read as z in the indefinite product": (_drop_zbar_from_the_indefinite_product, (7,)),
 }
 
 

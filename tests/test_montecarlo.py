@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -189,6 +190,20 @@ def test_characteristic_indefinite_modulus_exceeds_one():
     assert abs(est.mean) > 1.0
 
 
+def test_characteristic_target_matches_the_dense_quadratic_form():
+    def dense(taus, weights, step):
+        t, w = np.asarray(taus, dtype=float), np.asarray(weights, dtype=float) * step
+        return math.exp(-0.5 * float(w @ (-np.abs(t[:, None] - t[None, :]) / 2.0) @ w))
+
+    rng = np.random.default_rng(73)
+    cases = [([0.7], [1.3], 0.1), ([], [], 0.1), ([0.5, 0.5, -0.5, 0.5], [1.0, -2.0, 0.5, 0.25], 0.3)]
+    for n in (2, 3, 10, 200, 1000):
+        taus = rng.choice(np.round(rng.uniform(-3, 3, n), 1), n)  # repeated taus among them
+        cases.append((taus, rng.normal(0, 0.5, n), float(rng.uniform(0.001, 0.05))))
+    for taus, weights, step in cases:
+        assert characteristic_target(taus, weights, step) == pytest.approx(dense(taus, weights, step), rel=1e-13, abs=0)
+
+
 # -- euclidean Weyl expectations ------------------------------------------------------------------
 
 
@@ -337,10 +352,10 @@ def test_sample_count_not_multiple_of_block(monkeypatch):
     values = []
 
     def capturing(integrand):
-        def captured(*args):
-            out = integrand(*args)
-            values.append(out.copy())
-            return out
+        def captured(rows, *args):
+            written = integrand(rows, *args)
+            values.append(rows[:written].copy())
+            return written
 
         return captured
 
@@ -348,14 +363,14 @@ def test_sample_count_not_multiple_of_block(monkeypatch):
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)  # one worker: blocks are captured in order
     est = mc_moment([1, -1], McConfig(samples=BLOCK + 123, seed=60))
     assert est.samples == BLOCK + 123
-    short = np.concatenate(values)
+    short = np.concatenate(values, axis=1)
     values.clear()
     # the full block agrees with a longer run, bit for bit (its values depend only on the index);
     # the partial block draws rows as wide as its samples (the serial-loop tests check it)
     longer = mc_moment([1, -1], McConfig(samples=2 * BLOCK, seed=60))
     assert longer.samples == 2 * BLOCK
-    assert short.size == BLOCK + 123
-    assert np.concatenate(values)[:BLOCK].tobytes() == short[:BLOCK].tobytes()
+    assert short.shape == (2, BLOCK + 123)
+    assert np.concatenate(values, axis=1)[:, :BLOCK].tobytes() == short[:, :BLOCK].tobytes()
 
 
 def test_substreams_differ_between_blocks():
@@ -373,9 +388,9 @@ def _serial_estimate(taus, cfg, integrand, uses_z=True):
     """The sampler as a serial loop: each block draws its z1 and z2 rows (none
     without uses_z), then one (gaps, take) array of normals per side of 0, whose
     paths are the cumulative sum of its gap-scaled rows; the integrand gets the
-    (k, path) pairs in gap order, the taus at 0 first with a zero row; the
-    segments' (count, mean, M2) are merged in order by Chan, Golub and LeVeque's
-    update."""
+    (k, path) pairs in gap order, the taus at 0 first with a zero row, and five
+    fresh rows, and writes its values into the first one or two; the segments'
+    (count, mean, M2) are merged in order by Chan, Golub and LeVeque's update."""
     sides = list(montecarlo.brownian_gaps(taus))
     n, mean, m2 = 0, [0.0, 0.0], [0.0, 0.0]
     for start in range(0, cfg.samples, BLOCK):
@@ -386,8 +401,10 @@ def _serial_estimate(taus, cfg, integrand, uses_z=True):
         for sq, last in sides:
             walk = np.cumsum(sq[:, None] * generator.standard_normal((sq.size, take)), axis=0)
             pairs += [(k, walk[gap]) for gap in range(sq.size) for k in np.flatnonzero(last == gap)]
-        values = integrand(iter(pairs), *z)
-        rows = np.stack([values.real, values.imag])
+        values = np.empty((5, take))
+        rows = np.zeros((2, take))  # a real integrand's imaginary row stays 0
+        written = integrand(values, iter(pairs), *z)
+        rows[:written] = values[:written]
         i = 0
         while i < take:
             end = min(take, i + cfg.chunk - (start + i) % cfg.chunk)
@@ -476,10 +493,10 @@ def test_integrand_runs_once_per_block(monkeypatch, taus):
     calls = []
 
     def counting(integrand):
-        def counted(*args):
-            values = integrand(*args)
-            calls.append(values.size)
-            return values
+        def counted(rows, *args):
+            written = integrand(rows, *args)
+            calls.append(rows[:written].shape[1])
+            return written
 
         return counted
 
@@ -500,12 +517,12 @@ def test_integrands_leave_their_arguments_unchanged(monkeypatch):
             assert np.array_equal(path, copy)  # asked for the next pair: done with this one
 
     def checking(integrand):
-        def checked(paths, *z):
+        def checked(rows, paths, *z):
             before = [row.copy() for row in z]
-            values = integrand(checked_paths(paths), *z)
+            written = integrand(rows, checked_paths(paths), *z)
             for row, copy in zip(z, before):
                 assert np.array_equal(row, copy)
-            return values
+            return written
 
         return checked
 
@@ -542,12 +559,14 @@ def test_blocks_draw_only_the_prefix_they_read(monkeypatch):
         assert drawn == {0: rows * BLOCK, 1: rows * 3}
 
 
-def _product_plus_z1(paths, z1, z2):
-    """prod_k path_k + z1, each path used before the next is asked for."""
-    product = np.ones(z1.size)
+def _product_plus_z1(rows, paths, z1, z2):
+    """prod_k path_k + z1 into rows[0], each path used before the next is asked for."""
+    product = rows[0]
+    product.fill(1.0)
     for _k, path in paths:
         product *= path
-    return product + z1
+    product += z1
+    return 1
 
 
 def test_many_workers_with_rapid_switching(monkeypatch):
@@ -580,7 +599,32 @@ def test_worker_buffer_does_not_depend_on_the_taus(monkeypatch):
         for run in ESTIMATORS.values():
             with np.errstate(all="ignore"):  # products of 1000 factors overflow; only the sizes count here
                 run(taus, cfg)
-    assert sizes == [6 * BLOCK] * 2 * len(ESTIMATORS)
+    assert sizes == [9 * BLOCK] * 2 * len(ESTIMATORS)
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+def test_blocks_allocate_no_block_wide_array_beyond_the_worker_buffer(monkeypatch, name):
+    # one worker, three blocks: the heap peaks at the scratch buffer plus small objects, under
+    # half a row (64 KiB); a work array allocated per block would add at least a whole row
+    sizes = []
+    run_blocks = montecarlo._run_blocks
+
+    def recording(blocks, seed, work, size):
+        sizes.append(size)
+        return run_blocks(blocks, seed, work, size)
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", recording)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+    run, cfg = ESTIMATORS[name], McConfig(samples=3 * BLOCK, seed=72)
+    run(TAUS_SETS["repeated"], cfg)  # first-call caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(TAUS_SETS["repeated"], cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * sizes[-1] + BLOCK * 8 // 2
 
 
 def test_calling_thread_makes_the_substreams_and_works_blocks_while_the_pool_is_full(monkeypatch):
@@ -593,12 +637,12 @@ def test_calling_thread_makes_the_substreams_and_works_blocks_while_the_pool_is_
         makers.add(threading.get_ident())
         return substream(seed, block)
 
-    def integrand(paths, z1, z2):
+    def integrand(rows, paths, z1, z2):
         if threading.get_ident() == caller:
             caller_worked.set()
         else:
             waits.append(caller_worked.wait(timeout=5))
-        return _product_plus_z1(paths, z1, z2)
+        return _product_plus_z1(rows, paths, z1, z2)
 
     monkeypatch.setattr(montecarlo, "substream", made_here)
     cfg = McConfig(samples=6 * BLOCK, seed=70)
@@ -631,10 +675,10 @@ def test_worker_exception_reaches_the_caller(monkeypatch, workers):
     for failing, message in (((1,), "block 1"), ((2, 1), "block 1"), ((2,), "block 2")):
         markers = {_block_marker(cfg.seed, block): f"block {block}" for block in failing}
 
-        def integrand(paths, z1, z2):
+        def integrand(rows, paths, z1, z2):
             if z1[0] in markers:
                 raise ValueError(markers[z1[0]])
-            return _product_plus_z1(paths, z1, z2)
+            return _product_plus_z1(rows, paths, z1, z2)
 
         made.clear()
         with pytest.raises(ValueError, match=message):
@@ -648,7 +692,12 @@ def test_workers_run_under_the_callers_error_state(monkeypatch):
     # threads start with numpy's default state, which would warn here
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 3)
     cfg = McConfig(samples=6 * BLOCK, seed=65)
+
+    def overflowing(rows, paths, z1, z2):
+        np.exp(1e3 + next(paths)[1] ** 2, out=rows[0])
+        return 1
+
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error")
-        real, _imag = montecarlo._estimate([1.0], cfg, lambda paths, z1, z2: np.exp(1e3 + next(paths)[1] ** 2))
+        real, _imag = montecarlo._estimate([1.0], cfg, overflowing)
     assert not math.isfinite(real.mean)

@@ -894,6 +894,17 @@ def test_markov_projection_residuals():
     assert diagnostics["v_fixed_residual"] < 1e-8
 
 
+def test_markov_refusal_does_not_depend_on_the_unit_of_time():
+    # the same points in units 1e4 apart: the raw Gram of the first reads cond 1.7e9, its
+    # equilibrated Gram 3.6e4; both are accepted and solved to roundoff
+    for spec in ("-5e4:5e4:1e4", "-5:5:1"):
+        diagnostics = markov_diagnostics(Grid.parse(spec), 2)
+        assert diagnostics["markov_residual"] < 1e-13 and diagnostics["idempotence_residual"] < 1e-13, spec
+    # near 0 the point masses are nearly d0: a genuine degeneracy that scaling leaves in place
+    with pytest.raises(DegenerateGramError):
+        markov_diagnostics(Grid.parse("-1e-6:1e-6:1e-8"), 50)
+
+
 def test_markov_needs_symmetric_grid():
     with pytest.raises(ValueError):
         markov_diagnostics(Grid.parse("0:5:0.5"), 4)
