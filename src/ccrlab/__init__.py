@@ -51,7 +51,6 @@ from .montecarlo import (
 from .nelson import (
     ExtendedVector,
     Grid,
-    decompose,
     indefinite_inner,
     krein_inner,
     krein_metric_apply,

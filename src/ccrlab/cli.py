@@ -31,8 +31,8 @@ MC_MODES = ("indefinite", "krein", "weyl", "characteristic")
 # 1x: nelson's products hold column blocks of W, os reads only the content (A, B), and markov
 # holds its projections as coefficients in its bases).
 NELSON_FAMILY_BYTES = 2**27
-# Most `mc --taus` takes: each sampling worker holds an (n + 4) x BLOCK float
-# buffer (about 130 MB at this limit).
+# Most `mc --taus` takes.  It bounds time, not memory: each sampling worker holds nine
+# BLOCK-wide rows whatever the taus, but every sample draws one normal per Brownian gap.
 MC_TAUS_LIMIT = 1000
 
 

@@ -20,11 +20,11 @@ Real data keep real arithmetic throughout, by gram.real_or_complex.
 
 Every product goes through one kernel, _products, in the factored form
 W_u^H W_v - (A_u^* B_v + B_u^* A_v)/2: a Gram, a cross product, or a basis
-bordered by its batch, over row sets (_Rows) that hold grid parts, (a, b) rows
-and their content (A, B).  W is summed over column blocks of at most
-FACTOR_BLOCK_BYTES, so a product holds O(k block + k^2) bytes besides its
-inputs; a W of one block is one matrix product, with the bits of the unblocked
-one, and its row set keeps it.  indefinite_inner and krein_inner take the same
+bordered by the vectors it projects, over row sets (_Rows) that hold the
+vectors' own grid arrays, (a, b) rows and their content (A, B).  W is summed
+over column blocks of at most FACTOR_BLOCK_BYTES, so a product holds
+O(k block + k^2) bytes besides its inputs; a W of one block is one matrix
+product, with the bits of the unblocked one, and its row set keeps it.  indefinite_inner and krein_inner take the same
 cross product, so they differ by the Krein term alone.  The Osterwalder-Schrader
 kernel c - (|tau| + |sigma|)/2 on positive times has rank two: its products are
 c A_f^* A_g minus the singular part, from the content alone, O(n) per function.
@@ -47,7 +47,10 @@ from .montecarlo import brownian_gaps, krein_kernel
 
 FAMILY_LIMIT = 200
 PROJECTION_CONDITION_LIMIT = 1e8
-GRID_POINT_TOL = 1e-9
+# A time within this fraction of a grid's step of a grid point is that point, in any unit of time.
+GRID_POINT_TOL = 1e-6
+# Bare times, which carry no step, within this of 0 are 0.
+ZERO_TIME_TOL = 1e-9
 # Most bytes of one column block of the tail sums W that every factored product sums over.
 FACTOR_BLOCK_BYTES = 2**19
 
@@ -83,7 +86,7 @@ class Grid:
         if not math.isfinite((stop - start) / step):
             raise ValueError(f"grid {start}:{stop}:{step} has no finite point count")
         count = int(round((stop - start) / step)) + 1
-        if count < 2 or abs(start + (count - 1) * step - stop) > GRID_POINT_TOL:
+        if count < 2 or abs(start + (count - 1) * step - stop) > GRID_POINT_TOL * step:
             raise ValueError(f"stop {stop} is not reachable from {start} by step {step}")
         return cls(start=float(start), step=float(step), n=count)
 
@@ -114,11 +117,11 @@ class Grid:
         return self.start + (self.n - 1) * self.step
 
     def is_symmetric(self) -> bool:
-        return abs(self.start + self.stop) <= GRID_POINT_TOL and self.index_of(0.0) is not None
+        return abs(self.start + self.stop) <= GRID_POINT_TOL * self.step and self.index_of(0.0) is not None
 
     def index_of(self, tau: float) -> int | None:
         idx = int(round((tau - self.start) / self.step))
-        if 0 <= idx < self.n and abs(self.start + idx * self.step - tau) <= GRID_POINT_TOL:
+        if 0 <= idx < self.n and abs(self.start + idx * self.step - tau) <= GRID_POINT_TOL * self.step:
             return idx
         return None
 
@@ -158,12 +161,12 @@ def metric_matrix(grid: Grid) -> np.ndarray:
 class _Rows:
     """Rows of vectors on one grid as the product kernel reads them.
 
-    ``values`` holds the grid parts: a stack's rows, gathered by one fancy index
-    a block, or a family's own arrays, gathered row by row (a family is never
-    stacked).  Products run in the dtype of the (a, b) rows; the content (A, B)
-    is computed once.  W is walked in each product's column blocks, except that
-    a W that fits one block (at most FACTOR_BLOCK_BYTES) is kept after its first
-    walk and read again by every later product whose blocks are one.
+    ``values`` is the list of the vectors' own grid arrays, gathered row by row
+    (no family is stacked).  Products run in the dtype of the (a, b) rows; the
+    content (A, B) is computed once.  W is walked in each product's column
+    blocks, except that a W that fits one block (at most FACTOR_BLOCK_BYTES) is
+    kept after its first walk and read again by every later product whose
+    blocks are one.
     """
 
     def __init__(self, grid: Grid, values, coefficients: np.ndarray):
@@ -197,8 +200,8 @@ def _products(left: _Rows, *right: _Rows) -> np.ndarray:
     W_u^H W_v - (A_u^* B_v + B_u^* A_v)/2: W holds the grid part's tail sums over
     the Brownian gaps, A = a + h sum f and B = b + h sum |t| f the d0 and w content.
     A product is a Gram (rows, rows), a cross product (u, v), or a basis bordered
-    by a batch (basis, basis, batch).  W_u^H W_v is summed over the column blocks
-    that the row sets share; a row set on both sides is walked once.
+    by the vectors it projects (basis, basis, probes).  W_u^H W_v is summed over
+    the column blocks that the row sets share; a row set on both sides is walked once.
     """
     sets = list(dict.fromkeys((left, *right)))
     columns = _block_columns(sum(map(len, sets)), np.result_type(*(rows.dtype for rows in sets)))
@@ -250,8 +253,8 @@ def _tail_blocks(grid: Grid, values, dtype, columns: int | None):
 def _side_tails(values, dtype, side, start: int, stop: int, carry):
     """One side's tails at positions start:stop of its far-to-near order, near to far, and the sum to carry.
 
-    The tails come out column-major, the layout of a values[:, index] gather, which
-    row sums and the matrix product see.  The carry is None at the side's end.
+    The tails come out column-major, the layout of a stack's values[:, index] gather,
+    which row sums and the matrix product see.  The carry is None at the side's end.
     """
     scaled, ends = side
     index = ends[start:stop]
@@ -259,11 +262,8 @@ def _side_tails(values, dtype, side, start: int, stop: int, carry):
     sums = np.empty((len(values), lead + index.size), dtype)
     if lead:
         sums[:, :1] = carry
-    if isinstance(values, np.ndarray):
-        sums[:, lead:] = values[:, index]
-    else:
-        for i, row in enumerate(values):
-            sums[i, lead:] = row[index]
+    for i, row in enumerate(values):
+        sums[i, lead:] = row[index]
     np.add.accumulate(sums, axis=1, out=sums)  # a cumsum in place, with the bits of one into a new array
     count = ends.size
     tails = np.multiply(scaled[count - stop : count - start], sums[:, lead:][:, ::-1], order="F")
@@ -274,7 +274,7 @@ def _contents(grid: Grid, values, coefficients: np.ndarray) -> tuple[np.ndarray,
     """The d0 and w content A = a + h sum f and B = b + h sum |t| f in the dtype of the (a, b) rows.
 
     The sums run over chunks of rows of at most FACTOR_BLOCK_BYTES, with the bits of
-    a whole stack's row sums but no k x n |t| f temporary.
+    whole row sums but no k x n |t| f temporary.
     """
     h = grid.step
     dtype = coefficients.dtype
@@ -295,16 +295,6 @@ def _checked(family: list[ExtendedVector]) -> list[ExtendedVector]:
     for v in family:
         family[0]._check(v)
     return family
-
-
-def _stack(family: list[ExtendedVector]) -> np.ndarray:
-    """Coordinate rows of a family on one grid, at most FAMILY_LIMIT of them, in the dtype their vectors store.
-
-    The values are stacked whole, not as per-vector coords() copies, which would
-    leave the allocator holding more at the peak.
-    """
-    values = np.stack([v.values for v in _checked(family)])
-    return np.concatenate((values, np.array([(v.a, v.b) for v in family])), axis=1)
 
 
 @dataclass
@@ -353,10 +343,6 @@ class ExtendedVector:
         return self * (-1)
 
 
-def from_values(grid: Grid, values) -> ExtendedVector:
-    return ExtendedVector(grid, np.asarray(values, dtype=complex))
-
-
 def delta_zero(grid: Grid) -> ExtendedVector:
     return ExtendedVector(grid, np.zeros(grid.n), a=1.0)
 
@@ -379,27 +365,6 @@ def indefinite_inner(u: ExtendedVector, v: ExtendedVector) -> complex:
     """Indefinite product; conjugate-linear in the first argument."""
     u._check(v)
     return complex(_products(_Rows.of([u]), _Rows.of([v]))[0, 0])
-
-
-def decompose(u: ExtendedVector) -> tuple[complex, complex, ExtendedVector]:
-    """Split off the d0 and w content: u = a d0 + b w + h with h orthogonal to both.
-
-    The coefficients a = -2<w, u> and b = -2<d0, u> are the total mass and the
-    |tau|-weighted mass of the grid part (plus any explicit coordinates);
-    idempotent by construction.
-    """
-    # -2 <w, u> and -2 <d0, u> from the content (A, B), op for op as on the product
-    # route, whose zero signs they keep
-    a, b = -2.0 * (0.0 - np.concatenate(_Rows.of([u]).content) / 2.0)
-    rest = ExtendedVector(u.grid, u.values.copy(), a=u.a - a, b=u.b - b)
-    return complex(a), complex(b), rest
-
-
-def krein_direction(grid: Grid, alpha: float) -> ExtendedVector:
-    """The negative-normalized direction alpha d0 + w/alpha (self-product -1)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return ExtendedVector(grid, np.zeros(grid.n), a=alpha, b=1.0 / alpha)
 
 
 def krein_metric_apply(u: ExtendedVector, alpha: float) -> ExtendedVector:
@@ -459,46 +424,22 @@ def signature_of(family: list[ExtendedVector]) -> GramMatrix:
     return GramMatrix(entries=entries, signature=signature, eigenvalues=eigenvalues)
 
 
-class Projector:
+def project_onto(basis: list[ExtendedVector], u: ExtendedVector) -> ExtendedVector:
     """Indefinite-orthogonal projection onto the span of a nondegenerate basis.
 
-    The basis is stacked into a row set, and its Gram checked, once.  ``project``
-    takes a list of m vectors and makes one k x (k+m) product, the basis
-    bordered by the batch, and one solve with m right-hand sides.  A basis W of
-    one block is kept by the row set, so it is walked once; a larger one is
-    walked again per batch.  A call projects one vector the same way.  Rows are
-    cast to complex whatever the vectors store, so a vector projects to the
-    same values in any batch.
+    One product, the basis bordered by u, and one solve: solve sees the bits of the
+    unfactored route.  u's row is cast to complex whatever it stores, so a vector
+    projects to the same values as its complex cast.
     """
-
-    def __init__(self, basis: list[ExtendedVector]):
-        if not basis:
-            raise DegenerateGramError("empty projection basis")
-        self._coords = _stack(basis)
-        self._member = basis[0]
-        self._basis = _Rows(self._member.grid, self._coords[:, :-2], self._coords[:, -2:])
-        _nondegenerate(_products(self._basis, self._basis))
-
-    def project(self, vectors: list[ExtendedVector]) -> list[ExtendedVector]:
-        for u in vectors:
-            self._member._check(u)
-        rows = np.stack([u.coords() for u in vectors])
-        # the basis bordered by the batch, not a stored k x k Gram: solve then sees the
-        # same bits as on the unfactored route; the batch's row set and W die before it
-        products = _products(
-            self._basis, self._basis, _Rows(self._member.grid, rows[:, :-2], rows[:, -2:].astype(complex))
-        )
-        k = len(self._basis)
-        out = np.linalg.solve(products[:, :k], products[:, k:]).T @ self._coords
-        return [ExtendedVector(self._member.grid, row[:-2], row[-2], row[-1]) for row in out]
-
-    def __call__(self, u: ExtendedVector) -> ExtendedVector:
-        return self.project([u])[0]
-
-
-def project_onto(basis: list[ExtendedVector], u: ExtendedVector) -> ExtendedVector:
-    """Indefinite-orthogonal projection onto the span of a nondegenerate basis."""
-    return Projector(basis)(u)
+    if not basis:
+        raise DegenerateGramError("empty projection basis")
+    rows = _Rows.of(_checked(basis))
+    basis[0]._check(u)
+    products = _products(rows, rows, _Rows(u.grid, [u.values], np.array([(u.a, u.b)], dtype=complex)))
+    k = len(rows)
+    _nondegenerate(products[:, :k])
+    out = np.linalg.solve(products[:, :k], products[:, k:]).T @ np.stack([v.coords() for v in basis])
+    return ExtendedVector(u.grid, out[0, :-2], out[0, -2], out[0, -1])
 
 
 def _nondegenerate(*grams: np.ndarray):
@@ -530,7 +471,7 @@ def _os_moments(grid: Grid, values: np.ndarray) -> tuple[complex, complex]:
 
 
 def _require_positive_support(grid: Grid, values: np.ndarray):
-    neg = grid.points < -GRID_POINT_TOL
+    neg = grid.points < -GRID_POINT_TOL * grid.step
     if not np.any(neg):
         return
     scale = float(np.abs(values).max()) or 1.0
@@ -584,9 +525,7 @@ def os_rank(grid: Grid, family: list[np.ndarray]) -> tuple[int, np.ndarray]:
 
 def _side_basis(grid: Grid, side: int, n_per_side: int) -> list[ExtendedVector]:
     pts = grid.points
-    chosen = pts[pts * side > GRID_POINT_TOL]
-    if chosen.size == 0:
-        raise MarkovSetupError("grid has no points on the requested side")
+    chosen = pts[pts * side > GRID_POINT_TOL * grid.step]  # a symmetric grid has a point a step from 0
     if n_per_side < chosen.size:
         picks = np.linspace(0, chosen.size - 1, n_per_side).round().astype(int)  # nondecreasing
         picks = picks[np.diff(picks, prepend=-1) > 0]  # distinct, as np.unique, without importing numpy.ma
@@ -678,13 +617,13 @@ def conditional_independence_residual(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     pts = np.asarray(points, dtype=float)
-    if not np.any(np.abs(pts) <= GRID_POINT_TOL):
+    if not np.any(np.abs(pts) <= ZERO_TIME_TOL):
         raise ValueError("points must contain 0 (the conditioning time)")
-    past = np.where(pts < -GRID_POINT_TOL)[0]
-    future = np.where(pts > GRID_POINT_TOL)[0]
+    past = np.where(pts < -ZERO_TIME_TOL)[0]
+    future = np.where(pts > ZERO_TIME_TOL)[0]
     if past.size == 0 or future.size == 0:
         return 0.0
-    zero = int(np.where(np.abs(pts) <= GRID_POINT_TOL)[0][0])
+    zero = int(np.where(np.abs(pts) <= ZERO_TIME_TOL)[0][0])
 
     cov = np.empty((pts.size + 1, pts.size + 1))
     cov[:-1, :-1] = krein_kernel(pts[:, None], pts[None, :], alpha)
@@ -698,31 +637,6 @@ def conditional_independence_residual(
     cross = cov[np.ix_(past, future)]
     correction = cov[np.ix_(past, cond)] @ np.linalg.solve(c_block, cov[np.ix_(cond, future)])
     return float(np.abs(cross - correction).max())
-
-
-# -- duality and reflection ------------------------------------------------------------
-
-
-def reflect_values(grid: Grid, values) -> np.ndarray:
-    """Time reflection theta f(tau) = f(-tau); needs a symmetric grid."""
-    if not grid.is_symmetric():
-        raise ValueError("reflection needs a symmetric grid")
-    return np.asarray(values)[::-1].copy()
-
-
-def second_difference_operator(grid: Grid, values) -> np.ndarray:
-    """D g = -g'' by the central second difference (zero at the boundary rows)."""
-    g = real_or_complex(values)
-    out = np.zeros_like(g)
-    out[1:-1] = -(g[2:] - 2.0 * g[1:-1] + g[:-2]) / grid.step**2
-    return out
-
-
-def duality_residual(grid: Grid, f, g) -> float:
-    """|<f, D g> - (f, g)_L2| for the duality operator D = -d^2/dtau^2."""
-    dg = second_difference_operator(grid, g)
-    lhs = indefinite_inner(ExtendedVector(grid, f), ExtendedVector(grid, dg))
-    return abs(lhs - grid.step * (np.conj(np.asarray(f)) * np.asarray(g)).sum())
 
 
 # -- seeded vector families -------------------------------------------------------------
@@ -758,7 +672,7 @@ def family(spec: str, grid: Grid, seed: int) -> list[ExtendedVector]:
             top = grid.stop
             center = top * rng.uniform(0.2, 0.8)
             values = _bump(pts, center, top * rng.uniform(0.05, 0.15))
-            values[pts < -GRID_POINT_TOL] = 0.0
+            values[pts < -GRID_POINT_TOL * grid.step] = 0.0
         else:
             raise ValueError(f"unknown family kind {kind!r}")
         out.append(ExtendedVector(grid, values))

@@ -368,7 +368,6 @@ def test_gram_markov_residuals(capsys):
         ("probes:2", "0:1:0.5", "symmetric grid containing 0"),
         ("probes:2", "-1:2:0.5", "symmetric grid containing 0"),
         ("probes:500", "-1:1:0.001", "family size limited to 200"),
-        ("probes:2", "-1e-12:1e-12:1e-12", "no points on the requested side"),
     ],
 )
 def test_gram_markov_bad_arguments_are_usage_errors(capsys, family, grid, message):

@@ -63,6 +63,24 @@ def _drop_zbar_from_the_indefinite_product(monkeypatch):
     _mutate(monkeypatch, montecarlo, "mc_moment_components", "(1.0 + abs_taus)", "(1.0 - abs_taus)")
 
 
+def _swap_alpha_in_the_nelson_krein_direction(monkeypatch):
+    # the overlap with kappa read as <d0 / alpha + alpha w, u>: the metric is no longer an
+    # involution and [d_tau, d_sigma]_alpha leaves the closed kernel (criterion 11)
+    _mutate(
+        monkeypatch,
+        nelson,
+        "_krein_pairing",
+        "alpha * content_b + (1.0 / alpha) * content_a",
+        "(1.0 / alpha) * content_b + alpha * content_a",
+    )
+
+
+def _swap_alpha_in_the_krein_kernel(monkeypatch):
+    # the closed Krein kernel with alpha^-2 and alpha^2 exchanged: the Nelson Krein product no
+    # longer matches it (criterion 11)
+    _mutate(monkeypatch, montecarlo, "krein_kernel", "alpha**-2 + alpha**2 * ", "alpha**2 + alpha**-2 * ")
+
+
 # name -> (injection, the criteria that must each fail under it)
 FAULTS = {
     "nelson singular part halved": (_halve_the_singular_part, (10, 11)),
@@ -70,6 +88,8 @@ FAULTS = {
     "Brownian gaps 2% long": (_stretch_the_brownian_gaps, (6, 7, 14)),
     "z 2% long": (_stretch_z, (7, 14)),
     "zbar read as z in the indefinite product": (_drop_zbar_from_the_indefinite_product, (7,)),
+    "alpha and 1/alpha swapped in the Nelson Krein direction": (_swap_alpha_in_the_nelson_krein_direction, (11,)),
+    "alpha and 1/alpha swapped in the Krein kernel": (_swap_alpha_in_the_krein_kernel, (11,)),
 }
 
 

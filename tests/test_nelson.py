@@ -11,6 +11,7 @@ from test_montecarlo import outputs_under_kernels
 
 from ccrlab import nelson
 from ccrlab.cli import main
+from ccrlab.gram import real_or_complex
 from ccrlab.montecarlo import brownian_gaps, krein_kernel
 from ccrlab.nelson import (
     PROJECTION_CONDITION_LIMIT,
@@ -18,16 +19,11 @@ from ccrlab.nelson import (
     ExtendedVector,
     Grid,
     GridMismatchError,
-    Projector,
     SupportError,
     conditional_independence_residual,
-    decompose,
     delta_zero,
-    duality_residual,
     family,
-    from_values,
     indefinite_inner,
-    krein_direction,
     krein_inner,
     krein_metric_apply,
     markov_diagnostics,
@@ -36,8 +32,6 @@ from ccrlab.nelson import (
     os_rank,
     point_mass,
     project_onto,
-    reflect_values,
-    second_difference_operator,
     signature_of,
     w_vector,
 )
@@ -52,8 +46,8 @@ def unit_bump(grid, center, width=0.05):
 
 
 def row_set(grid, rows):
-    """The kernel's row set of a stack of coordinate rows (values, a, b)."""
-    return nelson._Rows(grid, rows[:, :-2], rows[:, -2:])
+    """The kernel's row set of a stack of coordinate rows (values, a, b), its grid parts as a list of rows."""
+    return nelson._Rows(grid, list(rows[:, :-2]), rows[:, -2:])
 
 
 def product(grid, left, right):
@@ -75,6 +69,52 @@ def factors(grid, rows):
     return (whole, *rows.content)
 
 
+# -- reference operations that no criterion or command needs ---------------------------
+
+
+def from_values(grid, values):
+    return ExtendedVector(grid, np.asarray(values, dtype=complex))
+
+
+def decompose(u):
+    """Split off the d0 and w content: u = a d0 + b w + h with h orthogonal to both.
+
+    The coefficients a = -2<w, u> and b = -2<d0, u> are the total mass and the
+    |tau|-weighted mass of the grid part (plus any explicit coordinates);
+    idempotent by construction.
+    """
+    # -2 <w, u> and -2 <d0, u> from the content (A, B), op for op as on the product
+    # route, whose zero signs they keep
+    a, b = -2.0 * (0.0 - np.concatenate(nelson._Rows.of([u]).content) / 2.0)
+    rest = ExtendedVector(u.grid, u.values.copy(), a=u.a - a, b=u.b - b)
+    return complex(a), complex(b), rest
+
+
+def krein_direction(grid, alpha):
+    """The negative-normalized direction alpha d0 + w/alpha (self-product -1)."""
+    return ExtendedVector(grid, np.zeros(grid.n), a=alpha, b=1.0 / alpha)
+
+
+def reflect_values(grid, values):
+    """Time reflection theta f(tau) = f(-tau); needs a symmetric grid."""
+    assert grid.is_symmetric()
+    return np.asarray(values)[::-1].copy()
+
+
+def second_difference_operator(grid, values):
+    """D g = -g'' by the central second difference (zero at the boundary rows)."""
+    g = real_or_complex(values)
+    out = np.zeros_like(g)
+    out[1:-1] = -(g[2:] - 2.0 * g[1:-1] + g[:-2]) / grid.step**2
+    return out
+
+
+def duality_residual(grid, f, g):
+    """|<f, D g> - (f, g)_L2| for the duality operator D = -d^2/dtau^2."""
+    lhs = indefinite_inner(ExtendedVector(grid, f), ExtendedVector(grid, second_difference_operator(grid, g)))
+    return abs(lhs - grid.step * (np.conj(np.asarray(f)) * np.asarray(g)).sum())
+
+
 # -- grids ------------------------------------------------------------------------
 
 
@@ -94,6 +134,25 @@ def test_grid_parse_errors():
         Grid.parse("0:1:0.3")
     with pytest.raises(ValueError):
         Grid.parse("0:1:-0.5")
+
+
+def test_grid_points_are_judged_in_steps():
+    # a third of a step from every point is off the grid, whatever the unit of time
+    fine = Grid.parse("-1e-8:1e-8:1e-10")
+    assert fine.index_of(3.3e-11) is None and fine.index_of(1e-10) == 101
+    with pytest.raises(ValueError):
+        Grid.parse("0:1e-9:3e-10")  # the stop is a third of a step past the last point
+    # a point a step from 0 is off it: each Markov side keeps all its points
+    assert [len(nelson._side_basis(fine, side, 200)) - 2 for side in (+1, -1)] == [100, 100]
+    tiny = Grid.parse("-1e-12:1e-12:1e-12")
+    assert tiny.is_symmetric() and [len(nelson._side_basis(tiny, side, 2)) for side in (+1, -1)] == [3, 3]
+    # points below 0 are negative time: a possupport function is zero there, and the OS sector refuses one that is not
+    (positive,) = family("possupport:1", fine, seed=3)
+    assert not positive.values[fine.points < 0].any()
+    leaked = positive.values.copy()
+    leaked[fine.index_of(-5e-10)] = leaked.max()
+    with pytest.raises(SupportError):
+        os_rank(fine, [leaked])
 
 
 def test_grid_mismatch_rejected():
@@ -283,11 +342,11 @@ def gamma(m):
     return m * u / (1 - m * u)
 
 
-# -1e-10:5:0.05 starts in (-GRID_POINT_TOL, 0), a point of the support weighted by |tau|
+# -1e-10:5:0.05 starts within GRID_POINT_TOL steps below 0, a point of the support weighted by |tau|
 @pytest.mark.parametrize("spec", ["0:5:0.05", "0:5:0.01", "-1e-10:5:0.05", "-2:3:0.1", "0.5:2.5:0.02"])
 def test_os_sector_matches_the_dense_reflected_kernel(spec):
     grid = Grid.parse(spec)
-    assert spec != "-1e-10:5:0.05" or -nelson.GRID_POINT_TOL < grid.points[0] < 0
+    assert spec != "-1e-10:5:0.05" or -nelson.GRID_POINT_TOL * grid.step < grid.points[0] < 0
     h, eps = grid.step, np.finfo(float).eps
     real = [v.values for v in family("possupport:10", grid, seed=31)]
     phases = np.exp(2j * np.pi * np.random.default_rng(31).uniform(size=(len(real), grid.n)))
@@ -540,10 +599,6 @@ def test_project_neutral_direction_errors():
         project_onto([delta_zero(GRID)], point_mass(GRID, 1.0))
     with pytest.raises(DegenerateGramError):
         project_onto([], point_mass(GRID, 1.0))
-    with pytest.raises(DegenerateGramError):  # refused when built, before any vector
-        Projector([delta_zero(GRID)])
-    with pytest.raises(DegenerateGramError):
-        Projector([])
 
 
 # -- factored once: the per-call route as the bit-for-bit reference ----------------------------
@@ -590,9 +645,7 @@ def test_projector_matches_per_call_route_bit_for_bit(spec, per_side):
     ]
     probes = nelson._probe_set(grid, 11)
     for basis in bases:
-        project = Projector(basis)
         for u in probes:
-            assert np.array_equal(project(u).coords(), per_call_project(basis, u))
             assert np.array_equal(project_onto(basis, u).coords(), per_call_project(basis, u))
 
 
@@ -614,21 +667,22 @@ def test_column_blocks_join_to_the_unblocked_factors_bit_for_bit(spec, columns):
     rng = np.random.default_rng(19)
     for rows in (rng.standard_normal((5, grid.n + 2)), rng.standard_normal((5, grid.n + 2)) * (1 - 2j)):
         whole = factors(grid, rows)[0]
-        for values in (rows[:, :-2], list(rows[:, :-2])):  # a stack's rows, or a family's own arrays
-            blocks = list(nelson._tail_blocks(grid, values, rows.dtype, columns))
-            sides = []
-            for _, ends in grid.gap_tails:
-                count = -(-ends.size // columns)
-                sides += blocks[:count][::-1]
-                blocks = blocks[count:]
-            assert not blocks
-            assert np.array_equal(np.concatenate(sides, axis=1), whole), spec
+        blocks = list(nelson._tail_blocks(grid, list(rows[:, :-2]), rows.dtype, columns))
+        sides = []
+        for _, ends in grid.gap_tails:
+            count = -(-ends.size // columns)
+            sides += blocks[:count][::-1]
+            blocks = blocks[count:]
+        assert not blocks
+        assert np.array_equal(np.concatenate(sides, axis=1), whole), spec
 
 
 def test_projector_checks_the_grid():
-    project = Projector([delta_zero(GRID), w_vector(GRID)])
+    other = Grid.parse("-1:1:0.5")
     with pytest.raises(GridMismatchError):
-        project(point_mass(Grid.parse("-1:1:0.5"), 0.5))
+        project_onto([delta_zero(GRID), w_vector(GRID)], point_mass(other, 0.5))
+    with pytest.raises(GridMismatchError):
+        project_onto([delta_zero(GRID), w_vector(other)], point_mass(GRID, 0.5))
 
 
 def test_cached_gaps_are_read_only_and_outside_eq_and_hash():
@@ -658,7 +712,7 @@ def test_cached_points_are_read_only_and_outside_eq_and_hash():
 def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
     # one walk per row set (the two bases and the probes), each read from the vectors'
     # own arrays: no stage is stacked, and a projection held as coefficients needs no walk
-    counts = {"brownian_gaps": 0, "_stack": 0, "_tail_blocks": 0}
+    counts = {"brownian_gaps": 0, "_tail_blocks": 0}
 
     def counted(name):
         original = getattr(nelson, name)
@@ -672,7 +726,7 @@ def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
     for name in counts:
         monkeypatch.setattr(nelson, name, counted(name))
     markov_diagnostics(Grid.parse("-5:5:0.2"), 25)
-    assert counts == {"brownian_gaps": 1, "_stack": 0, "_tail_blocks": 3}
+    assert counts == {"brownian_gaps": 1, "_tail_blocks": 3}
 
 
 def bits(values):
@@ -705,28 +759,6 @@ def test_krein_overlap_in_closed_form_matches_the_full_product_bit_for_bit(spec)
         assert bits(krein_metric_apply(u, alpha).coords()) == bits((u + (2.0 * overlap) * direction).coords())
         a, b, _ = decompose(u)
         assert bits([a, b]) == bits(-2.0 * product(grid, pair, u.coords()[None])[:, 0])
-
-
-@pytest.mark.parametrize("spec, per_side", [("-5:5:0.2", 25), ("-5:5:0.05", 50), ("-2:2:0.1", 6)])
-def test_batched_projection_matches_per_vector_calls(spec, per_side):
-    grid = Grid.parse(spec)
-    probes = nelson._probe_set(grid, 5)
-    bases = [
-        nelson._side_basis(grid, +1, per_side),
-        nelson._side_basis(grid, -1, per_side),
-        [delta_zero(grid), w_vector(grid)],
-    ]
-    for basis in bases:
-        project = Projector(basis)
-        batched = project.project(probes)
-        assert len(batched) == len(probes)
-        for u, pu in zip(probes, batched):
-            # equal floats; a coordinate no basis vector touches is a zero whose sign
-            # the matrix product may set differently for a batch
-            assert np.array_equal(pu.coords(), project(u).coords())
-            assert pu.grid == grid
-    with pytest.raises(GridMismatchError):
-        Projector([delta_zero(GRID), w_vector(GRID)]).project([delta_zero(GRID), delta_zero(Grid.parse("-1:1:0.5"))])
 
 
 def per_probe_markov(grid, n_per_side, alpha, seed):
@@ -820,7 +852,7 @@ def test_krein_norms_match_the_exact_oracle(spec, alpha):
             )
         )
     for vectors in (real, real + complex_ab):
-        rows = nelson._stack(vectors)
+        rows = np.stack([v.coords() for v in vectors])
         assert rows.dtype == (float if vectors is real else complex)
         norms, scales = krein_norms(grid, rows, alpha), krein_scale(grid, rows, alpha)
         for u, row, norm, scale in zip(vectors, rows, norms, scales):
@@ -860,10 +892,10 @@ def test_real_rows_agree_with_their_complex_cast():
 def test_families_of_real_vectors_take_real_arithmetic():
     grid = Grid.parse("-2:2:0.1")
     real = family("meanzero:6", grid, 3)
-    assert nelson._stack(real).dtype == float
+    assert nelson._Rows.of(real).dtype == float
     assert signature_of(real).entries.dtype == float
     mixed = real + [ExtendedVector(grid, np.zeros(grid.n), a=1j)]
-    assert nelson._stack(mixed).dtype == complex
+    assert nelson._Rows.of(mixed).dtype == complex
     assert signature_of(mixed).entries.dtype == complex
     # the boundary type stores real input as float64 and anything else as complex128
     assert all(v.values.nbytes == grid.n * 8 for v in real)
@@ -875,12 +907,11 @@ def test_families_of_real_vectors_take_real_arithmetic():
         assert ExtendedVector(grid, values).values.dtype == np.complex128
     assert np.array_equal(ExtendedVector(grid, fractions).values, np.asarray(fractions, dtype=complex))
     assert from_values(grid, np.ones(n)).values.dtype == np.complex128
-    # projection takes complex rows whatever the vectors store: a real probe projects
-    # to the same values alone as in a mixed batch (a zero's sign may differ)
-    project = Projector(nelson._side_basis(grid, +1, 6))
-    alone = project(real[0]).coords()
-    assert np.array_equal(alone, project.project([mixed[-1], real[0]])[1].coords())
-    assert np.array_equal(alone, project(from_values(grid, real[0].values)).coords())
+    # projection takes a complex row whatever the vector stores: a real probe projects
+    # to the same values as its complex cast
+    basis = nelson._side_basis(grid, +1, 6)
+    cast = project_onto(basis, from_values(grid, real[0].values)).coords()
+    assert np.array_equal(project_onto(basis, real[0]).coords(), cast)
 
 
 # -- Markov identity ----------------------------------------------------------------------------
@@ -1050,8 +1081,12 @@ def test_column_blocks_keep_the_dense_metric_bounds(monkeypatch):
     # the checks of test_factored_product_matches_dense_metric with blocks of
     # max(1, n // 100) columns over 12 complex rows (krein_inner's 2 rows take six
     # times that), so the products, Krein norms and projections sum up to a hundred
-    # blocks a side; a projector whose basis W is one block is checked too
+    # blocks a side; a projection whose bordered W is one block is checked too
     rng = np.random.default_rng(43)
+    walks, tail_blocks = [], nelson._tail_blocks
+    monkeypatch.setattr(
+        nelson, "_tail_blocks", lambda grid, values, dtype, columns: (walks.append(columns), tail_blocks(grid, values, dtype, columns))[1]
+    )
     for spec in ("-5:5:0.1", "0:5:0.01", "1:3:0.5", "-3:-1:0.25", "-10:10:0.01"):
         grid = Grid.parse(spec)
         monkeypatch.setattr(nelson, "FACTOR_BLOCK_BYTES", 12 * 16 * max(1, grid.n // 100))
@@ -1092,13 +1127,13 @@ def test_column_blocks_keep_the_dense_metric_bounds(monkeypatch):
         gram = sized @ basis_coords.T
         inverse_norm, row_norm = np.linalg.norm(np.linalg.inv(gram), 2), np.linalg.norm(basis_coords, axis=1).max()
         probes = complex_rows[2:] + real_rows[2:]
-        projected = [Projector(basis).project(probes)]
-        # a basis whose W is just one block keeps it, while a batch's partition, with more
-        # rows, takes more than one
-        monkeypatch.setattr(nelson, "FACTOR_BLOCK_BYTES", k * 16 * sum(ends.size for _, ends in grid.gap_tails))
-        kept = Projector(basis)
-        assert kept._basis._whole is not None
-        projected.append([kept(u) for u in probes])
+        projected = []
+        # blocked, then with the k basis rows and the probe's complex row in one block of W
+        for block_bytes in (nelson.FACTOR_BLOCK_BYTES, (k + 1) * 16 * sum(ends.size for _, ends in grid.gap_tails)):
+            monkeypatch.setattr(nelson, "FACTOR_BLOCK_BYTES", block_bytes)
+            walks.clear()
+            projected.append([project_onto(basis, u) for u in probes])
+            assert walks and all((columns is None) == (len(projected) == 2) for columns in walks), spec
         for u, *outs in zip(probes, *projected):
             moments = sized @ u.coords()
             want = np.linalg.solve(gram, moments) @ basis_coords
