@@ -15,7 +15,8 @@ change.
 Per run it records the pass's ``wall_s``, ``setup_s``, ``peak_rss_mb``, digest
 and ``source_sha256`` (the hash of the ccrlab sources that run imported, from
 run.py's own stamp), and the CPU seconds of the child processes (``getrusage``
-of the waited-for children, before and after).  One JSON record holds every
+of the waited-for children, before and after; the summary prints each side's
+median, where a BLAS thread that spins after its call shows).  One JSON record holds every
 run, each side's median and quartiles and source hashes, the median ratio of
 paired ``wall_s`` (working tree over base)
 with a 95% bootstrap interval (pairs resampled with a fixed seed, so the
@@ -317,6 +318,8 @@ def main(argv=None) -> int:
                 "workload": args.workload,
                 "wall_s_base": report["sides"]["base"]["wall_s"],
                 "wall_s_change": report["sides"]["change"]["wall_s"],
+                "cpu_s_base": report["sides"]["base"]["cpu_s"]["median"],
+                "cpu_s_change": report["sides"]["change"]["cpu_s"]["median"],
                 "ratio_median": report["wall_s_ratio_median"],
                 "ratio_ci95": report["wall_s_ratio_ci95"],
                 "wins": f"{report['wins']}/{report['pairs']}",

@@ -36,13 +36,13 @@ def gram_signature(entries: np.ndarray) -> tuple[tuple[int, int, int], np.ndarra
     """Eigen-signature (n+, n-, n0) of a Hermitian matrix.
 
     The zero tolerance is SIGNATURE_TOL_FACTOR times the spectral radius.  Raises if
-    the input fails hermiticity beyond HERMITICITY_TOL (relative).  Real input
+    the input fails hermiticity beyond HERMITICITY_TOL times max|G|.  Real input
     stays real, so a real symmetric Gram takes the real eigensolver.
     """
     entries = real_or_complex(entries)
     if entries.size == 0:
         return (0, 0, 0), np.array([])
-    scale = max(1.0, float(np.abs(entries).max()))
+    scale = float(np.abs(entries).max())  # relative to the Gram's own scale, so the check is unit-free
     defect = float(np.abs(entries - entries.conj().T).max())
     if defect > HERMITICITY_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} at scale {scale:.3e}")

@@ -194,20 +194,41 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+class _Slot:
+    """One block's result or exception, filled once by the thread that works the block."""
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.value = self.error = None
+
+    def fill(self, work, *args):
+        try:
+            self.value = work(*args)
+        except BaseException as err:  # raised in block order, after any lower block's
+            self.error = err
+        self.done.set()
+
+    def result(self):
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
 def _run_blocks(blocks: int, seed: int, work, size: int):
     """Yield work(block, substream(seed, block), buffer) for each block, in block order.
 
     work runs on up to one worker per CPU: the calling thread and a pool of
-    threads for the others, each worker with its own scratch buffer of
+    plain threads for the others, each worker with its own scratch buffer of
     ``size`` floats, reused by every block it works, with no more workers
     than blocks.  The calling thread allocates every buffer and makes every
-    substream, in block order.  It hands each block to the pool while the
-    pool holds fewer than two unfinished blocks per thread, and works it
-    itself otherwise; it yields the results in block order as they come.
-    The threads run under the caller's numpy error state.  An exception
-    raised by work stops the hand-out and is raised here once every thread
-    has finished; when several blocks fail, the lowest one's, as in a serial
-    loop.
+    substream, in block order.  It hands each block to the pool, through one
+    queue and a slot per block, while the pool holds fewer than two unfinished
+    blocks per thread, and works it itself otherwise; it yields the results in
+    block order as they come.  The threads run under the caller's numpy error
+    state.  An exception raised by work stops the hand-out and is raised here
+    once every thread has finished; when several blocks fail, the lowest one's,
+    as in a serial loop.  Blocks still queued then are dropped unworked.
     """
     workers = min(_cpu_count(), blocks)
     own, *buffers = (np.empty(size) for _ in range(workers))
@@ -215,40 +236,45 @@ def _run_blocks(blocks: int, seed: int, work, size: int):
         for block in range(blocks):
             yield work(block, substream(seed, block), own)
         return
-    # here: one-block calls, and importing ccrlab, need no pool
-    from concurrent.futures import Future, ThreadPoolExecutor
+    import queue  # here, so that importing ccrlab loads no _queue or _heapq: about 0.13 MB
 
     window = 2 * len(buffers)
-    local = threading.local()
+    tasks, stopped = queue.SimpleQueue(), threading.Event()
     errstate, errcall = np.geterr(), np.geterrcall()
 
-    def start_thread():
-        local.buffer = buffers.pop()
+    def serve(buffer):
         np.seterr(**errstate)
         np.seterrcall(errcall)
+        while (task := tasks.get()) is not None:
+            slot, block, generator = task
+            if stopped.is_set():
+                slot.done.set()
+            else:
+                slot.fill(work, block, generator, buffer)
 
-    def pooled(block, generator):
-        return work(block, generator, local.buffer)
-
-    pool = ThreadPoolExecutor(len(buffers), initializer=start_thread)
-    pending = deque()
+    threads, pending = [], deque()
     try:
+        for buffer in buffers:
+            thread = threading.Thread(target=serve, args=(buffer,), daemon=True)
+            thread.start()
+            threads.append(thread)  # only started threads are told to stop and joined
         for block in range(blocks):
-            generator = substream(seed, block)
-            if sum(not future.done() for future in pending) < window:
-                pending.append(pool.submit(pooled, block, generator))
+            generator, slot = substream(seed, block), _Slot()
+            if sum(not other.done.is_set() for other in pending) < window:
+                tasks.put((slot, block, generator))
             else:  # the pool is busy: work the block here
-                pending.append(future := Future())
-                try:
-                    future.set_result(work(block, generator, own))
-                except Exception as err:  # raised in block order, after any lower block's
-                    future.set_exception(err)
-            while pending and pending[0].done():
+                slot.fill(work, block, generator, own)
+            pending.append(slot)
+            while pending and pending[0].done.is_set():
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
     finally:
-        pool.shutdown(cancel_futures=True)
+        stopped.set()
+        for _ in threads:
+            tasks.put(None)
+        for thread in threads:
+            thread.join()
 
 
 def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEstimate, McEstimate]:

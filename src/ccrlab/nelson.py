@@ -202,12 +202,23 @@ def _products(left: _Rows, *right: _Rows) -> np.ndarray:
     A product is a Gram (rows, rows), a cross product (u, v), or a basis bordered
     by the vectors it projects (basis, basis, probes).  W_u^H W_v is summed over
     the column blocks that the row sets share; a row set on both sides is walked once.
+    Each right row set takes its own matrix product, written into its columns, so a
+    real pair stays in real BLAS (a Gram in syrk) and no product joins the sets'
+    blocks into one wider one; a single right set's product is returned as it is.
     """
     sets = list(dict.fromkeys((left, *right)))
-    columns = _block_columns(sum(map(len, sets)), np.result_type(*(rows.dtype for rows in sets)))
+    dtype = np.result_type(*(rows.dtype for rows in sets))
+    columns = _block_columns(sum(map(len, sets)), dtype)
+    ends = np.cumsum(list(map(len, right))).tolist()
 
     def term(*w):  # one block of each row set; map, unlike zip, holds no block past its term
-        return w[0].conj() @ _joined([w[sets.index(rows)] for rows in right]).T  # a real block's conj is itself
+        conj = w[0].conj()  # a real block's conj is itself
+        if len(right) == 1:
+            return conj @ w[sets.index(right[0])].T
+        out = np.empty((len(left), ends[-1]), dtype)
+        for rows, start, stop in zip(right, [0, *ends], ends):
+            out[:, start:stop] = conj @ w[sets.index(rows)].T
+        return out
 
     # the per-block terms added in place; a single block's term is returned as it is
     products = reduce(operator.iadd, map(term, *(rows.blocks(columns) for rows in sets)))

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import statistics
 
 import pytest
 from test_montecarlo import _dynamic_arch_openblas
@@ -112,7 +113,12 @@ def test_every_run_writes_the_run_output_not_the_claim_file(ab, monkeypatch, tmp
     monkeypatch.setattr(ab, "run_once", lambda root, workload, seed: next(runs["change" if root == ab.ROOT else "base"]))
     assert ab.main(["--workload", "suite"]) == 0
     out = tmp_path / "perfbench" / "results" / "ab-suite.json"
-    assert json.loads(capsys.readouterr().out)["out"] == str(out)
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["out"] == str(out)
+    # the children's CPU seconds, where a spinning BLAS thread shows: each side's median
+    for side in ("base", "change"):
+        assert printed[f"cpu_s_{side}"] == statistics.median(pair[side]["cpu_s"] for pair in made_up)
+    assert gain or printed["cpu_s_base"] == printed["cpu_s_change"] == 1.0
     rule = json.loads(out.read_text())["gain_rule"]
     assert rule["holds"] is gain
     assert gain or ("won 0 of 10 pairs" in rule["refused"] and "interquartile" in rule["refused"])

@@ -69,6 +69,28 @@ def test_criterion_12_markov_projections():
     _run(12)
 
 
+IDLE_SCRIPT = """
+import time
+from ccrlab import acceptance
+start = time.perf_counter()
+while time.perf_counter() - start < 0.3:  # OpenBLAS's threads spin for a while after the library starts
+    acceptance.criterion_12(quick=False)
+time.sleep(0.3)
+acceptance.criterion_12(quick=False)
+cpu = time.process_time()
+time.sleep(0.4)
+print(time.process_time() - cpu)
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a second CPU for a second BLAS thread")
+def test_criterion_12_leaves_no_blas_thread_spinning():
+    # a product above OpenBLAS's threading threshold wakes a second thread, which then
+    # spins for about 0.12 s of CPU after the call returns: a CPU taken from the sampler
+    (output,) = outputs_under_kernels(IDLE_SCRIPT, [{"OPENBLAS_NUM_THREADS": "2"}])
+    assert float(output) < 0.02
+
+
 def test_criterion_13_gaussian_markov_property():
     _run(13)
 

@@ -26,6 +26,18 @@ def test_rejects_non_hermitian():
         gram_signature(entries)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-13])
+def test_hermiticity_is_judged_relative_to_the_gram_at_every_scale(c):
+    # the same defect relative to max|G| is refused in any unit: a small Gram is checked too
+    with pytest.raises(ValueError, match="not Hermitian"):
+        gram_signature(c * np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_zero_and_empty_grams_pass_the_hermiticity_check():
+    assert gram_signature(np.zeros((3, 3)))[0] == (0, 0, 3)
+    assert gram_signature(np.zeros((0, 0)))[0] == (0, 0, 0)
+
+
 def test_empty_matrix():
     signature, eigenvalues = gram_signature(np.zeros((0, 0), dtype=complex))
     assert signature == (0, 0, 0)

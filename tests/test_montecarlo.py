@@ -340,6 +340,19 @@ print("numpy.ma" in sys.modules)
     assert child.stdout.strip() == "False"
 
 
+def test_sampler_pool_does_not_import_concurrent_futures():
+    # concurrent.futures brings logging, traceback and string: about 10 ms and 0.8 MB a process
+    script = """
+import sys
+from ccrlab import montecarlo as mc
+mc._cpu_count = lambda: 2
+mc.mc_moment([1.0, -0.5], mc.McConfig(samples=3 * mc.BLOCK, seed=3))
+print(sorted(name for name in ("concurrent.futures", "logging") if name in sys.modules))
+"""
+    (output,) = outputs_under_kernels(script, [{}])
+    assert output.strip() == "[]"
+
+
 @pytest.mark.parametrize("taus", [[1.0, 0.5, 1.0, -0.5, -0.5, 0.0, 2.0], [-3.0, -3.0], [0.0], [0.25, 0.25, 0.75]])
 def test_brownian_gaps_match_the_unique_construction(taus):
     for side, (sq, last) in zip((np.array(taus), -np.array(taus)), montecarlo.brownian_gaps(taus)):

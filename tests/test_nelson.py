@@ -620,15 +620,17 @@ def per_call_factors(grid, rows):
 
 
 def per_call_project(basis, u):
-    """Restack the basis, factor (basis, u), check the Gram's cond, solve: every call.
+    """Restack the basis, factor the basis and u, check the Gram's cond, solve: every call.
 
-    The stacks are complex whatever the vectors store, as on the projector's route.
+    The basis stack keeps its dtype and u's row is cast to complex; each row-set
+    pair takes its own matrix product, as on project_onto's route.
     """
-    coords = np.stack([v.coords() for v in basis]).astype(complex)
+    coords = np.stack([v.coords() for v in basis])
     w_left, a_left, b_left = per_call_factors(u.grid, coords)
-    w_right, a_right, b_right = per_call_factors(u.grid, np.vstack((coords, u.coords())).astype(complex))
+    w_u, a_u, b_u = per_call_factors(u.grid, u.coords()[None].astype(complex))
+    a_right, b_right = np.concatenate((a_left, a_u)), np.concatenate((b_left, b_u))
     singular = np.outer(a_left.conj(), b_right) + np.outer(b_left.conj(), a_right)
-    products = w_left.conj() @ w_right.T - singular / 2.0
+    products = np.hstack((w_left.conj() @ w_left.T, w_left.conj() @ w_u.T)) - singular / 2.0
     gram, moments = products[:, :-1], products[:, -1]
     cond = np.linalg.cond(gram)
     assert np.isfinite(cond) and cond <= PROJECTION_CONDITION_LIMIT
