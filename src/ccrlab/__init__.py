@@ -14,7 +14,6 @@ from .heisenberg import (
     AlgebraElement,
     CovarianceTable,
     Generator,
-    GnsVector,
     P,
     P_PRIME,
     Q,
@@ -28,7 +27,6 @@ from .heisenberg import (
     gns_inner,
     hamiltonian,
     metric_conjugate,
-    modular_apply,
     moment_matrix,
     normal_order,
     omega,

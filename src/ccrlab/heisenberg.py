@@ -18,9 +18,12 @@ open items outnumber the items left.  Its cost is polynomial in the length
 for a fixed number of distinct items (a word has at most four), and 2^n for
 n distinct items.  It asks that ``pair`` be pure and treats items equal
 under ``==`` as interchangeable (0.0 and -0.0 merge).
-On top of the state sit the GNS-label operations: the adjoint map
-``A |0> -> A* |0>``, the modular phases, diagonal on canonical monomials,
-and the metric conjugation ``q <-> p'``, ``p <-> q'``.
+A GNS vector ``A |0>`` is named by its label ``A``, so the GNS inner product
+and the modular maps take and return algebra elements; on the unprimed
+subalgebra, where the modular maps act, the state is faithful (criterion 4's
+witness), so there the label is unique.  On top of the state sit the
+adjoint map ``A |0> -> A* |0>``, the modular phases, diagonal on canonical
+monomials, and the metric conjugation ``q <-> p'``, ``p <-> q'``.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from .exactcomplex import I, ONE, ZERO, ComplexRational, _reduced
 from .gram import GramMatrix, gram_signature
 
 DEFAULT_WORD_LIMIT = 32
-# Most encoded tables (one per digit width, so per even word length) a CovarianceTable keeps for wick_value.
-ENCODED_WIDTHS = 64
 
 
 class WordLengthError(ValueError):
@@ -490,7 +491,6 @@ class CovarianceTable:
     _den: int = field(init=False, repr=False, compare=False)
     _table: tuple = field(init=False, repr=False, compare=False)
     _size: int = field(init=False, repr=False, compare=False)
-    _encodings: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = Fraction(self.c)
@@ -508,21 +508,6 @@ class CovarianceTable:
         object.__setattr__(self, "_table", table)
         # the largest |x| + |y| of a value: wick_value's digit width grows with it
         object.__setattr__(self, "_size", max(abs(x) + abs(y) for row in table for x, y in filter(None, row)))
-        object.__setattr__(self, "_encodings", {})
-
-    def _encoded(self, bits: int) -> tuple[tuple[int, ...], ...]:
-        """The values x + y i as the ints x + y 2^bits (0 stays 0), built once per digit width.
-
-        The store holds at most ENCODED_WIDTHS widths (one per even word length in
-        use); a new width past that empties it first.
-        """
-        encoded = self._encodings.get(bits)
-        if encoded is None:
-            if len(self._encodings) >= ENCODED_WIDTHS:
-                self._encodings.clear()
-            encoded = tuple(tuple(v and v[0] + (v[1] << bits) for v in row) for row in self._table)
-            self._encodings[bits] = encoded
-        return encoded
 
     def value(self, x: Generator, y: Generator) -> ComplexRational:
         scaled = self._table[x][y]
@@ -646,7 +631,7 @@ def wick_value(word, table: CovarianceTable) -> ComplexRational:
     # (n-1)!! max(|x| + |y|)^(n/2) < 2^(bits-1), so the signed base-2^bits
     # digits of the sum are the a_k, and i^k folds them back into x + y i.
     bits = (math.prod(range(len(items) - 1, 0, -2)) * table._size**half).bit_length() + 1
-    encoded = table._encoded(bits)
+    encoded = [[v and v[0] + (v[1] << bits) for v in row] for row in table._table]
     total = pair_partition_sum(items, lambda a, b: encoded[a][b])
     x = y = 0
     for k in range(half + 1):
@@ -679,68 +664,41 @@ def omega(e: AlgebraElement, table: CovarianceTable) -> ComplexRational:
     return _reduced(x, y, e._den * table._den**top)
 
 
-@dataclass(frozen=True)
-class GnsVector:
-    """GNS label: the vector A |0> represented by the element A."""
-
-    label: AlgebraElement
-
-
-def _label_of(v) -> AlgebraElement:
-    return v.label if isinstance(v, GnsVector) else v
-
-
-def gns_inner(u, v, table: CovarianceTable) -> ComplexRational:
-    """Indefinite inner product <A|0>, B|0>> = omega(A* B)."""
-    return omega(adjoint(_label_of(u)) * _label_of(v), table)
+def gns_inner(u: AlgebraElement, v: AlgebraElement, table: CovarianceTable) -> ComplexRational:
+    """Indefinite inner product <A|0>, B|0>> = omega(A* B) of the GNS vectors labelled A and B."""
+    return omega(adjoint(u) * v, table)
 
 
 # -- modular structure (c = 0) ---------------------------------------------------
 
 
-def _modular_phases(v, sign: int) -> GnsVector:
+def _modular_phases(e: AlgebraElement, sign: int) -> AlgebraElement:
     """Phase (sign i)^a (-sign i)^b of each p^a q^b.  It is (sign i)^k (-sign i)^j on every
     term of q^j p^k = sum_s C(j,s) C(k,s) s! i^s p^(k-s) q^(j-s), since i (-i) = 1."""
-    label = _label_of(v)
     terms = {}
-    for (j, k, l, m), (x, y) in label._terms.items():
+    for (j, k, l, m), (x, y) in e._terms.items():
         if l or m:
             raise UnsupportedDomainError("modular maps are defined on the unprimed subalgebra")
         # (sign i)^k (-sign i)^j = sign^k (-sign)^j i^(k+j)
         re, im = _I_POWERS[(k + j) % 4]
         unit = sign**k * (-sign) ** j
         terms[(j, k, l, m)] = (unit * (x * re - y * im), unit * (x * im + y * re))
-    return GnsVector(_make_element(terms, label._den))
+    return _make_element(terms, e._den)
 
 
-def modular_sqrt(v) -> GnsVector:
+def modular_sqrt(e: AlgebraElement) -> AlgebraElement:
     """Square root of the modular operator: p^k q^j |0> -> i^k (-i)^j p^k q^j |0>."""
-    return _modular_phases(v, +1)
+    return _modular_phases(e, +1)
 
 
-def modular_inv_sqrt(v) -> GnsVector:
+def modular_inv_sqrt(e: AlgebraElement) -> AlgebraElement:
     """Inverse square root: the i <-> -i swapped phases."""
-    return _modular_phases(v, -1)
+    return _modular_phases(e, -1)
 
 
-def modular_conjugation(v) -> GnsVector:
+def modular_conjugation(e: AlgebraElement) -> AlgebraElement:
     """Antiunitary conjugation J, the adjoint map composed after inverse sqrt."""
-    return GnsVector(adjoint(modular_inv_sqrt(v).label))
-
-
-_MODULAR_KINDS = {
-    "delta_half": modular_sqrt,
-    "delta_inv_half": modular_inv_sqrt,
-    "J": modular_conjugation,
-}
-
-
-def modular_apply(kind: str, v) -> GnsVector:
-    try:
-        fn = _MODULAR_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown modular map {kind!r}; expected one of {sorted(_MODULAR_KINDS)}")
-    return fn(v)
+    return adjoint(modular_inv_sqrt(e))
 
 
 # -- distinguished elements -------------------------------------------------------

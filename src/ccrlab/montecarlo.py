@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heisenberg import pair_partition_sum
-from .weyl import to_label_fraction
+from .weyl import _neutral_labels
 
 BLOCK = 16384
 PAIR_MOMENT_LIMIT = 20  # n distinct taus give the pair-partition engine 2^n states
@@ -440,12 +440,13 @@ def mc_weyl_schwinger(alphas, taus, cfg: McConfig) -> McEstimate:
     charge-conservation delta, so label sums away from zero return an exact 0
     without sampling (samples == 0 marks the exact value); otherwise the mean
     over two-sided Brownian paths converges to the closed-form Schwinger
-    value.
+    value.  Labels and taus of different lengths, or none, raise ValueError,
+    as in :func:`ccrlab.weyl.schwinger_npoint`.
     """
-    fractions = [to_label_fraction(a) for a in alphas]
-    if sum(fractions) != 0:
+    labels = _neutral_labels(alphas, taus, "taus")
+    if labels is None:
         return McEstimate(mean=0.0, stderr=0.0, samples=0)
-    coeffs = [float(a) for a in fractions]
+    coeffs = [float(a) for a in labels]
 
     def integrand(rows, paths):  # the real part of exp(i theta)
         _weighted_sum(coeffs, paths, rows[0], rows[1])

@@ -81,9 +81,6 @@ class WeylElement:
             return self * other
         return NotImplemented
 
-    def star(self) -> "WeylElement":
-        return weyl_star(self)
-
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented

@@ -10,7 +10,7 @@ import inspect
 
 import pytest
 
-from ccrlab import acceptance, montecarlo, nelson
+from ccrlab import acceptance, heisenberg, montecarlo, nelson
 
 
 def _halve_the_singular_part(monkeypatch):
@@ -81,6 +81,22 @@ def _swap_alpha_in_the_krein_kernel(monkeypatch):
     _mutate(monkeypatch, montecarlo, "krein_kernel", "alpha**-2 + alpha**2 * ", "alpha**2 + alpha**-2 * ")
 
 
+def _drop_the_count_factor_from_the_pair_partitions(monkeypatch):
+    # closing one of several open items of a label counts once, not count times: words with a
+    # repeated generator lose matchings and wick_value leaves the normal-ordering oracle (criterion 2);
+    # the Monte Carlo targets, which import the engine by name, take the mutant too, but none holds a
+    # tau more than twice, so every count there is 1
+    _mutate(monkeypatch, heisenberg, "pair_partition_sum", "weight * count * value", "weight * value")
+    monkeypatch.setattr(montecarlo, "pair_partition_sum", heisenberg.pair_partition_sum)
+
+
+def _narrow_the_wick_digits_by_one_bit(monkeypatch):
+    # the Kronecker digits of wick_value one bit short: a coefficient past half the base reads as a
+    # negative digit and carries into the next power of i, so the Wick sum leaves the
+    # normal-ordering oracle (criterion 2)
+    _mutate(monkeypatch, heisenberg, "wick_value", ".bit_length() + 1", ".bit_length()")
+
+
 # name -> (injection, the criteria that must each fail under it)
 FAULTS = {
     "nelson singular part halved": (_halve_the_singular_part, (10, 11)),
@@ -90,6 +106,8 @@ FAULTS = {
     "zbar read as z in the indefinite product": (_drop_zbar_from_the_indefinite_product, (7,)),
     "alpha and 1/alpha swapped in the Nelson Krein direction": (_swap_alpha_in_the_nelson_krein_direction, (11,)),
     "alpha and 1/alpha swapped in the Krein kernel": (_swap_alpha_in_the_krein_kernel, (11,)),
+    "pair partitions without the count factor": (_drop_the_count_factor_from_the_pair_partitions, (2,)),
+    "Wick digits one bit short": (_narrow_the_wick_digits_by_one_bit, (2,)),
 }
 
 

@@ -220,6 +220,14 @@ def test_weyl_schwinger_charge_rule_exact():
     assert live.samples == 1000
 
 
+@pytest.mark.parametrize("alphas, taus", [([1, -1], [0, 1, 2]), ([1, -1, 0], [0, 1]), ([], [])])
+def test_weyl_schwinger_refuses_what_the_closed_form_refuses(alphas, taus):
+    # one charge rule: labels and taus of different lengths, or none, are refused before any sampling
+    for value in (schwinger_npoint, lambda a, t: mc_weyl_schwinger(a, t, McConfig(samples=10, seed=55))):
+        with pytest.raises(ValueError):
+            value(alphas, taus)
+
+
 def test_weyl_schwinger_three_point():
     alphas, taus = [1, -2, 1], [-1, 0, 1]
     est = mc_weyl_schwinger(alphas, taus, McConfig(samples=SAMPLES, seed=54))
@@ -459,6 +467,10 @@ TAUS_SETS = {
 
 def _assert_matches_serial(monkeypatch, taus, cfg, worker_counts=(1, 2, 3)):
     for name, run in ESTIMATORS.items():
+        if name == "weyl" and not taus:  # no labels: refused, as the closed form refuses them
+            with pytest.raises(ValueError):
+                run(taus, cfg)
+            continue
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_estimate", _serial_estimate)
             expected = repr(run(taus, cfg))
