@@ -8,7 +8,7 @@ Monte Carlo checks of the functional-integral representations
 with Krein metrics and Markov projections (:mod:`ccrlab.nelson`).
 """
 
-from .exactcomplex import ComplexRational, parse_complex_rational
+from .exactcomplex import ComplexRational
 from .gram import GramMatrix, gram_signature, numerical_rank
 from .heisenberg import (
     AlgebraElement,

@@ -148,7 +148,7 @@ def _run_mc(args) -> tuple[dict, bool]:
     if args.samples < 2:
         raise UsageError("--samples must be >= 2: the standard error needs two samples")
     try:
-        cfg = mc.McConfig(samples=args.samples, seed=args.seed, step=args.step, chunk=args.chunk)
+        cfg = mc.McConfig(samples=args.samples, seed=args.seed, step=args.step)
     except ValueError as err:
         raise UsageError(str(err)) from None
     taus = _float_list(args.taus) if args.taus else []
@@ -159,13 +159,7 @@ def _run_mc(args) -> tuple[dict, bool]:
             f"mode={args.mode} takes at most {mc.PAIR_MOMENT_LIMIT} --taus points "
             f"(its target sums pair partitions), got {len(taus)}"
         )
-    inputs = {
-        "mode": args.mode,
-        "taus": taus,
-        "samples": args.samples,
-        "seed": args.seed,
-        "chunk": args.chunk,
-    }
+    inputs = {"mode": args.mode, "taus": taus, "samples": args.samples, "seed": args.seed}
 
     if args.mode == "indefinite":
         if not taus:
@@ -354,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     monte.add_argument("--weights", default=None)
     monte.add_argument("--alpha", type=float, default=None, help="Krein scale")
     monte.add_argument("--samples", type=int, default=100_000)
-    monte.add_argument("--chunk", type=int, default=65536)
     monte.add_argument("--step", type=float, default=1.0)
     monte.set_defaults(handler=_run_mc)
 

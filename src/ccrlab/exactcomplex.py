@@ -5,8 +5,8 @@ coefficient field is Q + iQ rather than floating point.  A value
 ``(x + y i) / d`` is stored as three ints with ``d > 0`` and
 ``gcd(x, y, d) = 1``, so each operation takes one gcd (the integer-rational
 technique of Knuth, TAOCP vol. 2, section 4.5.1) and no ``Fraction`` is built
-on the arithmetic path.  Values are immutable and hashable; they serialize as
-``a/b+c/d i`` and round-trip through :func:`parse_complex_rational`.
+on the arithmetic path.  Values are immutable and hashable, and print as
+``a/b+c/d i``.
 """
 
 from __future__ import annotations
@@ -177,29 +177,6 @@ def _coerce(value):
     if isinstance(value, Fraction):
         return _make(value.numerator, 0, value.denominator)
     return NotImplemented
-
-
-def parse_complex_rational(text: str) -> ComplexRational:
-    """Parse the ``a/b+c/d i`` serialization (either part may be absent)."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex-rational literal")
-    if not s.endswith("i"):
-        return ComplexRational(Fraction(s))
-    body = s[:-1]
-    # split real and imaginary at the last top-level +/- (skip a leading sign)
-    split = None
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "+-/":
-            split = pos
-            break
-    if split is None:
-        imag = body if body not in ("", "+", "-") else body + "1"
-        return ComplexRational(0, Fraction(imag))
-    real, imag = body[:split], body[split:]
-    if imag in ("+", "-"):
-        imag += "1"
-    return ComplexRational(Fraction(real), Fraction(imag))
 
 
 ZERO = ComplexRational(0)

@@ -29,9 +29,7 @@ not depend on the number of CPUs or workers, and a failing block stops the
 hand-out and raises its exception (the lowest failing block's, as in a serial
 loop) in the caller.  A block streams its paths to one integrand call, as a
 running sum down each side of 0 kept in one row, in gap order; no step of
-sampling calls BLAS, so the bits do not depend on the BLAS kernel.  The
-chunk size of :class:`McConfig` sets the segments whose statistics are
-merged; regrouping changes results at roundoff level.
+sampling calls BLAS, so the bits do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -53,12 +51,11 @@ PAIR_MOMENT_LIMIT = 20  # n distinct taus give the pair-partition engine 2^n sta
 
 @dataclass(frozen=True)
 class McConfig:
-    """Seeded Monte Carlo run description; ``chunk`` sets the reduction's merged segments (roundoff only)."""
+    """Seeded Monte Carlo run description."""
 
     samples: int
     seed: int
     step: float = 0.1
-    chunk: int = 65536
 
     def __post_init__(self):
         if self.samples < 1:
@@ -67,8 +64,6 @@ class McConfig:
             raise ValueError("seed must be in [0, 2**64)")
         if not 0 < self.step < math.inf:
             raise ValueError("step must be positive and finite")
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -175,7 +170,7 @@ def brownian_gaps(taus):
 
 
 def _merge(a, b):
-    """Statistics (count, mean, M2) of segment a followed by segment b.
+    """Statistics (count, mean, M2) of the samples of a followed by those of b.
 
     The pairwise update of Chan, Golub and LeVeque (1983); M2 is the sum of
     squared deviations from the mean.
@@ -298,11 +293,10 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
 
     Blocks run on up to one worker per CPU (_run_blocks), each with a buffer
     of nine rows whatever the taus: z1, z2, the drawn row, the walk and the
-    integrand's five.  A block reduces each segment of its value rows that
-    ends where the global sample index reaches a multiple of cfg.chunk to
-    (count, mean, M2), in place, and the calling thread merges them in block
-    order (_merge): the estimate does not depend on the number of workers, and
-    a large mean hides no small spread.  No step allocates a block-wide array.
+    integrand's five.  A block reduces each of its value rows to (count, mean,
+    M2), in place, and the calling thread merges the blocks in block order
+    (_merge): the estimate does not depend on the number of workers, and a
+    large mean hides no small spread.  No step allocates a block-wide array.
     """
     steps, on_a_side = [], np.zeros(len(taus), dtype=bool)
     for sq, last in brownian_gaps(taus):
@@ -311,9 +305,8 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
         steps += [(root, i == 0, np.flatnonzero(last == i).tolist()) for i, root in enumerate(sq.tolist())]
     at_zero = np.flatnonzero(~on_a_side).tolist()
 
-    def block_segments(block, generator, buffer):
-        start = block * BLOCK
-        take = min(BLOCK, cfg.samples - start)
+    def block_stats(block, generator, buffer):
+        take = min(BLOCK, cfg.samples - block * BLOCK)
         rows = buffer.reshape(9, BLOCK)[:, :take]
         drawn, walk = rows[2], rows[3]
         z = generator.standard_normal(out=buffer[: 2 * take if uses_z else 0])  # z1 then z2, in rows 0 and 1
@@ -334,25 +327,16 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
                     yield k, walk
 
         parts = integrand(rows[4:], paths(), *z)
-        stats = rows[4 : 4 + parts]
-        segments = []
-        i = 0
-        while i < take:
-            end = min(take, i + cfg.chunk - (start + i) % cfg.chunk)
-            segment = stats[:, i:end]
-            mean = segment.sum(axis=1) / (end - i)
-            np.subtract(segment, mean[:, None], out=segment)
-            m2 = np.square(segment, out=segment).sum(axis=1)
-            # a real integrand's imaginary part is an exact zero: (count, 0.0, 0.0)
-            segments.append([(end - i, float(mean[row]), float(m2[row])) for row in range(parts)])
-            segments[-1] += [(end - i, 0.0, 0.0)] * (2 - parts)
-            i = end
-        return segments
+        values = rows[4 : 4 + parts]
+        mean = values.sum(axis=1) / take
+        np.subtract(values, mean[:, None], out=values)
+        m2 = np.square(values, out=values).sum(axis=1)
+        # a real integrand's imaginary part is an exact zero: (take, 0.0, 0.0)
+        return [(take, float(mean[row]), float(m2[row])) for row in range(parts)] + [(take, 0.0, 0.0)] * (2 - parts)
 
     totals = [(0, 0.0, 0.0)] * 2
-    for segments in _run_blocks(-(-cfg.samples // BLOCK), cfg.seed, block_segments, 9 * BLOCK):
-        for segment in segments:
-            totals = [_merge(total, part) for total, part in zip(totals, segment)]
+    for stats in _run_blocks(-(-cfg.samples // BLOCK), cfg.seed, block_stats, 9 * BLOCK):
+        totals = [_merge(total, part) for total, part in zip(totals, stats)]
 
     def one(n, mean, m2) -> McEstimate:
         return McEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0, samples=n)

@@ -641,6 +641,16 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus_knob" in err
 
 
+def test_mc_refuses_the_removed_chunk_option(tmp_path, capsys):
+    # each block reduces its samples once: there is no reduction segment to size
+    err = one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--chunk", "5")
+    assert "--chunk" in err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"chunk": 5}))
+    err = one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--config", str(config))
+    assert "'chunk'" in err
+
+
 def test_config_rejects_mistyped_values(tmp_path, capsys):
     config = tmp_path / "run.json"
     for value in ("abc", 1.5):

@@ -77,7 +77,6 @@ FAMILY = mostly(
     GARBAGE,
 )
 SAMPLES = mostly(st.integers(2, 10**4), st.integers(-1, 1))
-CHUNK = mostly(st.integers(1, 10**5), st.integers(-1, 0))
 # at least one criterion: an empty list would run all fifteen
 CRITERIA = mostly(st.lists(st.integers(0, 16).map(str), min_size=1, max_size=2).map(",".join), GARBAGE.filter(bool))
 
@@ -90,7 +89,6 @@ ARGV = {
         ("--weights", NUMBER_LIST),
         ("--alpha", mostly(st.floats(0.1, 4).map(repr), NUMBER_TEXT)),
         ("--samples", SAMPLES.map(str), True),  # its default is 10^5
-        ("--chunk", CHUNK.map(str)),
         ("--step", mostly(st.floats(0.01, 2).map(repr), NUMBER_TEXT)),
         *COMMON,
     ),
@@ -116,7 +114,6 @@ CONFIG_KEYS = {
         "weights": NUMBER_LIST,
         "alpha": NUMBER,
         "samples": SAMPLES,
-        "chunk": CHUNK,
         "step": NUMBER,
     },
     "gram": {"kind": st.sampled_from(["nelson", "os", "markov"]), "family": FAMILY, "grid": grid_spec()},

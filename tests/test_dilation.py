@@ -90,3 +90,10 @@ def test_markov_bases_give_the_same_verdicts_in_every_unit(k):
     want = markov_verdicts(grid)
     assert want == ([(26, 1, 0)] * 2, "accepted")
     assert markov_verdicts(dilated(grid, 10.0**k)) == want, k
+
+
+def test_markov_diagnostics_accept_a_large_unit_of_time():
+    # the points of -5:5:1 in a unit 1e8 times larger: its raw Gram reads cond 1.7e17
+    diagnostics = nelson.markov_diagnostics(Grid.parse("-5e8:5e8:1e8"), 2)
+    assert diagnostics["markov_residual"] < 1e-13 and diagnostics["idempotence_residual"] < 1e-13
+    assert diagnostics["v_fixed_residual"] < 1e-13

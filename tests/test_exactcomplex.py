@@ -1,10 +1,19 @@
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
 
-from ccrlab.exactcomplex import I, ONE, ZERO, ComplexRational, parse_complex_rational
+from ccrlab.exactcomplex import I, ONE, ZERO, ComplexRational
+
+
+def parse_complex_rational(text: str) -> ComplexRational:
+    """Read a printed value back: "a/b", "c/d i" or "a/b+c/d i", with a unit imaginary part as "i"."""
+    if not text.endswith("i"):
+        return ComplexRational(Fraction(text))
+    real, sign, imag = re.fullmatch(r"(.*?)([+-]?)([\d/]*) ?i", text).groups()
+    return ComplexRational(Fraction(real or 0), Fraction(sign + (imag or "1")))
 
 
 def test_basic_arithmetic():

@@ -81,6 +81,13 @@ def _swap_alpha_in_the_krein_kernel(monkeypatch):
     _mutate(monkeypatch, montecarlo, "krein_kernel", "alpha**-2 + alpha**2 * ", "alpha**2 + alpha**-2 * ")
 
 
+def _swap_alpha_in_the_krein_sampler(monkeypatch):
+    # the sampler's real variables read as (z1 + z2) alpha and -(z1 - z2)/alpha: the Krein measure at
+    # 1/alpha, the same at alpha = 1 and at |tau sigma| = 1, so only the diagonal at tau 0 and alpha 2,
+    # 1/8 against 2, sees it (criterion 14)
+    _mutate(monkeypatch, montecarlo, "mc_krein_moment", "    abs_taus = ", "    alpha = 1.0 / alpha\n    abs_taus = ")
+
+
 def _drop_the_count_factor_from_the_pair_partitions(monkeypatch):
     # closing one of several open items of a label counts once, not count times: words with a
     # repeated generator lose matchings and wick_value leaves the normal-ordering oracle (criterion 2);
@@ -106,6 +113,7 @@ FAULTS = {
     "zbar read as z in the indefinite product": (_drop_zbar_from_the_indefinite_product, (7,)),
     "alpha and 1/alpha swapped in the Nelson Krein direction": (_swap_alpha_in_the_nelson_krein_direction, (11,)),
     "alpha and 1/alpha swapped in the Krein kernel": (_swap_alpha_in_the_krein_kernel, (11,)),
+    "alpha and 1/alpha swapped in the Krein sampler": (_swap_alpha_in_the_krein_sampler, (14,)),
     "pair partitions without the count factor": (_drop_the_count_factor_from_the_pair_partitions, (2,)),
     "Wick digits one bit short": (_narrow_the_wick_digits_by_one_bit, (2,)),
 }

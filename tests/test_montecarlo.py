@@ -160,8 +160,6 @@ def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(samples=10, seed=2**64)
     assert McConfig(samples=10, seed=2**64 - 1).seed == 2**64 - 1
-    with pytest.raises(ValueError):
-        McConfig(samples=10, seed=1, chunk=0)
 
 
 # -- characteristic functional -----------------------------------------------------------------
@@ -261,13 +259,6 @@ def test_seed_determinism_bit_identical():
     second = mc_moment([1, -1], cfg)
     assert first.mean == second.mean
     assert first.stderr == second.stderr
-
-
-def test_chunk_size_only_moves_roundoff():
-    base = mc_moment([1, -1], McConfig(samples=SAMPLES, seed=59, chunk=65536))
-    for chunk in (777, 9973, 50000, SAMPLES):
-        other = mc_moment([1, -1], McConfig(samples=SAMPLES, seed=59, chunk=chunk))
-        assert abs(other.mean - base.mean) <= 1e-12 * abs(base.mean)
 
 
 def test_weyl_stderr_scales_as_alpha_squared():
@@ -410,7 +401,7 @@ def _serial_estimate(taus, cfg, integrand, uses_z=True):
     without uses_z), then one (gaps, take) array of normals per side of 0, whose
     paths are the cumulative sum of its gap-scaled rows; the integrand gets the
     (k, path) pairs in gap order, the taus at 0 first with a zero row, and five
-    fresh rows, and writes its values into the first one or two; the segments'
+    fresh rows, and writes its values into the first one or two; the blocks'
     (count, mean, M2) are merged in order by Chan, Golub and LeVeque's update."""
     sides = list(montecarlo.brownian_gaps(taus))
     n, mean, m2 = 0, [0.0, 0.0], [0.0, 0.0]
@@ -426,18 +417,13 @@ def _serial_estimate(taus, cfg, integrand, uses_z=True):
         rows = np.zeros((2, take))  # a real integrand's imaginary row stays 0
         written = integrand(values, iter(pairs), *z)
         rows[:written] = values[:written]
-        i = 0
-        while i < take:
-            end = min(take, i + cfg.chunk - (start + i) % cfg.chunk)
-            n_b = end - i
-            mean_b = rows[:, i:end].sum(axis=1) / n_b
-            m2_b = ((rows[:, i:end] - mean_b[:, None]) ** 2).sum(axis=1)
-            for row in range(2):
-                delta = float(mean_b[row]) - mean[row]
-                mean[row] += delta * n_b / (n + n_b)
-                m2[row] = m2[row] + float(m2_b[row]) + delta * delta * n * n_b / (n + n_b)
-            n += n_b
-            i = end
+        mean_b = rows.sum(axis=1) / take
+        m2_b = ((rows - mean_b[:, None]) ** 2).sum(axis=1)
+        for row in range(2):
+            delta = float(mean_b[row]) - mean[row]
+            mean[row] += delta * take / (n + take)
+            m2[row] = m2[row] + float(m2_b[row]) + delta * delta * n * take / (n + take)
+        n += take
 
     def one(row) -> McEstimate:
         stderr = math.sqrt(m2[row] / (n - 1) / n) if n > 1 else 0.0
@@ -479,24 +465,15 @@ def _assert_matches_serial(monkeypatch, taus, cfg, worker_counts=(1, 2, 3)):
             assert repr(run(taus, cfg)) == expected, (name, workers)
 
 
-# chunk 1 costs one merge per sample, so it runs at the smallest counts only
-@pytest.mark.parametrize(
-    "samples, chunk",
-    [
-        (samples, chunk)
-        for samples in (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 10000, 3 * BLOCK + 7)
-        for chunk in (1, BLOCK - 1, 50000, 65536)
-        if chunk > 1 or samples <= 2
-    ],
-)
-def test_estimates_match_serial_loop(monkeypatch, samples, chunk):
-    cfg = McConfig(samples=samples, seed=61, chunk=chunk)
+@pytest.mark.parametrize("samples", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 10000, 3 * BLOCK + 7])
+def test_estimates_match_serial_loop(monkeypatch, samples):
+    cfg = McConfig(samples=samples, seed=61)
     _assert_matches_serial(monkeypatch, TAUS_SETS["repeated"], cfg)
 
 
 @pytest.mark.parametrize("taus", TAUS_SETS.values(), ids=TAUS_SETS.keys())
 def test_estimates_match_serial_loop_for_any_taus(monkeypatch, taus):
-    _assert_matches_serial(monkeypatch, taus, McConfig(samples=3 * BLOCK + 7, seed=62, chunk=50000))
+    _assert_matches_serial(monkeypatch, taus, McConfig(samples=3 * BLOCK + 7, seed=62))
 
 
 def _wrap_integrands(monkeypatch, wrap):
@@ -596,7 +573,7 @@ def _product_plus_z1(rows, paths, z1, z2):
 
 def test_many_workers_with_rapid_switching(monkeypatch):
     # more workers than CPUs, switching every microsecond: a lost block would change the bits
-    cfg = McConfig(samples=12 * BLOCK, seed=63, chunk=3 * BLOCK)
+    cfg = McConfig(samples=12 * BLOCK, seed=63)
     expected = repr(_serial_estimate([0.5, -1.0], cfg, _product_plus_z1))
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
     before = threading.active_count()

@@ -928,8 +928,8 @@ def test_markov_projection_residuals():
 
 
 def test_markov_refusal_does_not_depend_on_the_unit_of_time():
-    # the same points in units 1e4 apart: the raw Gram of the first reads cond 1.7e9, its
-    # equilibrated Gram 3.6e4; both are accepted and solved to roundoff
+    # the same points in units 1e4 apart: the raw Gram of the first reads cond 1.7e9, and both
+    # equilibrated Grams about 10.7; both are accepted and solved to roundoff
     for spec in ("-5e4:5e4:1e4", "-5:5:1"):
         diagnostics = markov_diagnostics(Grid.parse(spec), 2)
         assert diagnostics["markov_residual"] < 1e-13 and diagnostics["idempotence_residual"] < 1e-13, spec
