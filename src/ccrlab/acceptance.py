@@ -271,15 +271,6 @@ def criterion_07(seed: int, quick: bool) -> list[dict]:
     return checks
 
 
-def criterion_07_binomial(seed: int = DEFAULT_SEED, runs: int = 100) -> CriterionResult:
-    """CI-long pass-rate check: criterion 7 passes at >= 99 of 100 seeds, at full samples and 3 sigma."""
-    started = time.perf_counter()
-    hits = sum(criterion_07(seed=_mc_seed(seed, 1000 * (run + 1))).passed for run in range(runs))
-    checks = [_check("3-sigma pass rate over seeds", hits, runs, runs - 99, ok=hits >= 99)]
-    seconds = time.perf_counter() - started
-    return CriterionResult(7, "indefinite MC binomial (long)", hits >= 99, seconds, checks, "mc")
-
-
 @_criterion(8, "energy positivity")
 def criterion_08(seed: int, quick: bool) -> list[dict]:
     """Energy positivity: every oscillation frequency is nonnegative."""

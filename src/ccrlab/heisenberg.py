@@ -85,8 +85,8 @@ _GENERATOR_KEYS = {
 # per element (the one-denominator layout of FLINT's fmpq_poly): an element holds
 # {key: (x, y)} and a denominator, in lowest terms, so a product costs one gcd
 # and not one per term.  Reordering introduces no denominator.  ComplexRational
-# is the boundary type: `terms`, `coefficient`, `omega`, `moment`, `wick_value`
-# and printing convert to it.
+# is the boundary type: `terms`, `omega`, `moment`, `wick_value` and printing
+# convert to it.
 
 # Most terms one product may build, counted before like terms merge: each pair of
 # factor terms builds one term per reordering term of its monomials, and a power
@@ -212,10 +212,6 @@ class AlgebraElement:
         if not self._terms:
             return 0
         return max(sum(key) for key in self._terms)
-
-    def coefficient(self, key: MonomialKey) -> ComplexRational:
-        pair = self._terms.get(tuple(key))
-        return ZERO if pair is None else _reduced(*pair, self._den)
 
     # -- algebra --------------------------------------------------------------
 
@@ -508,10 +504,6 @@ class CovarianceTable:
         object.__setattr__(self, "_table", table)
         # the largest |x| + |y| of a value: wick_value's digit width grows with it
         object.__setattr__(self, "_size", max(abs(x) + abs(y) for row in table for x, y in filter(None, row)))
-
-    def value(self, x: Generator, y: Generator) -> ComplexRational:
-        scaled = self._table[x][y]
-        return _reduced(*scaled, self._den) if scaled else ZERO
 
     def moment(self, key: MonomialKey) -> ComplexRational:
         """State value on the normal-ordered monomial q^j p^k q'^l p'^m of ``key``."""

@@ -222,12 +222,7 @@ def _products(left: _Rows, *right: _Rows) -> np.ndarray:
 
     # the per-block terms added in place; a single block's term is returned as it is
     products = reduce(operator.iadd, map(term, *(rows.blocks(columns) for rows in sets)))
-    return products - _singular_part(left.content, [_joined([rows.content[i] for rows in right]) for i in (0, 1)])
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts stacked along their first axis; a single part as it is (a real Gram stays one syrk)."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return products - _singular_part(left.content, [np.concatenate([rows.content[i] for rows in right]) for i in (0, 1)])
 
 
 def _singular_part(left, right) -> np.ndarray:
@@ -350,9 +345,6 @@ class ExtendedVector:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * (-1)
-
 
 def delta_zero(grid: Grid) -> ExtendedVector:
     return ExtendedVector(grid, np.zeros(grid.n), a=1.0)
@@ -381,12 +373,10 @@ def indefinite_inner(u: ExtendedVector, v: ExtendedVector) -> complex:
 def krein_metric_apply(u: ExtendedVector, alpha: float) -> ExtendedVector:
     """Metric operator at scale alpha: involution flipping the Krein direction.
 
-    u + 2 <kappa, u> kappa, formed op for op as that sum of vectors would form it:
-    kappa's zero grid part is added too, as it sets the dtype and the zeros' signs.
+    u + 2 <kappa, u> kappa; kappa has no grid part, so u's grid values are kept.
     """
     scale = 2.0 * complex(_krein_pairing(_Rows.of([u]).content, alpha)[0])
-    values = u.values + np.zeros(u.grid.n) * scale
-    return ExtendedVector(u.grid, values, u.a + alpha * scale, u.b + (1.0 / alpha) * scale)
+    return ExtendedVector(u.grid, u.values.copy(), u.a + alpha * scale, u.b + (1.0 / alpha) * scale)
 
 
 def _krein_pairing(content, alpha: float) -> np.ndarray:

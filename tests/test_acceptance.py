@@ -114,9 +114,11 @@ def test_registry_declares_each_criterion_once():
     not os.environ.get("CCRLAB_LONG"), reason="CI-long binomial mode (set CCRLAB_LONG=1)"
 )
 def test_criterion_07_binomial_pass_rate():
-    result = acceptance.criterion_07_binomial()
-    print(result.line())
-    assert result.passed, json.dumps(result.checks, indent=2, default=str)
+    """Criterion 7 passes at >= 99 of 100 seeds, at full samples and 3 sigma."""
+    seeds = [acceptance._mc_seed(acceptance.DEFAULT_SEED, 1000 * (run + 1)) for run in range(100)]
+    hits = sum(acceptance.criterion_07(seed=seed).passed for seed in seeds)
+    print(f"criterion 7 passed at {hits} of {len(seeds)} seeds")
+    assert hits >= 99
 
 
 # the criteria whose values go through BLAS or LAPACK: the exact determinant's

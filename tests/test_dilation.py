@@ -7,14 +7,17 @@ every rounded operation is the unscaled one times a power of two, and the Gram
 scales bit for bit.  A grid judges its points in steps, so its point tests give the
 same verdicts in every unit.  A dilation scales the Markov bases' Gram by a diagonal
 congruence (point masses and d0 by sqrt(lambda), w by 1/sqrt(lambda)), so by
-Sylvester's law of inertia their signature is unit-free in exact arithmetic.
+Sylvester's law of inertia their signature is unit-free in exact arithmetic.  The
+Osterwalder-Schrader Gram scales by lambda^3 as well (its content A = h sum f by lambda,
+B = h sum |t| f by lambda^2), so its rank, judged relative to the largest singular
+value, is unit-free.
 """
 
 import numpy as np
 import pytest
 
 from ccrlab import nelson
-from ccrlab.nelson import ExtendedVector, Grid, family, signature_of
+from ccrlab.nelson import ExtendedVector, Grid, family, os_rank, signature_of
 
 POWERS = [-4, -2, 2, 4, 6]
 # spec -> FACTOR_BLOCK_BYTES: -10:10:0.01 is summed over blocks of 128 columns of W
@@ -42,6 +45,22 @@ def test_dilation_scales_the_gram_by_lambda_cubed_bit_for_bit(monkeypatch, spec)
         scaled = signature_of([ExtendedVector(big, f) for f in values])
         assert np.array_equal(scaled.entries, lam**3 * gram.entries), (spec, k)
         assert scaled.signature == gram.signature, (spec, k)
+
+
+@pytest.mark.parametrize("spec", ["0:5:0.05", "0:5:0.01"])
+def test_os_rank_does_not_depend_on_the_unit_of_time(spec):
+    grid = Grid.parse(spec)
+    values = [v.values for v in family("possupport:10", grid, seed=10)]
+    rank, singular = os_rank(grid, values)
+    assert rank == 2
+    for k in POWERS:
+        lam = 4.0**k
+        big = dilated(grid, lam)
+        # the family's values, and the same family built on the dilated grid
+        for scaled_values in (values, [v.values for v in family("possupport:10", big, seed=10)]):
+            scaled_rank, scaled = os_rank(big, scaled_values)
+            assert scaled_rank == 2, (spec, k)
+            assert np.array_equal(scaled, lam**3 * singular), (spec, k)
 
 
 def point_verdicts(grid, lam):
