@@ -250,7 +250,7 @@ def criterion_06(seed: int, quick: bool) -> list[dict]:
     samples, sigma = _mc_budget(quick)
     cfg = mc.McConfig(samples=samples, seed=seed)
     est = mc.mc_weyl_schwinger([1, -1], [0, 1], cfg)
-    checks = [_sigma_check("weyl mc (1,-1)@(0,1)", est, math.exp(-0.5), sigma)]
+    checks = [_sigma_check("weyl mc (1,-1)@(0,1)", est, wy.schwinger_npoint([1, -1], [0, 1]), sigma)]
     zero = mc.mc_weyl_schwinger([1, 1], [0, 1], cfg)
     checks.append(
         _check("charge != 0 is exact 0", zero.mean, 0.0, 0, ok=zero.mean == 0.0 and zero.stderr == 0.0)
@@ -407,9 +407,9 @@ def criterion_14(seed: int, quick: bool) -> list[dict]:
     est1 = mc.mc_krein_moment([1, 1], 1.0, mc.McConfig(samples=samples, seed=_mc_seed(seed, 1)))
     est2 = mc.mc_krein_moment([0, 0], 2.0, mc.McConfig(samples=samples, seed=_mc_seed(seed, 2)))
     checks = [
-        _sigma_check("krein mc (0,0)", est0, 0.5, sigma),
-        _sigma_check("krein mc (1,1)", est1, 2.0, sigma),
-        _sigma_check("krein mc (0,0) at alpha 2", est2, 0.125, sigma),
+        _sigma_check("krein mc (0,0)", est0, mc.krein_pair_moment([0, 0], 1.0), sigma),
+        _sigma_check("krein mc (1,1)", est1, mc.krein_pair_moment([1, 1], 1.0), sigma),
+        _sigma_check("krein mc (0,0) at alpha 2", est2, mc.krein_pair_moment([0, 0], 2.0), sigma),
     ]
     return checks
 

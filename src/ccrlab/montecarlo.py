@@ -22,14 +22,15 @@ worker per CPU (the calling thread and a pool thread for each other CPU),
 each with a scratch buffer of nine rows whatever the taus, from which a
 block takes every row it draws, walks and computes in.  The calling
 thread makes every substream, in block order, and allocates every scratch
-buffer; it hands blocks to the pool up to two unfinished blocks per thread
-ahead and works blocks itself while the pool is that far ahead.  It merges
-the blocks' (count, mean, M2) statistics in block order, so the estimate does
-not depend on the number of CPUs or workers, and a failing block stops the
-hand-out and raises its exception (the lowest failing block's, as in a serial
-loop) in the caller.  A block streams its paths to one integrand call, as a
-running sum down each side of 0 kept in one row, in gap order; no step of
-sampling calls BLAS, so the bits do not depend on the BLAS kernel.
+buffer; it puts each block on one queue that holds a block per pool thread,
+and works the block itself when the queue is full.  Each block's (count,
+mean, M2) statistics go into its place in a list of results, which the
+caller merges in block order, so the estimate does not depend on the number
+of CPUs or workers; a failing block stops the hand-out and raises its
+exception (the lowest failing block's, as in a serial loop) in the caller.
+A block streams its paths to one integrand call, as a running sum down each
+side of 0 kept in one row, in gap order; no step of sampling calls BLAS, so
+the bits do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,87 +189,73 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-class _Slot:
-    """One block's result or exception, filled once by the thread that works the block."""
-
-    def __init__(self):
-        self.done = threading.Event()
-        self.value = self.error = None
-
-    def fill(self, work, *args):
-        try:
-            self.value = work(*args)
-        except BaseException as err:  # raised in block order, after any lower block's
-            self.error = err
-        self.done.set()
-
-    def result(self):
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-def _run_blocks(blocks: int, seed: int, work, size: int):
-    """Yield work(block, substream(seed, block), buffer) for each block, in block order.
+def _run_blocks(blocks: int, seed: int, work, size: int) -> list:
+    """Return [work(block, substream(seed, block), buffer) for each block], in block order.
 
     work runs on up to one worker per CPU: the calling thread and a pool of
     plain threads for the others, each worker with its own scratch buffer of
     ``size`` floats, reused by every block it works, with no more workers
     than blocks.  The calling thread allocates every buffer and makes every
-    substream, in block order.  It hands each block to the pool, through one
-    queue and a slot per block, while the pool holds fewer than two unfinished
-    blocks per thread, and works it itself otherwise; it yields the results in
-    block order as they come.  The threads run under the caller's numpy error
-    state.  An exception raised by work stops the hand-out and is raised here
-    once every thread has finished; when several blocks fail, the lowest one's,
-    as in a serial loop.  Blocks still queued then are dropped unworked.
+    substream, in block order.  It puts each block on one queue that holds a
+    block per pool thread, so at most two blocks per thread are unfinished,
+    and works the block itself when the queue is full.  The threads run under
+    the caller's numpy error state.  Each result or exception goes into its
+    block's place in the list.  A failing block stops the hand-out, and blocks
+    above it are skipped; once every thread has finished, the lowest failing
+    block's exception is raised, as in a serial loop.  If the caller raises
+    outside work, the blocks still queued are dropped unworked.
     """
     workers = min(_cpu_count(), blocks)
     own, *buffers = (np.empty(size) for _ in range(workers))
     if not buffers:
-        for block in range(blocks):
-            yield work(block, substream(seed, block), own)
-        return
+        return [work(block, substream(seed, block), own) for block in range(blocks)]
     import queue  # here, so that importing ccrlab loads no _queue or _heapq: about 0.13 MB
 
-    window = 2 * len(buffers)
-    tasks, stopped = queue.SimpleQueue(), threading.Event()
+    results, failed = [None] * blocks, blocks  # failed: the lowest failing block seen so far
+    tasks = queue.Queue(maxsize=len(buffers))
     errstate, errcall = np.geterr(), np.geterrcall()
+
+    def run(block, generator, buffer):
+        nonlocal failed
+        if block < failed:
+            try:
+                results[block] = work(block, generator, buffer)
+            except BaseException as err:
+                results[block] = err
+                failed = min(failed, block)
 
     def serve(buffer):
         np.seterr(**errstate)
         np.seterrcall(errcall)
         while (task := tasks.get()) is not None:
-            slot, block, generator = task
-            if stopped.is_set():
-                slot.done.set()
-            else:
-                slot.fill(work, block, generator, buffer)
+            run(*task, buffer)
 
-    threads, pending = [], deque()
+    threads = []
     try:
         for buffer in buffers:
             thread = threading.Thread(target=serve, args=(buffer,), daemon=True)
             thread.start()
             threads.append(thread)  # only started threads are told to stop and joined
         for block in range(blocks):
-            generator, slot = substream(seed, block), _Slot()
-            if sum(not other.done.is_set() for other in pending) < window:
-                tasks.put((slot, block, generator))
-            else:  # the pool is busy: work the block here
-                slot.fill(work, block, generator, own)
-            pending.append(slot)
-            while pending and pending[0].done.is_set():
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+            if failed < blocks:
+                break
+            task = (block, substream(seed, block))
+            try:
+                tasks.put_nowait(task)
+            except queue.Full:  # the pool is busy: work the block here
+                run(*task, own)
+    except BaseException:
+        failed = -1  # drop the blocks still queued
+        raise
     finally:
-        stopped.set()
         for _ in threads:
             tasks.put(None)
         for thread in threads:
             thread.join()
+    for result in results:  # two threads may race on failed, so read the lowest failure here
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEstimate, McEstimate]:
@@ -291,12 +277,14 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
     part), may use the others as work space, and returns how many value rows
     it wrote; a real integrand's imaginary estimate is an exact 0.
 
-    Blocks run on up to one worker per CPU (_run_blocks), each with a buffer
-    of nine rows whatever the taus: z1, z2, the drawn row, the walk and the
-    integrand's five.  A block reduces each of its value rows to (count, mean,
-    M2), in place, and the calling thread merges the blocks in block order
-    (_merge): the estimate does not depend on the number of workers, and a
-    large mean hides no small spread.  No step allocates a block-wide array.
+    Blocks run on up to one worker per CPU (_run_blocks, fed by one bounded
+    queue), each with a buffer of nine rows whatever the taus: z1, z2, the
+    drawn row, the walk and the integrand's five.  A block reduces each of its
+    value rows to (count, mean, M2), in place; _run_blocks returns the blocks'
+    statistics as a list in block order, and the calling thread merges them in
+    that order (_merge): the estimate does not depend on the number of
+    workers, and a large mean hides no small spread.  No step allocates a
+    block-wide array.
     """
     steps, on_a_side = [], np.zeros(len(taus), dtype=bool)
     for sq, last in brownian_gaps(taus):

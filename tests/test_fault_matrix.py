@@ -77,7 +77,7 @@ def _swap_alpha_in_the_nelson_krein_direction(monkeypatch):
 
 def _swap_alpha_in_the_krein_kernel(monkeypatch):
     # the closed Krein kernel with alpha^-2 and alpha^2 exchanged: the Nelson Krein product no
-    # longer matches it (criterion 11)
+    # longer matches it (criterion 11), and the sampler at tau 0 and alpha 2 leaves its target (14)
     _mutate(monkeypatch, montecarlo, "krein_kernel", "alpha**-2 + alpha**2 * ", "alpha**2 + alpha**-2 * ")
 
 
@@ -104,6 +104,12 @@ def _narrow_the_wick_digits_by_one_bit(monkeypatch):
     _mutate(monkeypatch, heisenberg, "wick_value", ".bit_length() + 1", ".bit_length()")
 
 
+def _shift_q_squared_in_the_covariance_table(monkeypatch):
+    # <q^2> and <q'^2> read as c + 1/3: <q^2> leaves the ordered-moment closed form (criterion 1), the
+    # annihilators no longer kill the vacuum (3) and the Weyl series leaves e^{-i/2} (5)
+    _mutate(monkeypatch, heisenberg, "CovarianceTable", "c = Fraction(self.c)", "c = Fraction(self.c) + Fraction(1, 3)")
+
+
 # name -> (injection, the criteria that must each fail under it)
 FAULTS = {
     "nelson singular part halved": (_halve_the_singular_part, (10, 11)),
@@ -112,10 +118,11 @@ FAULTS = {
     "z 2% long": (_stretch_z, (7, 14)),
     "zbar read as z in the indefinite product": (_drop_zbar_from_the_indefinite_product, (7,)),
     "alpha and 1/alpha swapped in the Nelson Krein direction": (_swap_alpha_in_the_nelson_krein_direction, (11,)),
-    "alpha and 1/alpha swapped in the Krein kernel": (_swap_alpha_in_the_krein_kernel, (11,)),
+    "alpha and 1/alpha swapped in the Krein kernel": (_swap_alpha_in_the_krein_kernel, (11, 14)),
     "alpha and 1/alpha swapped in the Krein sampler": (_swap_alpha_in_the_krein_sampler, (14,)),
     "pair partitions without the count factor": (_drop_the_count_factor_from_the_pair_partitions, (2,)),
     "Wick digits one bit short": (_narrow_the_wick_digits_by_one_bit, (2,)),
+    "<q^2> shifted by 1/3 in the covariance table": (_shift_q_squared_in_the_covariance_table, (1, 3, 5)),
 }
 
 

@@ -690,6 +690,33 @@ def test_worker_exception_reaches_the_caller(monkeypatch, workers):
         assert len(made) < 100
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_caller_exception_drops_the_queued_blocks_and_joins_the_pool(monkeypatch, workers):
+    # substream runs in the caller, outside work: its exception reaches the caller once every
+    # pool thread has finished, and neither the failing block nor any later one is worked
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
+
+    def failing_at_five(seed, block):
+        if block == 5:
+            raise RuntimeError("no substream for block 5")
+        return substream(seed, block)
+
+    cfg = McConfig(samples=10 * BLOCK, seed=66)
+    blocks = {_block_marker(cfg.seed, block): block for block in range(10)}
+    worked = []
+
+    def integrand(rows, paths, z1, z2):
+        worked.append(blocks[z1[0]])
+        return _product_plus_z1(rows, paths, z1, z2)
+
+    monkeypatch.setattr(montecarlo, "substream", failing_at_five)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block 5"):
+        montecarlo._estimate([1.0], cfg, integrand)
+    assert threading.active_count() == before
+    assert all(block < 5 for block in worked)
+
+
 def test_workers_run_under_the_callers_error_state(monkeypatch):
     # threads start with numpy's default state, which would warn here
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 3)

@@ -50,15 +50,11 @@ COMMAND_ONLY = {
     "heisenberg.AlgebraElement.degree",
     "heisenberg.AlgebraElement.__pow__",
     "montecarlo.McEstimate.sigma_distance",
-    "montecarlo.krein_pair_moment",
     "montecarlo.characteristic_target",
-    "montecarlo._Slot.__init__",
-    "montecarlo._Slot.fill",
-    "montecarlo._Slot.result",
+    "montecarlo._run_blocks.<locals>.run",
     "montecarlo._run_blocks.<locals>.serve",
     "montecarlo.mc_characteristic",
     "montecarlo.mc_characteristic.<locals>.integrand",
-    "weyl.schwinger_npoint",
 }
 VALUE_TYPE = "value-type protocol"
 IMPORT_TIME = "import-time constructor"
