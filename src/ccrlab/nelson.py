@@ -42,7 +42,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .gram import GramMatrix, gram_signature, numerical_rank, real_or_complex
+from .gram import GramMatrix, equilibrated, gram_signature, numerical_rank, real_or_complex
 from .montecarlo import brownian_gaps, krein_kernel
 
 FAMILY_LIMIT = 200
@@ -444,24 +444,8 @@ def project_onto(basis: list[ExtendedVector], u: ExtendedVector) -> ExtendedVect
 
 
 def _nondegenerate(*grams: np.ndarray):
-    """Refuse projection Grams whose largest condition number is not finite or passes PROJECTION_CONDITION_LIMIT.
-
-    Each Gram G is judged equilibrated by Ruiz's iteration (RAL-TR-2001-034): G becomes D G D with
-    D = diag(1/sqrt(max_j |G_ij|)) until the largest |entry| of every nonzero row is within 1e-3
-    of 1.  |G| is symmetric, so after the first pass no entry exceeds 1 and each pass at least
-    halves every such row's log distance from 1: a few tens of passes end it from any float.  The
-    result is near the best diagonal scaling (van der Sluis, Numer. Math. 14, 1969), so a change
-    of time unit does not move the verdict.
-    """
-    conds = []
-    for gram in grams:
-        peak = np.abs(gram).max(axis=1)
-        while np.abs(peak[peak > 0] - 1.0).max(initial=0.0) > 1e-3:
-            d = 1.0 / np.sqrt(np.where(peak > 0, peak, 1.0))  # a zero row stays zero: refused
-            gram = d[:, None] * gram * d
-            peak = np.abs(gram).max(axis=1)
-        conds.append(np.linalg.cond(gram))
-    cond = np.max(conds)
+    """Refuse projection Grams whose largest condition number, each judged by gram.equilibrated, is not finite or passes PROJECTION_CONDITION_LIMIT."""
+    cond = np.max([np.linalg.cond(equilibrated(gram)) for gram in grams])
     if not cond <= PROJECTION_CONDITION_LIMIT:
         raise DegenerateGramError(f"projection Gram is degenerate (cond {cond:.3e})")
 

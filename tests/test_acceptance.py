@@ -6,6 +6,7 @@ lines; the CLI equivalent is ``ccrlab suite``.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -114,11 +115,22 @@ def test_registry_declares_each_criterion_once():
     not os.environ.get("CCRLAB_LONG"), reason="CI-long binomial mode (set CCRLAB_LONG=1)"
 )
 def test_criterion_07_binomial_pass_rate():
-    """Criterion 7 passes at >= 99 of 100 seeds, at full samples and 3 sigma."""
+    """Criterion 7 passes at no fewer of 100 seeds than a correct sampler does but once in 1000.
+
+    A run passes when each of its three independent estimates lies within 3 sigma, with
+    probability p = (1 - erfc(3 / sqrt 2))^3 = 0.99192, so the pass count is Binomial(100, p).
+    The floor is the largest k with P(X < k) <= 1e-3: 95, where P(X <= 94) = 1.7e-4.
+    """
     seeds = [acceptance._mc_seed(acceptance.DEFAULT_SEED, 1000 * (run + 1)) for run in range(100)]
+    p = (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** 3
+    below = 0.0  # P(X < floor)
+    for floor in range(len(seeds) + 1):
+        below += math.comb(len(seeds), floor) * p**floor * (1.0 - p) ** (len(seeds) - floor)
+        if below > 1e-3:
+            break
     hits = sum(acceptance.criterion_07(seed=seed).passed for seed in seeds)
-    print(f"criterion 7 passed at {hits} of {len(seeds)} seeds")
-    assert hits >= 99
+    print(f"criterion 7 passed at {hits} of {len(seeds)} seeds, floor {floor}")
+    assert hits >= floor
 
 
 # the criteria whose values go through BLAS or LAPACK: the exact determinant's

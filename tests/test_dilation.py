@@ -7,7 +7,10 @@ every rounded operation is the unscaled one times a power of two, and the Gram
 scales bit for bit.  A grid judges its points in steps, so its point tests give the
 same verdicts in every unit.  A dilation scales the Markov bases' Gram by a diagonal
 congruence (point masses and d0 by sqrt(lambda), w by 1/sqrt(lambda)), so by
-Sylvester's law of inertia their signature is unit-free in exact arithmetic.  The
+Sylvester's law of inertia their signature is unit-free in exact arithmetic.  gram
+counts signatures, and judges projection Grams, on the equilibrated Gram D G D, which a
+diagonal congruence barely moves, so those verdicts are unit-free in floats too; under a
+4^k dilation the equilibrated spectrum keeps its bits.  The
 Osterwalder-Schrader Gram scales by lambda^3 as well (its content A = h sum f by lambda,
 B = h sum |t| f by lambda^2), so its rank, judged relative to the largest singular
 value, is unit-free.
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from ccrlab import nelson
+from ccrlab.gram import equilibrated
 from ccrlab.nelson import ExtendedVector, Grid, family, os_rank, signature_of
 
 POWERS = [-4, -2, 2, 4, 6]
@@ -42,9 +46,16 @@ def test_dilation_scales_the_gram_by_lambda_cubed_bit_for_bit(monkeypatch, spec)
         lam = 4.0**k
         big = dilated(grid, lam)
         assert big.n == grid.n and big.step == lam * grid.step
-        scaled = signature_of([ExtendedVector(big, f) for f in values])
-        assert np.array_equal(scaled.entries, lam**3 * gram.entries), (spec, k)
-        assert scaled.signature == gram.signature, (spec, k)
+        # the family's values, and the same family built on the dilated grid
+        for scaled_family in (
+            [ExtendedVector(big, f) for f in values],
+            family("meanzero:12", big, seed=5) + family("bumps:3", big, seed=6),
+        ):
+            scaled = signature_of(scaled_family)
+            assert np.array_equal(scaled.entries, lam**3 * gram.entries), (spec, k)
+            assert scaled.signature == gram.signature, (spec, k)
+            # the equilibrated spectrum: lam^3 and the Ruiz scaling are powers of two
+            assert np.array_equal(scaled.eigenvalues, gram.eigenvalues), (spec, k)
 
 
 @pytest.mark.parametrize("spec", ["0:5:0.05", "0:5:0.01"])
@@ -98,17 +109,26 @@ def markov_verdicts(grid):
     return signatures, "accepted"
 
 
-# at 10^4 the w direction's eigenvalue (2e-5) falls under SIGNATURE_TOL_FACTOR times the
-# spectral radius (2.3e5), so the signature reads (25, 1, 1): the tolerance is not unit-free
-UNIT_FREE_SIGNATURE = pytest.mark.xfail(strict=True, raises=AssertionError, reason="radius-relative zero tolerance")
-
-
-@pytest.mark.parametrize("k", [-4, -2, 2, pytest.param(4, marks=UNIT_FREE_SIGNATURE)])
+@pytest.mark.parametrize("k", [-4, -2, 2, 4])
 def test_markov_bases_give_the_same_verdicts_in_every_unit(k):
     grid = Grid.parse("-5:5:0.2")  # criterion 12's grid
     want = markov_verdicts(grid)
     assert want == ([(26, 1, 0)] * 2, "accepted")
     assert markov_verdicts(dilated(grid, 10.0**k)) == want, k
+
+
+@pytest.mark.parametrize("k", [-4, -2, 2, 4])
+def test_markov_residuals_stay_within_the_equilibrated_condition_bound_in_every_unit(k):
+    # a backward-stable solve in a basis of n vectors errs by about n eps cond(D G D): the
+    # equilibrated condition number, which a change of unit does not move
+    grid = dilated(Grid.parse("-5:5:0.2"), 10.0**k)  # criterion 12's grid
+    bases = [nelson._side_basis(grid, side, 25) for side in (+1, -1)]
+    cond = max(np.linalg.cond(equilibrated(signature_of(basis).entries)) for basis in bases)
+    bound = len(bases[0]) * np.finfo(float).eps * cond
+    residuals = nelson.markov_diagnostics(grid, 25, seed=987654321)
+    assert set(residuals) == {"markov_residual", "idempotence_residual", "v_fixed_residual"}
+    for name, residual in residuals.items():
+        assert residual <= bound, (k, name, residual, bound)
 
 
 def test_markov_diagnostics_accept_a_large_unit_of_time():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ccrlab.gram import gram_signature, numerical_rank, real_or_complex
+from ccrlab.gram import equilibrated, gram_signature, numerical_rank, real_or_complex
 
 
 def test_signature_counts_sum_to_dimension():
@@ -14,10 +14,22 @@ def test_signature_counts_sum_to_dimension():
     assert eigenvalues.shape == (4,)
 
 
-def test_signature_zero_tolerance_scales_with_radius():
-    entries = np.diag([1e9, 1e-3]).astype(complex)  # 1e-3 is below 1e-9 * radius
-    signature, _ = gram_signature(entries)
-    assert signature == (1, 0, 1)
+def test_signature_is_judged_on_the_equilibrated_gram():
+    # equilibrated, diag(1e9, 1e-3) is the identity: 1e-3 is no longer below 1e-9 * radius
+    signature, eigenvalues = gram_signature(np.diag([1e9, 1e-3]).astype(complex))
+    assert signature == (2, 0, 0) and np.allclose(eigenvalues, 1.0, rtol=1e-15, atol=0.0)
+    # a singular Gram stays singular under any diagonal scaling (Sylvester's law of inertia)
+    for d in ([1.0, 1.0], [1e6, 1e-6], [1e-6, 1e6], [3.0, 1e-150]):
+        d = np.array(d)
+        assert gram_signature(d[:, None] * np.ones((2, 2)) * d)[0] == (1, 0, 1), d
+
+
+def test_equilibrated_rows_peak_at_one_and_zero_rows_stay_zero():
+    gram = np.array([[4e12, 2e3, 0.0], [2e3, 1e-6, 0.0], [0.0, 0.0, 0.0]])
+    scaled = equilibrated(gram)
+    assert np.allclose(np.abs(scaled).max(axis=1)[:2], 1.0, rtol=1e-3, atol=0.0)
+    assert np.array_equal(scaled[2], np.zeros(3)) and np.array_equal(scaled[:, 2], np.zeros(3))
+    assert np.array_equal(equilibrated(np.eye(3)), np.eye(3))
 
 
 def test_rejects_non_hermitian():
