@@ -5,8 +5,8 @@ coefficient field is Q + iQ rather than floating point.  A value
 ``(x + y i) / d`` is stored as three ints with ``d > 0`` and
 ``gcd(x, y, d) = 1``, so each operation takes one gcd (the integer-rational
 technique of Knuth, TAOCP vol. 2, section 4.5.1) and no ``Fraction`` is built
-on the arithmetic path.  Values are immutable and hashable, and print as
-``a/b+c/d i``.
+on the arithmetic or printing path.  Values are immutable and hashable, and
+print as ``a/b+c/d i``, straight from the three ints.
 """
 
 from __future__ import annotations
@@ -133,14 +133,7 @@ class ComplexRational:
         return self.to_complex()
 
     def __str__(self):
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        imag = f"{abs(im)} i" if abs(im) != 1 else "i"
-        if re == 0:
-            return imag if im > 0 else "-" + imag
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{imag}"
+        return _format(self._x, self._y, self._d)
 
     def __repr__(self):
         return f"ComplexRational('{self}')"
@@ -167,6 +160,22 @@ def _reduced(x: int, y: int, d: int) -> ComplexRational:
     if g != 1:
         x, y, d = x // g, y // g, d // g
     return _make(x, y, d)
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms as Fraction prints it: ``n`` when d divides n, else ``n/d``."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _format(x: int, y: int, d: int) -> str:
+    """(x + y i)/d, d > 0, as ``a/b+c/d i``: one gcd per nonzero part, whether or not x, y, d share a factor."""
+    if y == 0:
+        return _ratio(x, d)
+    imag = "i" if abs(y) == d else _ratio(abs(y), d) + " i"
+    if x == 0:
+        return imag if y > 0 else "-" + imag
+    return _ratio(x, d) + ("+" if y > 0 else "-") + imag
 
 
 def _coerce(value):

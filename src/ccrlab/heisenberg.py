@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactcomplex import I, ONE, ZERO, ComplexRational, _reduced
+from .exactcomplex import I, ONE, ZERO, ComplexRational, _format, _reduced
 from .gram import GramMatrix, gram_signature
 
 DEFAULT_WORD_LIMIT = 32
@@ -57,17 +57,6 @@ class Generator(IntEnum):
     Q_PRIME = 2
     P_PRIME = 3
 
-    @property
-    def symbol(self) -> str:
-        return _SYMBOLS[self]
-
-
-_SYMBOLS = {
-    Generator.Q: "q",
-    Generator.P: "p",
-    Generator.Q_PRIME: "q'",
-    Generator.P_PRIME: "p'",
-}
 
 # Monomial key: exponents (j, k, l, m) of q^j p^k q'^l p'^m.
 MonomialKey = tuple[int, int, int, int]
@@ -288,16 +277,16 @@ class AlgebraElement:
     def __str__(self):
         if not self._terms:
             return "0"
-        parts = []
+        den, parts = self._den, []
         for key in sorted(self._terms, key=lambda k: (sum(k), k)):
-            coeff = _reduced(*self._terms[key], self._den)
+            x, y = self._terms[key]
             mono = _format_monomial(key)
-            if mono == "1":
-                parts.append(f"({coeff})")
-            elif coeff == ONE:
+            if not mono:
+                parts.append(f"({_format(x, y, den)})")
+            elif x == den and y == 0:
                 parts.append(mono)
             else:
-                parts.append(f"({coeff}) {mono}")
+                parts.append(f"({_format(x, y, den)}) {mono}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -338,16 +327,12 @@ def _coerce_element(value):
     return AlgebraElement({_UNIT_KEY: scalar})
 
 
+_LETTERS = ("q", "p", "q'", "p'")
+
+
 def _format_monomial(key: MonomialKey) -> str:
-    if key == _UNIT_KEY:
-        return "1"
-    parts = []
-    for g, exp in zip(Generator, key):
-        if exp == 1:
-            parts.append(g.symbol)
-        elif exp > 1:
-            parts.append(f"{g.symbol}^{exp}")
-    return " ".join(parts)
+    """The letters of a monomial, as ``q^2 p q'``; the unit has none."""
+    return " ".join(letter if exp == 1 else f"{letter}^{exp}" for letter, exp in zip(_LETTERS, key) if exp)
 
 
 Q = AlgebraElement.generator(Generator.Q)
@@ -370,11 +355,20 @@ def product(factors) -> AlgebraElement:
 
 
 def normal_order(word) -> AlgebraElement:
-    """Reduce a generator word (left to right product) of at most DEFAULT_WORD_LIMIT letters to canonical form."""
-    word = list(word)
+    """Reduce a generator word (left to right product) of at most DEFAULT_WORD_LIMIT letters to canonical form.
+
+    The q, p pair commutes with the q', p' pair, so the word is the product of
+    its q, p letters in their order times its q', p' letters in theirs: each
+    pair is ordered alone, and the two results multiply once.  Each of these
+    three products has a TERM_LIMIT budget of its own, so a word's
+    multiplications do not share one; a single-pair product of at most
+    DEFAULT_WORD_LIMIT letters builds a few hundred terms, far below it.
+    """
+    word = [Generator(g) for g in word]
     if len(word) > DEFAULT_WORD_LIMIT:
         raise WordLengthError(f"word of length {len(word)} exceeds bound {DEFAULT_WORD_LIMIT}")
-    return product(_GENERATOR_ELEMENTS[Generator(g)] for g in word)
+    unprimed = product(_GENERATOR_ELEMENTS[g] for g in word if g < Generator.Q_PRIME)
+    return unprimed * product(_GENERATOR_ELEMENTS[g] for g in word if g >= Generator.Q_PRIME)
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -463,7 +457,8 @@ class CovarianceTable:
 
     The values are kept as Gaussian-integer numerators (x, y) over the one
     denominator D = lcm(2, den c), zero entries as the int 0, so a moment of
-    degree 2n is a Gaussian integer over D^n.
+    degree 2n is a Gaussian integer over D^n; the int c D, the numerator of
+    q^2, is kept too.
 
     Moments of normal-ordered monomials q^j p^k q'^l p'^m have a closed form.
     Each pair takes the value of its (earlier, later) generators.  Momentum
@@ -485,6 +480,7 @@ class CovarianceTable:
 
     c: Fraction = Fraction(0)
     _den: int = field(init=False, repr=False, compare=False)
+    _cd: int = field(init=False, repr=False, compare=False)
     _table: tuple = field(init=False, repr=False, compare=False)
     _size: int = field(init=False, repr=False, compare=False)
 
@@ -492,7 +488,8 @@ class CovarianceTable:
         c = Fraction(self.c)
         object.__setattr__(self, "c", c)
         den = math.lcm(2, c.denominator)
-        num_c = (c.numerator * (den // c.denominator), 0) if c else 0
+        cd = c.numerator * (den // c.denominator)
+        num_c = (cd, 0) if cd else 0
         half = (den // 2, 0)
         table = (
             (num_c, (0, den // 2), 0, half),
@@ -501,6 +498,7 @@ class CovarianceTable:
             (half, 0, (0, den // 2), 0),
         )
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_cd", cd)
         object.__setattr__(self, "_table", table)
         # the largest |x| + |y| of a value: wick_value's digit width grows with it
         object.__setattr__(self, "_size", max(abs(x) + abs(y) for row in table for x, y in filter(None, row)))
@@ -529,7 +527,7 @@ class CovarianceTable:
             total += weight if (u - first) % 4 == 0 else -weight
             weight = weight * (n - u) * (n - u - 1) * (j - u) // ((u + 1) * (u + 2) * (l - n + u + 2))
         re, im = _I_POWERS[(first + 3 * m) % 4]
-        scale = (self._den // 2) ** n * int(self.c * self._den) ** ((j + l - n) // 2)
+        scale = (self._den // 2) ** n * self._cd ** ((j + l - n) // 2)
         return total * re * scale, total * im * scale
 
 

@@ -6,15 +6,36 @@ D = lcm(2, den c).  The reference below keeps one reduced ``ComplexRational``
 per term and per pair value, the layout the exact layer had before, so any
 slip in the shared denominators (a lost factor, a missed reduction, a wrong
 power of D) shows as a difference in the boundary values.
+
+Three more routes the layer once took are kept here as references: a word
+normal-ordered as one left-to-right product of its generators (the layer
+orders each commuting pair alone), the moment closed form in exact rationals
+(the layer keeps c D as an int), and printing through one reduced
+ComplexRational per term and its Fraction parts (the layer prints from the
+numerators).
 """
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from test_exactcomplex import _ref_str
 
-from ccrlab.exactcomplex import ONE, ZERO, ComplexRational
-from ccrlab.heisenberg import AlgebraElement, CovarianceTable, adjoint, evolve, omega, wick_value
+from ccrlab.exactcomplex import I, ONE, ZERO, ComplexRational
+from ccrlab.heisenberg import (
+    DEFAULT_WORD_LIMIT,
+    AlgebraElement,
+    CovarianceTable,
+    Generator,
+    adjoint,
+    evolve,
+    normal_order,
+    omega,
+    product,
+    wick_value,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -114,6 +135,44 @@ def _ref_moment(key, table) -> ComplexRational:
     return _ref_wick(tuple(g for g, count in enumerate(key) for _ in range(count)), table)
 
 
+def _ref_closed_form(c: Fraction, key) -> ComplexRational:
+    """<q^j p^k q'^l p'^m> = (-i)^m (1/2)^(k+m) c^((j+l-k-m)/2) sum_u C(k+m, u) i^u j!/(j-u)! l!/r! (j-u-1)!! (r-1)!!.
+
+    In exact rationals, term by term, over the u with j - u and r = l - (k+m-u) even and >= 0.
+    """
+    j, k, l, m = key
+    n = k + m
+    if sum(key) % 2 or n > j + l:
+        return ZERO
+    total = ZERO
+    for u in range(min(j, n) + 1):
+        r = l - (n - u)
+        if r >= 0 and (j - u) % 2 == 0 and r % 2 == 0:
+            ways = math.comb(n, u) * math.perm(j, u) * math.perm(l, n - u)
+            total += I**u * ways * math.prod(range(j - u - 1, 0, -2)) * math.prod(range(r - 1, 0, -2))
+    return (-I) ** m * ComplexRational(Fraction(1, 2)) ** n * ComplexRational(c) ** ((j + l - n) // 2) * total
+
+
+def _ref_normal_order(word) -> AlgebraElement:
+    """One left-to-right product of the word's generators, both pairs together."""
+    return product(AlgebraElement.generator(Generator(g)) for g in word)
+
+
+def _ref_element_str(e: AlgebraElement) -> str:
+    """The terms by degree, then exponents, each a reduced ComplexRational printed through its Fraction parts."""
+    parts = []
+    for key, coeff in sorted(e.terms.items(), key=lambda item: (sum(item[0]), item[0])):
+        mono = " ".join(s if n == 1 else f"{s}^{n}" for s, n in zip(("q", "p", "q'", "p'"), key) if n)
+        text = _ref_str(coeff.re, coeff.im)
+        if not mono:
+            parts.append(f"({text})")
+        elif coeff == ONE:
+            parts.append(mono)
+        else:
+            parts.append(f"({text}) {mono}")
+    return " + ".join(parts) or "0"
+
+
 def _without_zeros(terms: dict) -> dict:
     return {key: c for key, c in terms.items() if c}
 
@@ -191,3 +250,38 @@ def test_wick_value_matches_the_reference(c):
         assert wick_value(word, table) == _ref_wick(tuple(word), ref_table)
 
     check()
+
+
+def test_normal_order_matches_the_one_product_route():
+    # words of every length up to the bound: over all four letters, and over one pair's letters only
+    rng = np.random.default_rng(41)
+    for length in range(DEFAULT_WORD_LIMIT + 1):
+        for low, high in ((0, 4), (0, 2), (2, 4)):
+            word = rng.integers(low, high, length).tolist()
+            got, expected = normal_order(word), _ref_normal_order(word)
+            assert got == expected and got.terms == expected.terms and str(got) == str(expected), word
+
+
+def test_printed_elements_match_the_reference():
+    @SETTINGS
+    @hypothesis.given(_term_dicts, _term_dicts)
+    def check(a, b):
+        ea, eb = AlgebraElement(_without_zeros(a)), AlgebraElement(_without_zeros(b))
+        for e in (ea, ea * eb):
+            assert str(e) == _ref_element_str(e)
+
+    check()
+    # the normal form that `ccrlab moments` prints for (- q - i p + 2 q' + 2 p')^8
+    form = AlgebraElement({(1, 0, 0, 0): -1, (0, 1, 0, 0): -I, (0, 0, 1, 0): 2, (0, 0, 0, 1): 2}) ** 8
+    assert len(form.terms) == 295
+    assert str(form) == _ref_element_str(form)
+
+
+@pytest.mark.parametrize("c", (Fraction(0), Fraction(1, 3), Fraction(-5, 7), Fraction(2), Fraction(1, 2)), ids=str)
+def test_moments_match_the_closed_form_in_exact_rationals(c):
+    table, ref_table = CovarianceTable(c), _ref_table(c)
+    for key in itertools.product(range(11), repeat=4):
+        if sum(key) <= 10:
+            assert table.moment(key) == _ref_closed_form(c, key), key
+            if sum(key) <= 6:
+                assert table.moment(key) == _ref_moment(key, ref_table), key

@@ -1,11 +1,12 @@
 import copy
+import operator
 import pickle
 import re
 from fractions import Fraction
 
 import pytest
 
-from ccrlab.exactcomplex import I, ONE, ZERO, ComplexRational
+from ccrlab.exactcomplex import I, ONE, ZERO, ComplexRational, _format
 
 
 def parse_complex_rational(text: str) -> ComplexRational:
@@ -177,6 +178,29 @@ def test_str_matches_reference_and_round_trips():
         assert str(x) == _ref_str(*a)
         assert parse_complex_rational(str(x)) == x
         assert repr(x) == f"ComplexRational('{x}')"
+
+    check()
+
+
+def test_str_matches_reference_on_unit_zero_and_long_parts():
+    # zero and unit parts, negative parts and parts past 30 digits, also printed from numerators
+    # that share a factor with the denominator, as an algebra element prints its terms
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    long_ints = st.builds(operator.mul, st.sampled_from((1, -1)), st.integers(10**30, 10**45))
+    parts = (
+        st.sampled_from((0, 1, -1))
+        | long_ints
+        | st.builds(Fraction, long_ints, st.integers(1, 10**40))
+        | st.fractions(max_denominator=10**6)
+    ).map(Fraction)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.tuples(parts, parts), st.integers(1, 10**12))
+    def check(a, factor):
+        x = _from(a)
+        assert str(x) == _ref_str(*a)
+        assert _format(x._x * factor, x._y * factor, x._d * factor) == str(x)
 
     check()
 

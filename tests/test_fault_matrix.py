@@ -104,6 +104,18 @@ def _narrow_the_wick_digits_by_one_bit(monkeypatch):
     _mutate(monkeypatch, heisenberg, "wick_value", ".bit_length() + 1", ".bit_length()")
 
 
+def _reverse_the_primed_letters_in_normal_order(monkeypatch):
+    # the q', p' letters of a word multiplied last to first: q' and p' do not commute, so a word
+    # with both leaves the Wick sum (criterion 2); no other criterion orders a word
+    _mutate(
+        monkeypatch,
+        heisenberg,
+        "normal_order",
+        "for g in word if g >= Generator.Q_PRIME",
+        "for g in word[::-1] if g >= Generator.Q_PRIME",
+    )
+
+
 def _shift_q_squared_in_the_covariance_table(monkeypatch):
     # <q^2> and <q'^2> read as c + 1/3: <q^2> leaves the ordered-moment closed form (criterion 1), the
     # annihilators no longer kill the vacuum (3) and the Weyl series leaves e^{-i/2} (5)
@@ -122,6 +134,7 @@ FAULTS = {
     "alpha and 1/alpha swapped in the Krein sampler": (_swap_alpha_in_the_krein_sampler, (14,)),
     "pair partitions without the count factor": (_drop_the_count_factor_from_the_pair_partitions, (2,)),
     "Wick digits one bit short": (_narrow_the_wick_digits_by_one_bit, (2,)),
+    "primed letters reversed in normal_order": (_reverse_the_primed_letters_in_normal_order, (2,)),
     "<q^2> shifted by 1/3 in the covariance table": (_shift_q_squared_in_the_covariance_table, (1, 3, 5)),
 }
 
