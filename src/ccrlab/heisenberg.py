@@ -364,9 +364,10 @@ def normal_order(word) -> AlgebraElement:
     multiplications do not share one; a single-pair product of at most
     DEFAULT_WORD_LIMIT letters builds a few hundred terms, far below it.
     """
-    word = [Generator(g) for g in word]
+    word = list(word)
     if len(word) > DEFAULT_WORD_LIMIT:
         raise WordLengthError(f"word of length {len(word)} exceeds bound {DEFAULT_WORD_LIMIT}")
+    word = [Generator(g) for g in word]
     unprimed = product(_GENERATOR_ELEMENTS[g] for g in word if g < Generator.Q_PRIME)
     return unprimed * product(_GENERATOR_ELEMENTS[g] for g in word if g >= Generator.Q_PRIME)
 

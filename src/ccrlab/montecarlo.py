@@ -18,17 +18,16 @@ by ``SeedSequence(seed, spawn_key=(i // BLOCK,))`` (numpy's "Parallel Random
 Number Generation" guide), so the estimate depends only on the seed and
 sample count.  A block draws, row after row, z1 and z2 and then one row per
 Brownian gap, each as wide as its sample count.  Blocks run on up to one
-worker per CPU (the calling thread and a pool thread for each other CPU,
-each pinned to a CPU of its own while the pool runs), each with a scratch
-buffer of nine rows whatever the taus, from which a block takes every row
-it draws, walks and computes in.  The calling thread makes every substream,
-in block order, and allocates every scratch buffer; it puts each block on
-one queue that holds a block per pool thread, and works the block itself
-when the queue is full.  Each block's (count, mean, M2) statistics go into
-its place in a list of results, which the caller merges in block order, so
-the estimate does not depend on the number of CPUs or workers; a failing
-block stops the hand-out and raises its exception (the lowest failing
-block's, as in a serial loop) in the caller.
+worker per CPU (the calling thread and a pool thread for each other CPU),
+each with a scratch buffer of nine rows whatever the taus, from which a
+block takes every row it draws, walks and computes in.  The calling
+thread makes every substream, in block order, and allocates every scratch
+buffer; it puts each block on one queue that holds a block per pool thread,
+and works the block itself when the queue is full.  Each block's (count,
+mean, M2) statistics go into its place in a list of results, which the
+caller merges in block order, so the estimate does not depend on the number
+of CPUs or workers; a failing block stops the hand-out and raises its
+exception (the lowest failing block's, as in a serial loop) in the caller.
 A block streams its paths to one integrand call, as a running sum down each
 side of 0 kept in one row, in gap order; no step of sampling calls BLAS, so
 the bits do not depend on the BLAS kernel.
@@ -190,15 +189,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _pin(cpus) -> None:
-    """Run the calling thread on ``cpus`` only; where none are given or the system refuses, leave it as it is."""
-    if cpus:
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:
-            pass
-
-
 def _run_blocks(blocks: int, seed: int, work, size: int) -> list:
     """Return [work(block, substream(seed, block), buffer) for each block], in block order.
 
@@ -209,18 +199,11 @@ def _run_blocks(blocks: int, seed: int, work, size: int) -> list:
     substream, in block order.  It puts each block on one queue that holds a
     block per pool thread, so at most two blocks per thread are unfinished,
     and works the block itself when the queue is full.  The threads run under
-    the caller's numpy error state.  While the pool runs, each worker runs on
-    a CPU of its own: the caller on the lowest CPU of its affinity mask and
-    pool thread i on the (i+1)-th, each thread pinning itself before it works
-    a block, and the caller's mask comes back once every thread has finished.
-    Left to the kernel, the threads of a fresh process often share one CPU
-    for their first second or two, and the second worker then adds nothing.
-    Where pinning is not supported or is refused, the workers run unpinned.
-    Each result or exception goes into its block's place in the list.  A
-    failing block stops the hand-out, and blocks above it are skipped; once
-    every thread has finished, the lowest failing block's exception is
-    raised, as in a serial loop.  If the caller raises outside work, the
-    blocks still queued are dropped unworked.
+    the caller's numpy error state.  Each result or exception goes into its
+    block's place in the list.  A failing block stops the hand-out, and blocks
+    above it are skipped; once every thread has finished, the lowest failing
+    block's exception is raised, as in a serial loop.  If the caller raises
+    outside work, the blocks still queued are dropped unworked.
     """
     workers = min(_cpu_count(), blocks)
     own, *buffers = (np.empty(size) for _ in range(workers))
@@ -231,8 +214,6 @@ def _run_blocks(blocks: int, seed: int, work, size: int) -> list:
     results, failed = [None] * blocks, blocks  # failed: the lowest failing block seen so far
     tasks = queue.Queue(maxsize=len(buffers))
     errstate, errcall = np.geterr(), np.geterrcall()
-    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-    cpus = sorted(mask)
 
     def run(block, generator, buffer):
         nonlocal failed
@@ -243,8 +224,7 @@ def _run_blocks(blocks: int, seed: int, work, size: int) -> list:
                 results[block] = err
                 failed = min(failed, block)
 
-    def serve(cpu, buffer):  # cpu: a list of at most one CPU
-        _pin(cpu)
+    def serve(buffer):
         np.seterr(**errstate)
         np.seterrcall(errcall)
         while (task := tasks.get()) is not None:
@@ -252,11 +232,10 @@ def _run_blocks(blocks: int, seed: int, work, size: int) -> list:
 
     threads = []
     try:
-        for index, buffer in enumerate(buffers):
-            thread = threading.Thread(target=serve, args=(cpus[index + 1 : index + 2], buffer), daemon=True)
+        for buffer in buffers:
+            thread = threading.Thread(target=serve, args=(buffer,), daemon=True)
             thread.start()
             threads.append(thread)  # only started threads are told to stop and joined
-        _pin(cpus[:1])
         for block in range(blocks):
             if failed < blocks:
                 break
@@ -273,7 +252,6 @@ def _run_blocks(blocks: int, seed: int, work, size: int) -> list:
             tasks.put(None)
         for thread in threads:
             thread.join()
-        _pin(mask)
     for result in results:  # two threads may race on failed, so read the lowest failure here
         if isinstance(result, BaseException):
             raise result

@@ -89,6 +89,8 @@ def test_normal_order_mixed_primed():
 def test_normal_order_length_bound(monkeypatch):
     with pytest.raises(WordLengthError):
         normal_order([Generator.Q] * 33)
+    with pytest.raises(WordLengthError):  # the length is judged before any letter
+        normal_order([Generator.Q] * 32 + [7])
     monkeypatch.setattr(heisenberg, "DEFAULT_WORD_LIMIT", 64)
     assert normal_order([Generator.Q] * 33) == AlgebraElement.monomial((33, 0, 0, 0))
 

@@ -10,7 +10,6 @@ import pathlib
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 
@@ -731,39 +730,3 @@ def test_workers_run_under_the_callers_error_state(monkeypatch):
         warnings.simplefilter("error")
         real, _imag = montecarlo._estimate([1.0], cfg, overflowing)
     assert not math.isfinite(real.mean)
-
-
-PINNABLE = hasattr(os, "sched_setaffinity")
-
-
-@pytest.mark.skipif(not PINNABLE or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs and thread affinity")
-def test_each_worker_runs_on_a_cpu_of_its_own_and_the_callers_mask_comes_back():
-    before = os.sched_getaffinity(0)
-    seen = {}  # thread -> the affinity masks its blocks ran under
-
-    def work(block, generator, buffer):
-        time.sleep(0.005)  # the pool takes blocks while the caller works one
-        seen.setdefault(threading.get_ident(), set()).add(frozenset(os.sched_getaffinity(0)))
-        return block
-
-    assert montecarlo._run_blocks(12, 84, work, 1) == list(range(12))
-    assert os.sched_getaffinity(0) == before
-    masks = [mask for thread_masks in seen.values() for mask in thread_masks]
-    assert len(masks) == len(seen) >= 2  # one mask per thread, and the pool worked blocks too
-    assert all(len(mask) == 1 for mask in masks) and len(set(masks)) == len(masks)
-    assert set().union(*masks) <= before
-
-
-@pytest.mark.skipif(not PINNABLE, reason="needs thread affinity")
-def test_refused_pinning_keeps_the_estimates_and_the_callers_mask(monkeypatch):
-    cfg = McConfig(samples=5 * BLOCK, seed=85)
-    expected = repr(_serial_estimate([0.5, -1.0], cfg, _product_plus_z1))
-    before = os.sched_getaffinity(0)
-
-    def refuse(pid, cpus):
-        raise PermissionError("pinning refused")
-
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_setaffinity", refuse)
-    assert repr(montecarlo._estimate([0.5, -1.0], cfg, _product_plus_z1)) == expected
-    assert os.sched_getaffinity(0) == before

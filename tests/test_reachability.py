@@ -52,7 +52,6 @@ COMMAND_ONLY = {
     "heisenberg.AlgebraElement.__pow__",
     "montecarlo.McEstimate.sigma_distance",
     "montecarlo.characteristic_target",
-    "montecarlo._pin",
     "montecarlo._run_blocks.<locals>.run",
     "montecarlo._run_blocks.<locals>.serve",
     "montecarlo.mc_characteristic",
