@@ -159,24 +159,24 @@ def _run_mc(args) -> tuple[dict, bool]:
             f"mode={args.mode} takes at most {mc.PAIR_MOMENT_LIMIT} --taus points "
             f"(its target sums pair partitions), got {len(taus)}"
         )
+    if not taus and args.mode != "characteristic":
+        raise UsageError(f"--taus is required for mode={args.mode}")
     inputs = {"mode": args.mode, "taus": taus, "samples": args.samples, "seed": args.seed}
 
     if args.mode == "indefinite":
-        if not taus:
-            raise UsageError("--taus is required for mode=indefinite")
         target = partial(mc.wick_moment, taus)
         sample = partial(mc.mc_moment, taus, cfg)
     elif args.mode == "krein":
-        if not taus:
-            raise UsageError("--taus is required for mode=krein")
-        if args.alpha is None or not 0 < args.alpha < math.inf:
-            raise UsageError("mode=krein needs a finite --alpha > 0")
+        if args.alpha is None:
+            raise UsageError("mode=krein needs --alpha")
+        try:
+            mc.check_krein_scale(args.alpha)
+        except ValueError as err:
+            raise UsageError(str(err)) from None
         inputs["alpha"] = args.alpha
         target = partial(mc.krein_pair_moment, taus, args.alpha)
         sample = partial(mc.mc_krein_moment, taus, args.alpha, cfg)
     elif args.mode == "weyl":
-        if not taus:
-            raise UsageError("--taus is required for mode=weyl")
         if args.alphas is None:
             raise UsageError("mode=weyl needs --alphas")
         alphas = _float_list(args.alphas)

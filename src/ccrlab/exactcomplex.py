@@ -179,6 +179,7 @@ def _format(x: int, y: int, d: int) -> str:
 
 
 def _coerce(value):
+    """``value`` as a ComplexRational, built from an int's or a Fraction's own parts (no gcd); NotImplemented for any other type."""
     if isinstance(value, ComplexRational):
         return value
     if isinstance(value, int):

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactcomplex import I, ONE, ZERO, ComplexRational, _format, _reduced
+from .exactcomplex import I, ONE, ZERO, ComplexRational, _coerce, _format, _reduced
 from .gram import GramMatrix, gram_signature
 
 DEFAULT_WORD_LIMIT = 32
@@ -62,12 +62,6 @@ class Generator(IntEnum):
 MonomialKey = tuple[int, int, int, int]
 
 _UNIT_KEY: MonomialKey = (0, 0, 0, 0)
-_GENERATOR_KEYS = {
-    Generator.Q: (1, 0, 0, 0),
-    Generator.P: (0, 1, 0, 0),
-    Generator.Q_PRIME: (0, 0, 1, 0),
-    Generator.P_PRIME: (0, 0, 0, 1),
-}
 
 
 # Exact coefficients are Gaussian integers x + y i over one positive denominator
@@ -133,14 +127,6 @@ def _monomial_key(key) -> MonomialKey:
     return key
 
 
-def _coerce_scalar(value) -> ComplexRational | None:
-    if isinstance(value, ComplexRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return ComplexRational(value)
-    return None
-
-
 def _over_common_denominator(terms: dict) -> tuple[dict, int]:
     """{key: (x, y, d)} with per-term denominators brought over their lcm."""
     den = math.lcm(*(d for _, _, d in terms.values()))
@@ -155,8 +141,8 @@ class AlgebraElement:
     def __init__(self, terms: dict[MonomialKey, ComplexRational] | None = None):
         parts = {}
         for key, coeff in (terms or {}).items():
-            key, c = _monomial_key(key), _coerce_scalar(coeff)
-            if c is None:
+            key, c = _monomial_key(key), _coerce(coeff)
+            if c is NotImplemented:
                 raise TypeError(f"bad coefficient {coeff!r}")
             if c:
                 parts[key] = (c._x, c._y, c._d)
@@ -167,20 +153,6 @@ class AlgebraElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "AlgebraElement":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "AlgebraElement":
-        return cls({_UNIT_KEY: ONE})
-
-    @classmethod
-    def generator(cls, g: Generator) -> "AlgebraElement":
-        return cls({_GENERATOR_KEYS[g]: ONE})
 
     @classmethod
     def monomial(cls, key: MonomialKey, coeff=ONE) -> "AlgebraElement":
@@ -235,13 +207,15 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
-            scalar = _coerce_scalar(other)
-            if scalar is None:
+            scalar = _coerce(other)
+            if scalar is NotImplemented:
                 return NotImplemented
             sx, sy = scalar._x, scalar._y
             terms = {key: (x * sx - y * sy, x * sy + y * sx) for key, (x, y) in self._terms.items()}
             return _element(terms, self._den * scalar._d)
         return self._times(other, TERM_LIMIT)[0]
+
+    __rmul__ = __mul__  # reached only for a scalar on the left, and scalars commute
 
     def _times(self, other: "AlgebraElement", budget: int) -> tuple["AlgebraElement", int]:
         """The product and the number of terms it built, refused past ``budget`` built terms."""
@@ -255,12 +229,6 @@ class AlgebraElement:
             for kb, (xb, yb) in right
         )
         return _reordered(pairs, self._den * other._den, budget)
-
-    def __rmul__(self, other):
-        scalar = _coerce_scalar(other)
-        if scalar is not None:
-            return self * scalar
-        return NotImplemented
 
     def __pow__(self, n: int) -> "AlgebraElement":
         """Left-to-right product of n copies; n must be a nonnegative int."""
@@ -321,8 +289,8 @@ def _element(terms: dict, den: int) -> AlgebraElement:
 def _coerce_element(value):
     if isinstance(value, AlgebraElement):
         return value
-    scalar = _coerce_scalar(value)
-    if scalar is None:
+    scalar = _coerce(value)
+    if scalar is NotImplemented:
         return NotImplemented
     return AlgebraElement({_UNIT_KEY: scalar})
 
@@ -335,11 +303,11 @@ def _format_monomial(key: MonomialKey) -> str:
     return " ".join(letter if exp == 1 else f"{letter}^{exp}" for letter, exp in zip(_LETTERS, key) if exp)
 
 
-Q = AlgebraElement.generator(Generator.Q)
-P = AlgebraElement.generator(Generator.P)
-Q_PRIME = AlgebraElement.generator(Generator.Q_PRIME)
-P_PRIME = AlgebraElement.generator(Generator.P_PRIME)
-UNIT = AlgebraElement.one()
+Q = AlgebraElement.monomial((1, 0, 0, 0))
+P = AlgebraElement.monomial((0, 1, 0, 0))
+Q_PRIME = AlgebraElement.monomial((0, 0, 1, 0))
+P_PRIME = AlgebraElement.monomial((0, 0, 0, 1))
+UNIT = AlgebraElement.monomial(_UNIT_KEY)
 _GENERATOR_ELEMENTS = (Q, P, Q_PRIME, P_PRIME)
 
 
@@ -412,7 +380,7 @@ def evolve(e: AlgebraElement, t) -> AlgebraElement:
     t = Fraction(t)
     if t == 0:
         return e
-    total = AlgebraElement.zero()
+    total = AlgebraElement()
     img_q = Q + P * t
     img_qp = Q_PRIME - P_PRIME * t
     for (j, k, l, m), (x, y) in e._terms.items():

@@ -98,10 +98,15 @@ def kernel_value(tau: float, sigma: float, c: float = 0.0) -> float:
     return c - abs(tau - sigma) / 2.0
 
 
+def check_krein_scale(alpha: float) -> None:
+    """Refuse a Krein scale alpha that is not positive and finite (NaN included): the one rule of every Krein entry."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
 def krein_kernel(tau: float, sigma: float, alpha: float) -> float:
     """Kernel of the real-variable (Krein) measure at scale alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_krein_scale(alpha)
     return (
         -abs(tau - sigma) / 2.0
         + (abs(tau) + abs(sigma) + alpha**-2 + alpha**2 * abs(tau) * abs(sigma)) / 2.0
@@ -123,7 +128,16 @@ def wick_moment(taus, c: float = 0.0) -> float:
 
 def krein_pair_moment(taus, alpha: float) -> float:
     """Moment of the Krein measure at scale alpha."""
+    check_krein_scale(alpha)
     return pair_moment(taus, lambda t, s: krein_kernel(t, s, alpha))
+
+
+def _grid_function(taus, weights, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """f as the arrays (taus, weights * step); ValueError unless there is one weight per tau."""
+    taus, weights = np.asarray(taus, dtype=float), np.asarray(weights, dtype=float)
+    if weights.shape != taus.shape:
+        raise ValueError("weights and taus must have equal length")
+    return taus, weights * step
 
 
 def characteristic_target(taus, weights, step: float) -> float:
@@ -131,9 +145,9 @@ def characteristic_target(taus, weights, step: float) -> float:
 
     With the taus sorted, <f,f> = -sum_j w_j (tau_j W_j - T_j), W and T the prefix sums of w and w tau.
     """
-    taus = np.asarray(taus, dtype=float)
+    taus, w = _grid_function(taus, weights, step)
     order = np.argsort(taus, kind="stable")
-    t, w = taus[order], np.asarray(weights, dtype=float)[order] * step
+    t, w = taus[order], w[order]
     return math.exp(0.5 * float((w * (t * np.cumsum(w) - np.cumsum(w * t))).sum()))
 
 
@@ -383,9 +397,9 @@ def mc_characteristic(taus, weights, cfg: McConfig) -> McEstimate:
     cfg.step; the estimate converges to exp(-<f,f>/2), whose modulus exceeds 1
     for mean-nonzero f (indefiniteness witness).
     """
-    w = np.asarray(weights, dtype=float) * cfg.step
+    taus, w = _grid_function(taus, weights, cfg.step)
     a = float(w.sum())
-    b = float((np.abs(np.asarray(taus, dtype=float)) * w).sum())
+    b = float((np.abs(taus) * w).sum())
 
     def integrand(rows, paths, z1, z2):
         # exp(i x(f)) with x(f) = xi(f) + a z - b zbar: modulus exp(-(a + b) z2), phase xi(f) + (a - b) z1
@@ -431,9 +445,7 @@ def mc_weyl_schwinger(alphas, taus, cfg: McConfig) -> McEstimate:
 
 def mc_krein_moment(taus, alpha: float, cfg: McConfig) -> McEstimate:
     """Sampled moment of the Krein measure: z, zbar replaced by real variables."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-
+    check_krein_scale(alpha)
     abs_taus = np.abs(np.asarray(taus, dtype=float))
 
     def integrand(rows, paths, z1, z2):  # prod_k (path_k + x - |tau_k| v), in the paths' order

@@ -43,7 +43,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .gram import GramMatrix, equilibrated, gram_signature, numerical_rank, real_or_complex
-from .montecarlo import brownian_gaps, krein_kernel
+from .montecarlo import brownian_gaps, check_krein_scale, krein_kernel
 
 FAMILY_LIMIT = 200
 PROJECTION_CONDITION_LIMIT = 1e8
@@ -375,6 +375,7 @@ def krein_metric_apply(u: ExtendedVector, alpha: float) -> ExtendedVector:
 
     u + 2 <kappa, u> kappa; kappa has no grid part, so u's grid values are kept.
     """
+    check_krein_scale(alpha)
     scale = 2.0 * complex(_krein_pairing(_Rows.of([u]).content, alpha)[0])
     return ExtendedVector(u.grid, u.values.copy(), u.a + alpha * scale, u.b + (1.0 / alpha) * scale)
 
@@ -385,8 +386,6 @@ def _krein_pairing(content, alpha: float) -> np.ndarray:
     kappa has no grid part and content (alpha, 1/alpha), so only the singular
     pairing of a product is left, op for op: no cumsum and no matrix product.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     content_a, content_b = content
     return 0.0 - (alpha * content_b + (1.0 / alpha) * content_a) / 2.0
 
@@ -396,6 +395,7 @@ def krein_inner(u: ExtendedVector, v: ExtendedVector, alpha: float) -> complex:
 
     <u, v> takes indefinite_inner's route, so the two differ by the Krein term alone.
     """
+    check_krein_scale(alpha)
     u._check(v)
     left, right = _Rows.of([u]), _Rows.of([v])
     overlap_u, overlap_v = (complex(_krein_pairing(rows.content, alpha)[0]) for rows in (left, right))
@@ -556,6 +556,7 @@ def markov_diagnostics(grid: Grid, n_per_side: int, alpha: float = 1.0, seed: in
     opens with d0 and closes with w, so E0 is the generic projection onto the
     (d0, w) pair: the [0, k - 1] sub-block of G+ and the pair's moments.
     """
+    check_krein_scale(alpha)
     if n_per_side < 2:
         raise MarkovSetupError("need at least two points per side")
     if not grid.is_symmetric():
@@ -605,8 +606,7 @@ def conditional_independence_residual(
     measure at scale alpha; the Markov property holds in the pair (x, v), so
     dropping v from the conditioning set leaves a finite residual.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_krein_scale(alpha)
     pts = np.asarray(points, dtype=float)
     if not np.any(np.abs(pts) <= ZERO_TIME_TOL):
         raise ValueError("points must contain 0 (the conditioning time)")

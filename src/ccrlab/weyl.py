@@ -102,9 +102,6 @@ def weyl_symbol(alpha, beta, coeff: complex = 1.0) -> WeylElement:
     return WeylElement({(to_label_fraction(alpha), to_label_fraction(beta)): coeff})
 
 
-WEYL_UNIT = weyl_symbol(0, 0)
-
-
 def weyl_product(u: WeylElement, v: WeylElement) -> WeylElement:
     terms: dict[Label, complex] = {}
     for lu, cu in u.terms.items():

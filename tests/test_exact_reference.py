@@ -155,7 +155,7 @@ def _ref_closed_form(c: Fraction, key) -> ComplexRational:
 
 def _ref_normal_order(word) -> AlgebraElement:
     """One left-to-right product of the word's generators, both pairs together."""
-    return product(AlgebraElement.generator(Generator(g)) for g in word)
+    return product(AlgebraElement.monomial(tuple(int(i == g) for i in range(4))) for g in map(Generator, word))
 
 
 def _ref_element_str(e: AlgebraElement) -> str:

@@ -137,6 +137,7 @@ def _ref_str(re: Fraction, im: Fraction) -> str:
 def test_field_axioms_match_reference():
     hypothesis = pytest.importorskip("hypothesis")
 
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(_pairs(), _pairs(), _pairs())
     def check(a, b, c):
         x, y, z = _from(a), _from(b), _from(c)
@@ -157,6 +158,7 @@ def test_field_axioms_match_reference():
 def test_division_matches_reference():
     hypothesis = pytest.importorskip("hypothesis")
 
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(_pairs(), _pairs())
     def check(a, b):
         hypothesis.assume(b != (0, 0))
@@ -172,6 +174,7 @@ def test_division_matches_reference():
 def test_str_matches_reference_and_round_trips():
     hypothesis = pytest.importorskip("hypothesis")
 
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(_pairs())
     def check(a):
         x = _from(a)
@@ -208,6 +211,7 @@ def test_str_matches_reference_on_unit_zero_and_long_parts():
 def test_eq_and_hash_consistent():
     hypothesis = pytest.importorskip("hypothesis")
 
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(_pairs(), _pairs())
     def check(a, b):
         x, y = _from(a), _from(b)

@@ -80,6 +80,7 @@ def test_print_parse_round_trip():
     keys = st.tuples(*[st.integers(0, 3)] * 4)
     elements = st.dictionaries(keys, st.builds(ComplexRational, part, part), max_size=6)
 
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(elements.map(AlgebraElement))
     def check(e):
         assert parse_element(str(e)) == e

@@ -58,7 +58,7 @@ def random_monomial(rng, max_degree=4, primed=True):
 
 
 def random_element(rng, terms=3, max_degree=4, primed=True):
-    out = AlgebraElement.zero()
+    out = AlgebraElement()
     for _ in range(terms):
         coeff = ComplexRational(
             Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))),
@@ -169,15 +169,15 @@ def test_adjoint_reverses_products_and_conjugates_the_state():
     parts = st.fractions(min_value=-3, max_value=3, max_denominator=5)
     terms = st.tuples(st.builds(ComplexRational, parts, parts), st.lists(st.sampled_from(GENS), max_size=3))
     elements = st.lists(terms, min_size=1, max_size=3).map(
-        lambda pairs: sum((normal_order(word) * coeff for coeff, word in pairs), AlgebraElement.zero())
+        lambda pairs: sum((normal_order(word) * coeff for coeff, word in pairs), AlgebraElement())
     )
     tables = [CovarianceTable(Fraction(0)), CovarianceTable(Fraction(2, 7))]
 
     @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.lists(elements, min_size=1, max_size=3))
     def check(factors):
-        product = math.prod(factors, start=AlgebraElement.one())
-        reversed_adjoints = math.prod(map(adjoint, reversed(factors)), start=AlgebraElement.one())
+        product = math.prod(factors, start=UNIT)
+        reversed_adjoints = math.prod(map(adjoint, reversed(factors)), start=UNIT)
         assert adjoint(product) == reversed_adjoints
         for table in tables:
             assert omega(adjoint(product), table) == omega(product, table).conjugate()

@@ -85,6 +85,28 @@ def test_krein_kernel_rank_one_link():
     assert min(diag) >= 0.0
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_every_krein_entry_refuses_a_scale_that_is_not_positive_and_finite(alpha):
+    from ccrlab import nelson as ne
+
+    grid = ne.Grid.parse("-1:1:0.5")
+    u = ne.point_mass(grid, 0.5)
+    entries = {
+        "krein_kernel": lambda: krein_kernel(0.0, 0.0, alpha),
+        "krein_pair_moment": lambda: krein_pair_moment([0.0, 0.0], alpha),
+        "krein_pair_moment, odd": lambda: krein_pair_moment([1.0], alpha),  # calls no kernel
+        "mc_krein_moment": lambda: mc_krein_moment([0.0, 1.0], alpha, McConfig(samples=10, seed=1)),
+        "krein_metric_apply": lambda: ne.krein_metric_apply(u, alpha),
+        "krein_inner": lambda: ne.krein_inner(u, u, alpha),
+        "conditional_independence_residual": lambda: ne.conditional_independence_residual([-1.0, 0.0, 1.0], alpha),
+        "markov_diagnostics": lambda: ne.markov_diagnostics(grid, 2, alpha),
+    }
+    for name, entry in entries.items():
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            entry()
+            pytest.fail(f"{name} took alpha = {alpha}")
+
+
 # -- pair-partition oracle -----------------------------------------------------------
 
 
@@ -200,6 +222,15 @@ def test_characteristic_target_matches_the_dense_quadratic_form():
         cases.append((taus, rng.normal(0, 0.5, n), float(rng.uniform(0.001, 0.05))))
     for taus, weights, step in cases:
         assert characteristic_target(taus, weights, step) == pytest.approx(dense(taus, weights, step), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.0, -1.0, 0.5]], ids=["short", "long"])
+def test_characteristic_refuses_weights_of_another_length_than_the_taus(weights):
+    taus = [0.0, 1.0]
+    with pytest.raises(ValueError, match="weights and taus must have equal length"):
+        characteristic_target(taus, weights, 0.1)
+    with pytest.raises(ValueError, match="weights and taus must have equal length"):
+        mc_characteristic(taus, weights, McConfig(samples=10, seed=1))
 
 
 # -- euclidean Weyl expectations ------------------------------------------------------------------

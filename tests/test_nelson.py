@@ -868,7 +868,7 @@ def test_real_rows_agree_with_their_complex_cast():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
         n=st.integers(2, 60),
         start=st.floats(-3.0, 3.0),
@@ -1156,7 +1156,7 @@ def test_factored_product_matches_dense_metric_on_random_grids():
         st.floats(0.0, 2 * math.pi),
     )
 
-    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
         n=st.integers(2, 60),
         start=st.floats(-10.0, 10.0),

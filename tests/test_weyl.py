@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from ccrlab.weyl import (
-    WEYL_UNIT,
     evolve_weyl,
     omega_expectation,
     os_positivity_matrix,
@@ -42,7 +41,7 @@ def test_product_uv_phase():
 
 def test_product_inverse_collapses_to_unit():
     product = weyl_product(weyl_symbol(1.5, -2), weyl_symbol(-1.5, 2))
-    assert product == WEYL_UNIT
+    assert product == weyl_symbol(0, 0)
 
 
 def test_product_associativity_floats():
