@@ -2,9 +2,13 @@
 
     python3 bench/ab.py --workload nelson [--base HEAD] [--pairs 10] [--seed N]
 
-Run from anywhere inside a checkout.  The base revision is exported with
-``git archive`` into a temporary directory; the working tree is used as it
-stands, uncommitted edits included.  Each pair runs
+Run from anywhere inside a checkout.  Both sides run from fresh copies in one
+temporary directory, at the same path depth and with no ``__pycache__``: the
+base revision is exported with ``git archive`` into ``base/tree``, and the
+files of the working tree that git lists (tracked and untracked, not ignored,
+uncommitted edits included) are copied into ``change/tree``.  With the default
+``--base HEAD`` on a clean tree the two sides hold the same code, an A/A check
+of the harness itself.  Each pair runs
 ``perfbench/run.py --workload W --seconds 0`` (one untraced pass in a fresh
 interpreter, at the workload seed ``--seed``, perfbench's default unless given)
 once on each side, the base first in even pairs and the working tree first in
@@ -55,6 +59,7 @@ import math
 import os
 import random
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -101,12 +106,28 @@ def export_revision(revision: str, target: str) -> str:
         ["git", "rev-parse", "--verify", f"{revision}^{{commit}}"],
         cwd=ROOT, capture_output=True, text=True, check=True,
     ).stdout.strip()
+    os.makedirs(target)
     archive = os.path.join(target, "tree.tar")
     subprocess.run(["git", "archive", "--output", archive, commit], cwd=ROOT, check=True)
     with tarfile.open(archive) as tar:
         tar.extractall(os.path.join(target, "tree"), filter="data")
     os.remove(archive)
     return commit
+
+
+def export_working_tree(target: str) -> None:
+    """Copy the working tree's files that git lists, tracked or untracked but not ignored, into target/tree."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.split("\0")
+    for path in filter(None, listed):
+        source = os.path.join(ROOT, path)
+        if not os.path.lexists(source):  # tracked, deleted in the working tree
+            continue
+        copy = os.path.join(target, "tree", path)
+        os.makedirs(os.path.dirname(copy), exist_ok=True)
+        shutil.copy2(source, copy, follow_symlinks=False)
 
 
 def run_once(root: str, workload: str, seed: int) -> dict:
@@ -271,13 +292,14 @@ def summarize(pairs: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="ab-base-") as workdir:
+    with tempfile.TemporaryDirectory(prefix="ab-") as workdir:
         try:
-            base_commit = export_revision(args.base, workdir)
+            base_commit = export_revision(args.base, os.path.join(workdir, "base"))
         except subprocess.CalledProcessError as err:
             print(f"cannot export revision {args.base!r}: {err}", file=sys.stderr)
             return 2
-        roots = {"base": os.path.join(workdir, "tree"), "change": ROOT}
+        export_working_tree(os.path.join(workdir, "change"))
+        roots = {side: os.path.join(workdir, side, "tree") for side in ("base", "change")}
         cores = {side: blas_core(root) for side, root in roots.items()}
         pairs = []
         for index in range(args.pairs):

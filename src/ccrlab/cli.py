@@ -367,6 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     if not args.config:
         return
@@ -377,8 +381,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
         raise UsageError(f"cannot read config file: {err}") from None
     if not isinstance(overrides, dict):
         raise UsageError("config file must hold a JSON object")
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in subparsers.choices[args.subcommand]._actions}
+    actions = {a.dest: a for a in _subcommands(parser)[args.subcommand]._actions}
     for key, value in overrides.items():
         action = actions.get(key)
         if action is None or key in ("help", "config"):
@@ -392,16 +395,17 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
 # JSON types a config value may take, by the type its flag parses; flags
 # without a value (nargs 0, store_true) take a JSON boolean.
 _CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
-_VALUE_FLAGS = {"--grid", "--taus", "--alphas", "--weights"}
 
 
-def _merge_leading_dash_values(argv: list[str]) -> list[str]:
-    """Let value flags take arguments like -5:5:0.2 without = syntax."""
+def _merge_leading_dash_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """Let every flag that takes one value take arguments like -5:5:0.2 or -inf without = syntax."""
+    actions = [action for subparser in _subcommands(parser).values() for action in subparser._actions]
+    value_flags = {flag for action in actions if action.nargs is None for flag in action.option_strings}
     merged = []
     index = 0
     while index < len(argv):
         arg = argv[index]
-        if arg in _VALUE_FLAGS and index + 1 < len(argv) and argv[index + 1].startswith("-"):
+        if arg in value_flags and index + 1 < len(argv) and argv[index + 1].startswith("-"):
             merged.append(f"{arg}={argv[index + 1]}")
             index += 2
         else:
@@ -414,7 +418,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _merge_leading_dash_values(list(argv))
+    argv = _merge_leading_dash_values(list(argv), parser)
     try:
         args = parser.parse_args(argv)
         _apply_config(args, parser)

@@ -1,11 +1,11 @@
-"""Symbolic Weyl algebra with the non-regular translation-invariant state.
+"""The Weyl algebra on labels, with the non-regular translation-invariant state.
 
-Weyl symbols W(a, b) multiply through the symplectic phase
-``W(a,b) W(g,d) = exp(i(bg - ad)/2) W(a+g, b+d)``; the ground state sends
-W(a, b) to 0 unless a = 0 and to 1 otherwise.  Labels are exact rationals so
-the charge-conservation test ``sum(a_i) = 0`` in the n-point formulas is
-exact; float entry points are rounded to rationals with denominator at most
-10**9.
+A Weyl symbol is its label (a, b).  Symbols multiply through the exact
+symplectic phase, ``W(u) W(v) = exp(i sigma(u, v)) W(u + v)``; free evolution
+moves the label, ``W(a, b) -> W(a, b + a t)``; the ground state sends W(a, b)
+to 1 when the charge a is 0 and to 0 otherwise.  Labels are exact rationals so
+the charge test, ``sum(a_i) = 0`` in the n-point formulas, is exact; float
+entry points are rounded to rationals with denominator at most 10**9.
 """
 
 from __future__ import annotations
@@ -36,96 +36,10 @@ def symplectic_phase(u: Label, v: Label) -> Fraction:
     return (b * g - a * d) / 2
 
 
-class WeylElement:
-    """Finite complex linear combination of Weyl symbols."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[Label, complex] | None = None):
-        clean: dict[Label, complex] = {}
-        if terms:
-            for label, coeff in terms.items():
-                if coeff != 0:
-                    clean[label] = complex(coeff)
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
-
-    @property
-    def terms(self) -> dict[Label, complex]:
-        return dict(self._terms)
-
-    def __add__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        terms = dict(self._terms)
-        for label, coeff in other._terms.items():
-            terms[label] = terms.get(label, 0j) + coeff
-        return WeylElement(terms)
-
-    def __sub__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, WeylElement):
-            return weyl_product(self, other)
-        if isinstance(other, (int, float, complex)):
-            return WeylElement({l: c * other for l, c in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = [
-            f"({coeff:.12g}) W({float(a):g},{float(b):g})"
-            for (a, b), coeff in sorted(self._terms.items())
-        ]
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def weyl_symbol(alpha, beta, coeff: complex = 1.0) -> WeylElement:
-    return WeylElement({(to_label_fraction(alpha), to_label_fraction(beta)): coeff})
-
-
-def weyl_product(u: WeylElement, v: WeylElement) -> WeylElement:
-    terms: dict[Label, complex] = {}
-    for lu, cu in u.terms.items():
-        for lv, cv in v.terms.items():
-            label = (lu[0] + lv[0], lu[1] + lv[1])
-            phase = cmath.exp(1j * float(symplectic_phase(lu, lv)))
-            terms[label] = terms.get(label, 0j) + cu * cv * phase
-    return WeylElement(terms)
-
-
-def weyl_star(u: WeylElement) -> WeylElement:
-    """Adjoint: conjugate coefficients, W(a,b) -> W(-a,-b)."""
-    return WeylElement({(-a, -b): coeff.conjugate() for (a, b), coeff in u.terms.items()})
-
-
-def omega_expectation(u: WeylElement) -> complex:
-    """Ground state value: keeps exactly the charge-zero symbols."""
-    return sum((c for (a, _b), c in u.terms.items() if a == 0), 0j)
-
-
-def evolve_weyl(u: WeylElement, t) -> WeylElement:
-    """Free evolution W(a, b) -> W(a, b + a t); phase-free on the symbols."""
-    t = to_label_fraction(t)
-    return WeylElement({(a, b + a * t): c for (a, b), c in u.terms.items()})
+def evolve_weyl(label: Label, t) -> Label:
+    """Free evolution W(a, b) -> W(a, b + a t), exact on the label."""
+    a, b = label
+    return a, b + a * to_label_fraction(t)
 
 
 def _neutral_labels(alphas, points, name: str) -> list[Fraction] | None:
@@ -179,19 +93,19 @@ def schwinger_npoint(alphas, taus) -> float:
 def spectral_support(alpha, beta, gamma, delta) -> list[tuple[float, complex]]:
     """Frequency content of t -> <W(alpha,beta) evolved W(gamma,delta)>.
 
-    The expectation is a single oscillation exp(i nu t) when gamma = -alpha
-    and vanishes identically otherwise; every returned frequency is
-    nonnegative (energy positivity of the non-regular ground state).
+    The product is exp(i sigma(u, v_t)) W(u + v_t), and the state keeps only
+    charge 0: the expectation vanishes identically unless gamma = -alpha, and
+    is otherwise the single oscillation exp(i sigma(u, v)) exp(i nu t), since
+    sigma(u, v_t) is affine in t.  Every returned frequency is nonnegative
+    (energy positivity of the non-regular ground state).
     """
-    a = to_label_fraction(alpha)
-    b = to_label_fraction(beta)
-    g = to_label_fraction(gamma)
-    d = to_label_fraction(delta)
-    if a + g != 0:
+    u = (to_label_fraction(alpha), to_label_fraction(beta))
+    v = (to_label_fraction(gamma), to_label_fraction(delta))
+    if u[0] + v[0] != 0:
         return []
-    frequency = float(a * a / 2)
-    coeff = cmath.exp(-1j * float(a) * float(b + d) / 2)
-    return [(frequency, coeff)]
+    phase = symplectic_phase(u, v)
+    frequency = symplectic_phase(u, evolve_weyl(v, 1)) - phase
+    return [(float(frequency), cmath.exp(1j * float(phase)))]
 
 
 def os_positivity_matrix(pairs) -> np.ndarray:

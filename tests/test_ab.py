@@ -1,9 +1,10 @@
-"""bench/ab.py's summary of paired runs, on made-up pairs (no subprocess)."""
+"""bench/ab.py's summary of paired runs, on made-up pairs, and the trees each side runs from."""
 
 import importlib.util
 import json
 import pathlib
 import statistics
+import subprocess
 
 import pytest
 from test_montecarlo import _dynamic_arch_openblas
@@ -107,11 +108,21 @@ def test_every_run_writes_the_run_output_not_the_claim_file(ab, monkeypatch, tmp
     claim.write_text("committed\n")
     monkeypatch.setattr(ab, "ROOT", str(tmp_path))
     monkeypatch.setattr(ab, "declared_metrics", lambda: declared)
+    roots = set()
+
+    def run_once(root, workload, seed):
+        roots.add(pathlib.Path(root))
+        return next(runs[pathlib.Path(root).parent.name])
+
     monkeypatch.setattr(ab, "export_revision", lambda revision, target: "0" * 40)
+    monkeypatch.setattr(ab, "export_working_tree", lambda target: None)
     monkeypatch.setattr(ab, "blas_core", lambda root: None)
     monkeypatch.setattr(ab, "environment_stamp", lambda seed: {})
-    monkeypatch.setattr(ab, "run_once", lambda root, workload, seed: next(runs["change" if root == ab.ROOT else "base"]))
+    monkeypatch.setattr(ab, "run_once", run_once)
     assert ab.main(["--workload", "suite"]) == 0
+    # both sides run from sibling trees of one temporary directory, at the same depth
+    [workdir] = {root.parent.parent for root in roots}
+    assert roots == {workdir / "base" / "tree", workdir / "change" / "tree"}
     out = tmp_path / "perfbench" / "results" / "ab-suite.json"
     printed = json.loads(capsys.readouterr().out)
     assert printed["out"] == str(out)
@@ -124,6 +135,32 @@ def test_every_run_writes_the_run_output_not_the_claim_file(ab, monkeypatch, tmp
     assert gain or ("won 0 of 10 pairs" in rule["refused"] and "interquartile" in rule["refused"])
     assert claim.read_text() == "committed\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCH_suite.json", "perfbench"]
+
+
+def test_the_change_tree_holds_the_listed_files_with_the_working_trees_bytes(ab, monkeypatch, tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "__pycache__").mkdir(parents=True)
+    git = ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.invalid", "-C", str(checkout)]
+    subprocess.run([*git, "init", "-q"], check=True)
+    (checkout / ".gitignore").write_text("__pycache__/\nresults/\n")
+    (checkout / "src" / "kept.py").write_text("committed\n")
+    (checkout / "src" / "edited.py").write_text("committed\n")
+    (checkout / "gone.py").write_text("committed\n")
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "base"], check=True)
+    (checkout / "src" / "edited.py").write_text("edited, not committed\n")
+    (checkout / "gone.py").unlink()
+    (checkout / "src" / "new.py").write_text("untracked\n")
+    (checkout / "src" / "__pycache__" / "kept.cpython.pyc").write_bytes(b"stale")
+    (checkout / "results").mkdir()
+    (checkout / "results" / "run.json").write_text("{}\n")
+    monkeypatch.setattr(ab, "ROOT", str(checkout))
+    ab.export_working_tree(str(tmp_path / "change"))
+    tree = tmp_path / "change" / "tree"
+    copied = sorted(str(path.relative_to(tree)) for path in tree.rglob("*") if not path.is_dir())
+    assert copied == [".gitignore", "src/edited.py", "src/kept.py", "src/new.py"]
+    assert all((tree / name).read_bytes() == (checkout / name).read_bytes() for name in copied)
+    assert not (tree / "src" / "__pycache__").exists()
 
 
 @pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs numpy on a DYNAMIC_ARCH OpenBLAS")

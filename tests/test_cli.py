@@ -58,6 +58,10 @@ def test_moments_with_c(capsys):
     code, out, _ = run_cli(capsys, "moments", "--expr", "q q", "--c", "1")
     assert code == 0
     assert last_json(out)["results"][0]["value"] == "1"
+    # a value with a leading dash, which argparse takes for a flag unless it is merged as --c=-1/2
+    code, out, _ = run_cli(capsys, "moments", "--expr", "q^2", "--c", "-1/2")
+    assert code == 0
+    assert last_json(out)["results"][0]["value"] == "-1/2"
 
 
 def test_moments_parse_error_is_usage(capsys):
@@ -209,6 +213,9 @@ def test_mc_usage_errors(capsys):
     one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "nan,1")
     one_line_usage_error(capsys, "mc", "--mode", "krein", "--taus", "inf,1", "--alpha", "1")
     one_line_usage_error(capsys, "mc", "--mode", "krein", "--taus", "1,1", "--alpha", "nan")
+    for alpha in ("-inf", "-1e3"):  # argparse takes neither for a negative number
+        err = one_line_usage_error(capsys, "mc", "--mode", "krein", "--taus", "0,0", "--alpha", alpha)
+        assert "alpha must be positive and finite" in err
     one_line_usage_error(capsys, "mc", "--mode", "weyl", "--alphas", "1,-inf", "--taus", "0,1")
     one_line_usage_error(capsys, "mc", "--mode", "characteristic", "--taus", "0,1", "--weights", "1,nan")
     one_line_usage_error(

@@ -10,7 +10,7 @@ import inspect
 
 import pytest
 
-from ccrlab import acceptance, heisenberg, montecarlo, nelson
+from ccrlab import acceptance, heisenberg, montecarlo, nelson, weyl
 
 
 def _halve_the_singular_part(monkeypatch):
@@ -122,6 +122,12 @@ def _shift_q_squared_in_the_covariance_table(monkeypatch):
     _mutate(monkeypatch, heisenberg, "CovarianceTable", "c = Fraction(self.c)", "c = Fraction(self.c) + Fraction(1, 3)")
 
 
+def _reverse_the_free_evolution(monkeypatch):
+    # W(a, b) evolved to W(a, b - a t): the symplectic phase of <W(u) W(v_t)> then falls at the rate
+    # a^2/2, so every oscillation with a != 0 has a negative frequency and energy positivity fails (criterion 8)
+    _mutate(monkeypatch, weyl, "evolve_weyl", "b + a * ", "b - a * ")
+
+
 # name -> (injection, the criteria that must each fail under it)
 FAULTS = {
     "nelson singular part halved": (_halve_the_singular_part, (10, 11)),
@@ -136,6 +142,7 @@ FAULTS = {
     "Wick digits one bit short": (_narrow_the_wick_digits_by_one_bit, (2,)),
     "primed letters reversed in normal_order": (_reverse_the_primed_letters_in_normal_order, (2,)),
     "<q^2> shifted by 1/3 in the covariance table": (_shift_q_squared_in_the_covariance_table, (1, 3, 5)),
+    "free evolution reversed in evolve_weyl": (_reverse_the_free_evolution, (8,)),
 }
 
 

@@ -94,22 +94,7 @@ ALLOWED = {
     "nelson.metric_matrix": TRACED_ONLY,
     "nelson.indefinite_inner": TRACED_ONLY,
     "nelson.project_onto": TRACED_ONLY,
-    "weyl.WeylElement.__init__": VALUE_TYPE,
-    "weyl.WeylElement.__setattr__": VALUE_TYPE,
-    "weyl.WeylElement.terms": VALUE_TYPE,
-    "weyl.WeylElement.__add__": VALUE_TYPE,
-    "weyl.WeylElement.__sub__": VALUE_TYPE,
-    "weyl.WeylElement.__mul__": VALUE_TYPE,
-    "weyl.WeylElement.__rmul__": VALUE_TYPE,
-    "weyl.WeylElement.__eq__": VALUE_TYPE,
-    "weyl.WeylElement.__str__": VALUE_TYPE,
-    # the positive non-regular (Weyl) state: its algebra, evolution, n-point functions and OS positivity
-    "weyl.weyl_symbol": ABSTRACT,
-    "weyl.symplectic_phase": ABSTRACT,
-    "weyl.weyl_product": ABSTRACT,
-    "weyl.weyl_star": ABSTRACT,
-    "weyl.omega_expectation": ABSTRACT,
-    "weyl.evolve_weyl": ABSTRACT,
+    # the positive non-regular (Weyl) state: its Wightman functions at complex times and OS positivity
     "weyl.wightman_npoint": ABSTRACT,
     "weyl.os_positivity_matrix": ABSTRACT,
 }

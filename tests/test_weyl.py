@@ -1,4 +1,4 @@
-"""Weyl product phases, the non-regular state, and the closed n-point forms."""
+"""Weyl product phases, the non-regular state, and the closed n-point forms, on labels."""
 
 import cmath
 import math
@@ -9,15 +9,11 @@ import pytest
 
 from ccrlab.weyl import (
     evolve_weyl,
-    omega_expectation,
     os_positivity_matrix,
     schwinger_npoint,
     spectral_support,
     symplectic_phase,
     to_label_fraction,
-    weyl_product,
-    weyl_star,
-    weyl_symbol,
     wightman_npoint,
 )
 
@@ -29,110 +25,91 @@ def random_labels(rng, count):
     ]
 
 
+def add(u, v):
+    return (u[0] + v[0], u[1] + v[1])
+
+
+def star(u):
+    # W(a, b)* = W(-a, -b)
+    return (-u[0], -u[1])
+
+
 # -- product --------------------------------------------------------------------
 
 
 def test_product_uv_phase():
     # U(a) V(b) = e^{-i a b / 2} W(a, b)
-    product = weyl_product(weyl_symbol(1, 0), weyl_symbol(0, 1))
-    assert set(product.terms) == {(Fraction(1), Fraction(1))}
-    assert product.terms[(Fraction(1), Fraction(1))] == pytest.approx(cmath.exp(-0.5j))
+    assert symplectic_phase((1, 0), (0, 1)) == Fraction(-1, 2)
 
 
 def test_product_inverse_collapses_to_unit():
-    product = weyl_product(weyl_symbol(1.5, -2), weyl_symbol(-1.5, 2))
-    assert product == weyl_symbol(0, 0)
-
-
-def test_product_associativity_floats():
-    rng = np.random.default_rng(3)
-    for la, lb, lc in zip(random_labels(rng, 100), random_labels(rng, 100), random_labels(rng, 100)):
-        a, b, c = (weyl_symbol(*l) for l in (la, lb, lc))
-        left = weyl_product(weyl_product(a, b), c)
-        right = weyl_product(a, weyl_product(b, c))
-        assert set(left.terms) == set(right.terms)
-        for label in left.terms:
-            assert left.terms[label] == pytest.approx(right.terms[label], abs=1e-12)
+    # W(u) W(-u) = e^{i 0} W(0, 0)
+    u = (Fraction(3, 2), Fraction(-2))
+    assert add(u, star(u)) == (0, 0)
+    assert symplectic_phase(u, star(u)) == 0
 
 
 def test_product_associativity_exact_phase_angles():
     # the accumulated symplectic angles agree exactly as rationals
     rng = np.random.default_rng(5)
     for la, lb, lc in zip(random_labels(rng, 100), random_labels(rng, 100), random_labels(rng, 100)):
-        lab = (la[0] + lb[0], la[1] + lb[1])
-        lbc = (lb[0] + lc[0], lb[1] + lc[1])
-        left = symplectic_phase(la, lb) + symplectic_phase(lab, lc)
-        right = symplectic_phase(lb, lc) + symplectic_phase(la, lbc)
+        left = symplectic_phase(la, lb) + symplectic_phase(add(la, lb), lc)
+        right = symplectic_phase(lb, lc) + symplectic_phase(la, add(lb, lc))
         assert left == right
 
 
 def test_star_is_antihomomorphism():
+    # (W(u) W(v))* = e^{-i sigma(u, v)} W(-u - v) and W(v)* W(u)* = e^{i sigma(-v, -u)} W(-v - u)
     rng = np.random.default_rng(7)
     for la, lb in zip(random_labels(rng, 50), random_labels(rng, 50)):
-        a = weyl_symbol(*la, coeff=complex(*rng.standard_normal(2)))
-        b = weyl_symbol(*lb)
-        left = weyl_star(weyl_product(a, b))
-        right = weyl_product(weyl_star(b), weyl_star(a))
-        assert set(left.terms) == set(right.terms)
-        for label in left.terms:
-            assert left.terms[label] == pytest.approx(right.terms[label], abs=1e-12)
-        assert weyl_star(weyl_star(a)) == a
-
-
-def test_linear_combinations():
-    u = weyl_symbol(1, 0, 2.0) + weyl_symbol(0, 1, -1j)
-    assert u.terms[(Fraction(1), Fraction(0))] == 2.0
-    v = 0.5 * u
-    assert v.terms[(Fraction(0), Fraction(1))] == -0.5j
-    assert (u - u) == (u * 0)
+        assert star(add(la, lb)) == add(star(lb), star(la))
+        assert symplectic_phase(star(lb), star(la)) == -symplectic_phase(la, lb)
+        assert star(star(la)) == la
 
 
 # -- state -----------------------------------------------------------------------
 
 
 def test_state_examples():
-    assert omega_expectation(weyl_symbol(1, 7.3)) == 0
-    assert omega_expectation(weyl_symbol(0, 5)) == 1
-    assert omega_expectation(weyl_product(weyl_symbol(1, 0), weyl_symbol(-1, 0))) == 1
+    # the state keeps exactly the charge-zero products; at t = 0 the coefficient is their value
+    assert spectral_support(1, 7.3, 0, 0) == []
+    assert spectral_support(0, 5, 0, 0) == [(0.0, 1.0 + 0j)]
+    [(_nu, coeff)] = spectral_support(1, 0, -1, 0)
+    assert coeff == 1.0 + 0j
 
 
 def test_state_nonregularity_indicator():
     # alpha -> <W(alpha, 0)> is the indicator of {0}: discontinuous at 0
     for alpha in (1, Fraction(1, 10**6), -Fraction(1, 10**9)):
-        assert omega_expectation(weyl_symbol(alpha, 0)) == 0
-    assert omega_expectation(weyl_symbol(0, 0)) == 1
+        assert spectral_support(alpha, 0, 0, 0) == []
+    assert spectral_support(0, 0, 0, 0) == [(0.0, 1.0 + 0j)]
 
 
 # -- evolution ----------------------------------------------------------------------
 
 
 def test_evolution_examples():
-    evolved = evolve_weyl(weyl_symbol(1, 0), 2)
-    assert set(evolved.terms) == {(Fraction(1), Fraction(2))}
-    assert evolve_weyl(weyl_symbol(0, 3), 11) == weyl_symbol(0, 3)
+    assert evolve_weyl((Fraction(1), Fraction(0)), 2) == (1, 2)
+    assert evolve_weyl((Fraction(0), Fraction(3)), 11) == (0, 3)
+    assert evolve_weyl((Fraction(3, 2), Fraction(1)), Fraction(-1, 3)) == (Fraction(3, 2), Fraction(1, 2))
 
 
 def test_evolution_is_automorphism():
+    # the labels move linearly and the symplectic phase is invariant, exactly
     rng = np.random.default_rng(11)
     t = Fraction(7, 4)
     for la, lb in zip(random_labels(rng, 40), random_labels(rng, 40)):
-        a, b = weyl_symbol(*la), weyl_symbol(*lb)
-        left = evolve_weyl(weyl_product(a, b), t)
-        right = weyl_product(evolve_weyl(a, t), evolve_weyl(b, t))
-        assert set(left.terms) == set(right.terms)
-        for label in left.terms:
-            assert left.terms[label] == pytest.approx(right.terms[label], abs=1e-12)
+        assert evolve_weyl(add(la, lb), t) == add(evolve_weyl(la, t), evolve_weyl(lb, t))
+        assert symplectic_phase(evolve_weyl(la, t), evolve_weyl(lb, t)) == symplectic_phase(la, lb)
 
 
 def test_two_point_closed_form():
-    # <W(a,b) evolved W(-a,d)> = e^{-i a (d + b)/2} e^{i a^2 t / 2}
+    # <W(a,b) evolved W(-a,d)> = e^{i sigma((a,b), (-a, d - a t))} = e^{-i a (d + b)/2} e^{i a^2 t / 2}
     rng = np.random.default_rng(13)
     for _ in range(25):
         a, b, d, t = rng.uniform(-2, 2, 4)
         a, b, d, t = (to_label_fraction(float(x)) for x in (a, b, d, t))
-        value = omega_expectation(
-            weyl_product(weyl_symbol(a, b), evolve_weyl(weyl_symbol(-a, d), t))
-        )
+        value = cmath.exp(1j * float(symplectic_phase((a, b), evolve_weyl((-a, d), t))))
         expected = cmath.exp(-1j * float(a) * float(d + b) / 2) * cmath.exp(
             1j * float(a) ** 2 * float(t) / 2
         )
@@ -222,8 +199,9 @@ def test_spectral_support_sweep_nonnegative():
 def test_spectral_matches_direct_expectation():
     a, b, g, d = Fraction(3, 2), Fraction(1, 2), Fraction(-3, 2), Fraction(2)
     [(nu, coeff)] = spectral_support(a, b, g, d)
+    assert nu == float(a) ** 2 / 2
     for t in (0.0, 0.3, 1.7):
-        direct = omega_expectation(weyl_product(weyl_symbol(a, b), evolve_weyl(weyl_symbol(g, d), t)))
+        direct = cmath.exp(-1j * float(a) * float(b + d) / 2) * cmath.exp(1j * float(a) ** 2 * t / 2)
         assert direct == pytest.approx(coeff * cmath.exp(1j * nu * t), abs=1e-12)
 
 
