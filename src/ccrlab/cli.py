@@ -398,19 +398,19 @@ _CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
 
 
 def _merge_leading_dash_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Let every flag that takes one value take arguments like -5:5:0.2 or -inf without = syntax."""
+    """Let every flag that takes one value take arguments like -5:5:0.2 or -inf without = syntax.
+
+    A flag followed by another flag is left alone, so argparse reports the missing value.
+    """
     actions = [action for subparser in _subcommands(parser).values() for action in subparser._actions]
+    flags = {flag for action in actions for flag in action.option_strings}
     value_flags = {flag for action in actions if action.nargs is None for flag in action.option_strings}
     merged = []
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        if arg in value_flags and index + 1 < len(argv) and argv[index + 1].startswith("-"):
-            merged.append(f"{arg}={argv[index + 1]}")
-            index += 2
+    for arg in argv:
+        if merged and merged[-1] in value_flags and arg.startswith("-") and arg not in flags:
+            merged[-1] = f"{merged[-1]}={arg}"
         else:
             merged.append(arg)
-            index += 1
     return merged
 
 

@@ -683,6 +683,8 @@ def test_bad_flags_exit_two(capsys):
     one_line_usage_error(capsys, "unknown-subcommand")
     one_line_usage_error(capsys, "mc")  # --mode required
     one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--samples", "x")
+    # a flag followed by another flag is missing its value, not given one
+    assert "expected one argument" in one_line_usage_error(capsys, "moments", "--expr", "--c", "1")
 
 
 def test_help_exits_zero(capsys):
