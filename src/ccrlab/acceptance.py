@@ -228,10 +228,26 @@ def _extended_monomials(max_degree: int) -> list[hb.AlgebraElement]:
 
 @_criterion(4, "faithfulness witness", "exact-symbolic")
 def criterion_04(seed: int, quick: bool) -> list[dict]:
-    """Faithfulness witness: exact determinant of the degree-4 moment matrix."""
+    """Faithfulness witness: exact determinant of the degree-4 moment matrix, its sign and size.
+
+    The Gram is Hermitian, so its determinant is real and the product of its eigenvalues.  det != 0
+    leaves no zero eigenvalue (n0 = 0), so by Sylvester's law of inertia sign(det) = (-1)^(n-) for
+    the signature the float eigenvalues give: (9, 6, 0) here, with det = 729/2^24.  The exact
+    log|det|, from the ints of det's numerator and denominator, meets slogdet of the float entries
+    within a relative 1e-10: the entries are rounded once, LU with partial pivoting is backward
+    stable, and d log|det| = tr(G^-1 dG), so the float route is off by about n^2 u cond(G) =
+    15^2 * 1.1e-16 * 57 = 1.4e-12, against a gate of 1e-9 on log|det| = -10.04.
+    """
     gram = hb.moment_matrix(4, hb.CovarianceTable())
     det = gram.det_exact
     checks = [_check("det(moment matrix, N=4) != 0", str(det), "nonzero", 0, ok=det != ZERO)]
+    _, n_minus, n_zero = gram.signature
+    sign = (det.re > 0) - (det.re < 0)
+    ok = det == det.re and n_zero == 0 and sign == (-1) ** n_minus
+    checks.append(_check("sign det = (-1)^n- (Sylvester)", sign, (-1) ** n_minus, 0, ok=ok))
+    log_det = math.log(abs(det.re.numerator)) - math.log(det.re.denominator) if det.re else -math.inf
+    log_float = float(np.linalg.slogdet(gram.entries)[1])
+    checks.append(_check("log|det| vs slogdet, relative", log_det, log_float, 1e-10 * abs(log_float)))
     return checks
 
 
@@ -273,10 +289,19 @@ def criterion_07(seed: int, quick: bool) -> list[dict]:
 
 @_criterion(8, "energy positivity")
 def criterion_08(seed: int, quick: bool) -> list[dict]:
-    """Energy positivity: every oscillation frequency is nonnegative."""
+    """Energy positivity: every oscillation frequency is nonnegative, and is the exact a^2/2.
+
+    For a charge-zero pair u = (a, b), v = (-a, d) the evolved label is v_t = (-a, d - a t), so
+    sigma(u, v_t) = (-a b - a d + a^2 t)/2 = sigma(u, v) + nu t with nu = a^2/2 >= 0.  Each pair
+    checks the frequency against a^2/2 (a doubled phase gives 2 a^2, still nonnegative) and the
+    phase at t = 3/2 against the affine law with the nu read at t = 1 (an evolution that divides
+    by t agrees with it at t = 1 only), both exactly.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     produced = 0
+    off_rate = not_affine = 0
+    t = Fraction(3, 2)
     for index in range(100):
         alpha = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
         beta = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
@@ -285,9 +310,16 @@ def criterion_08(seed: int, quick: bool) -> list[dict]:
         for frequency, _coeff in wy.spectral_support(alpha, beta, gamma, delta):
             produced += 1
             worst = min(worst, frequency)
+            u, v = (alpha, beta), (gamma, delta)
+            phase = wy.symplectic_phase(u, v)
+            nu = wy.symplectic_phase(u, wy.evolve_weyl(v, 1)) - phase
+            off_rate += frequency != float(alpha * alpha / 2)
+            not_affine += wy.symplectic_phase(u, wy.evolve_weyl(v, t)) != phase + nu * t
     checks = [
         _check("min frequency over sweep", worst, 0.0, 0, ok=worst >= 0.0),
         _check("sweep produced oscillations", produced, "> 0", 0, ok=produced > 0),
+        _check("frequency = a^2/2, pairs off", off_rate, 0, 0, ok=off_rate == 0),
+        _check("sigma(u, v_3/2) = sigma(u, v) + 3/2 nu, pairs off", not_affine, 0, 0, ok=not_affine == 0),
     ]
     return checks
 

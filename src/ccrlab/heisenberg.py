@@ -69,7 +69,8 @@ _UNIT_KEY: MonomialKey = (0, 0, 0, 0)
 # {key: (x, y)} and a denominator, in lowest terms, so a product costs one gcd
 # and not one per term.  Reordering introduces no denominator.  ComplexRational
 # is the boundary type: `terms`, `omega`, `moment`, `wick_value` and printing
-# convert to it.
+# convert to it, and the maps off the hot path (`evolve`, `scale_transform`,
+# the modular phases, `_exact_det`) compute in it.
 
 # Most terms one product may build, counted before like terms merge: each pair of
 # factor terms builds one term per reordering term of its monomials, and a power
@@ -127,12 +128,6 @@ def _monomial_key(key) -> MonomialKey:
     return key
 
 
-def _over_common_denominator(terms: dict) -> tuple[dict, int]:
-    """{key: (x, y, d)} with per-term denominators brought over their lcm."""
-    den = math.lcm(*(d for _, _, d in terms.values()))
-    return {key: (x * (den // d), y * (den // d)) for key, (x, y, d) in terms.items()}, den
-
-
 class AlgebraElement:
     """Exact linear combination of canonical monomials q^j p^k q'^l p'^m."""
 
@@ -145,9 +140,10 @@ class AlgebraElement:
             if c is NotImplemented:
                 raise TypeError(f"bad coefficient {coeff!r}")
             if c:
-                parts[key] = (c._x, c._y, c._d)
+                parts[key] = c
         # reduced coefficients over their lcm are already in lowest terms
-        numerators, den = _over_common_denominator(parts)
+        den = math.lcm(*(c._d for c in parts.values()))
+        numerators = {key: (c._x * (den // c._d), c._y * (den // c._d)) for key, c in parts.items()}
         object.__setattr__(self, "_terms", numerators)
         object.__setattr__(self, "_den", den)
 
@@ -380,12 +376,10 @@ def evolve(e: AlgebraElement, t) -> AlgebraElement:
     t = Fraction(t)
     if t == 0:
         return e
-    total = AlgebraElement()
     img_q = Q + P * t
     img_qp = Q_PRIME - P_PRIME * t
-    for (j, k, l, m), (x, y) in e._terms.items():
-        total = total + img_q**j * P**k * img_qp**l * P_PRIME**m * ComplexRational(x, y)
-    return total * Fraction(1, e._den)
+    images = (img_q**j * P**k * img_qp**l * P_PRIME**m * c for (j, k, l, m), c in e.terms.items())
+    return sum(images, AlgebraElement())
 
 
 def metric_conjugate(e: AlgebraElement) -> AlgebraElement:
@@ -401,12 +395,7 @@ def scale_transform(e: AlgebraElement, lam) -> AlgebraElement:
     lam = Fraction(lam)
     if lam == 0:
         raise ValueError("scale parameter must be nonzero")
-    parts = {}
-    for (j, k, l, m), (x, y) in e._terms.items():
-        factor = lam ** (j - k + l - m)
-        parts[(j, k, l, m)] = (x * factor.numerator, y * factor.numerator, factor.denominator)
-    terms, den = _over_common_denominator(parts)
-    return _element(terms, den * e._den)
+    return AlgebraElement({(j, k, l, m): c * lam ** (j - k + l - m) for (j, k, l, m), c in e.terms.items()})
 
 
 # -- state ---------------------------------------------------------------------
@@ -635,14 +624,11 @@ def _modular_phases(e: AlgebraElement, sign: int) -> AlgebraElement:
     """Phase (sign i)^a (-sign i)^b of each p^a q^b.  It is (sign i)^k (-sign i)^j on every
     term of q^j p^k = sum_s C(j,s) C(k,s) s! i^s p^(k-s) q^(j-s), since i (-i) = 1."""
     terms = {}
-    for (j, k, l, m), (x, y) in e._terms.items():
+    for (j, k, l, m), c in e.terms.items():
         if l or m:
             raise UnsupportedDomainError("modular maps are defined on the unprimed subalgebra")
-        # (sign i)^k (-sign i)^j = sign^k (-sign)^j i^(k+j)
-        re, im = _I_POWERS[(k + j) % 4]
-        unit = sign**k * (-sign) ** j
-        terms[(j, k, l, m)] = (unit * (x * re - y * im), unit * (x * im + y * re))
-    return _make_element(terms, e._den)
+        terms[(j, k, l, m)] = c * (I * sign) ** k * (I * -sign) ** j
+    return AlgebraElement(terms)
 
 
 def modular_sqrt(e: AlgebraElement) -> AlgebraElement:
@@ -700,51 +686,28 @@ def _qp_basis_keys(max_degree: int) -> list[MonomialKey]:
 
 
 def _exact_det(rows: list[list[ComplexRational]]) -> ComplexRational:
-    """Determinant by Bareiss's fraction-free elimination on Gaussian integers.
-
-    Each row is brought to (re, im) int pairs over its common denominator.  Every
-    step divides by the previous pivot exactly (Bareiss, Math. Comp. 22, 1968),
-    so no gcd is taken until the one that reduces the result.
-    """
-    n = len(rows)
-    if n == 0:
-        return ONE
-    scale = 1
-    matrix = []
-    for row in rows:
-        den = math.lcm(*(c._d for c in row))
-        scale *= den
-        matrix.append([(c._x * (den // c._d), c._y * (den // c._d)) for c in row])
-    sign = 1
-    prev = (1, 0)
-    for col in range(n - 1):
-        pivot = next((r for r in range(col, n) if matrix[r][col] != (0, 0)), None)
+    """Determinant by Gaussian elimination in ComplexRational arithmetic: the pivot is the first
+    nonzero entry at or below the diagonal, a swap negates the determinant, and a zero under the
+    pivot or in the pivot row (most entries of a sparse moment matrix) spares its row or column."""
+    matrix = [list(row) for row in rows]
+    n = len(matrix)
+    det = ONE
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if matrix[r][col]), None)
         if pivot is None:
             return ZERO
         if pivot != col:
             matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-            sign = -sign
+            det = -det
         top = matrix[col]
-        p_re, p_im = pivot_value = top[col]
-        prev_re, prev_im = prev
-        norm = prev_re * prev_re + prev_im * prev_im
+        det = det * top[col]
         for row in matrix[col + 1 :]:
-            l_re, l_im = row[col]
-            if not (l_re or l_im) and pivot_value == prev:
-                continue  # the step would scale this row by pivot / prev = 1
-            for cidx in range(col + 1, n):
-                # (row[c] pivot - row[col] top[c]) / prev, exact in Z[i]
-                x_re, x_im = row[cidx]
-                t_re, t_im = top[cidx]
-                re = x_re * p_re - x_im * p_im - l_re * t_re + l_im * t_im
-                im = x_re * p_im + x_im * p_re - l_re * t_im - l_im * t_re
-                if re or im:
-                    row[cidx] = ((re * prev_re + im * prev_im) // norm, (im * prev_re - re * prev_im) // norm)
-                else:
-                    row[cidx] = (0, 0)
-        prev = pivot_value
-    det_re, det_im = matrix[-1][-1]
-    return _reduced(sign * det_re, sign * det_im, scale)
+            if row[col]:
+                factor = row[col] / top[col]
+                for c in range(col + 1, n):
+                    if top[c]:
+                        row[c] = row[c] - factor * top[c]
+    return det
 
 
 def moment_matrix(max_degree: int, table: CovarianceTable) -> GramMatrix:

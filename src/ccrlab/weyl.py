@@ -11,7 +11,6 @@ entry points are rounded to rationals with denominator at most 10**9.
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -76,18 +75,18 @@ def wightman_npoint(alphas, times) -> complex:
 
 
 def schwinger_npoint(alphas, taus) -> float:
-    """Euclidean n-point function, extended by symmetry to all time orders."""
+    """Euclidean n-point function, extended by symmetry to all time orders.
+
+    The Wightman function at the imaginary times t_k = i tau_k, in ascending
+    tau: the phases e^{i H t} between the symbols become the decaying
+    e^{-(tau_k - tau_{k-1}) H}, so the value is real.
+    """
     taus = [float(t) for t in taus]
     alphas = _neutral_labels(alphas, taus, "taus")
     if alphas is None:
         return 0.0
     order = sorted(range(len(taus)), key=lambda i: taus[i])
-    exponent = 0.0
-    suffix = Fraction(0)
-    for pos in range(len(order) - 1, 0, -1):
-        suffix += alphas[order[pos]]
-        exponent += (taus[order[pos]] - taus[order[pos - 1]]) * float(suffix * suffix)
-    return math.exp(-0.5 * exponent)
+    return wightman_npoint([alphas[i] for i in order], [1j * taus[i] for i in order]).real
 
 
 def spectral_support(alpha, beta, gamma, delta) -> list[tuple[float, complex]]:

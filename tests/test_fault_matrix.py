@@ -128,6 +128,24 @@ def _reverse_the_free_evolution(monkeypatch):
     _mutate(monkeypatch, weyl, "evolve_weyl", "b + a * ", "b - a * ")
 
 
+def _double_the_symplectic_phase(monkeypatch):
+    # sigma(u, v) read as (b g - a d) * 2: every frequency becomes 2 a^2, still nonnegative, so only
+    # the exact check of each frequency against a^2/2 sees it (criterion 8)
+    _mutate(monkeypatch, weyl, "symplectic_phase", "/ 2", "* 2")
+
+
+def _divide_by_t_in_the_free_evolution(monkeypatch):
+    # W(a, b) evolved to W(a, b + a / t): the same label at t = 1, the only time spectral_support
+    # evolves by, so only the affine law of the phase at t = 3/2 sees it (criterion 8)
+    _mutate(monkeypatch, weyl, "evolve_weyl", "a * to_label_fraction(t)", "a / to_label_fraction(t)")
+
+
+def _flip_the_determinant_sign(monkeypatch):
+    # every pivot of the exact elimination negated: the degree-4 moment matrix has 15 pivots, so its
+    # determinant keeps its size and changes sign, against (-1)^n- from the signature (criterion 4)
+    _mutate(monkeypatch, heisenberg, "_exact_det", "det * top[col]", "det * -top[col]")
+
+
 # name -> (injection, the criteria that must each fail under it)
 FAULTS = {
     "nelson singular part halved": (_halve_the_singular_part, (10, 11)),
@@ -143,6 +161,9 @@ FAULTS = {
     "primed letters reversed in normal_order": (_reverse_the_primed_letters_in_normal_order, (2,)),
     "<q^2> shifted by 1/3 in the covariance table": (_shift_q_squared_in_the_covariance_table, (1, 3, 5)),
     "free evolution reversed in evolve_weyl": (_reverse_the_free_evolution, (8,)),
+    "symplectic phase doubled": (_double_the_symplectic_phase, (8,)),
+    "free evolution divides by t": (_divide_by_t_in_the_free_evolution, (8,)),
+    "determinant sign flipped": (_flip_the_determinant_sign, (4,)),
 }
 
 

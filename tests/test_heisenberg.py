@@ -569,6 +569,42 @@ def test_exact_det_matches_the_permutation_sum():
     assert heisenberg._exact_det([]) == ONE
 
 
+def fraction_det(rows):
+    """The determinant of a matrix of Fractions, by elimination with the first nonzero pivot."""
+    rows = [list(row) for row in rows]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for row in rows[col + 1 :]:
+            factor = row[col] / rows[col][col]
+            row[col:] = [x - factor * y for x, y in zip(row[col:], rows[col][col:])]
+    return det
+
+
+def test_moment_matrix_determinant_matches_its_closed_form():
+    # The Gram entry of the labels q^j p^k and q^a p^b is <p^k q^(j+a) p^b>: at c = 0 every p pairs
+    # with a q, so it vanishes unless j + a = k + b = n.  Then the k leading p's pair with later q's,
+    # worth -i/2 each, and the b trailing ones with earlier q's, worth i/2, in n! ways: the entry is
+    # (-i)^k i^b n!/2^n.  The phases split into a diagonal factor on each side, whose determinants
+    # multiply to the product over the labels of (-i)^k i^k = 1, so det G is the determinant of the
+    # real matrix of the n!/2^n.
+    for degree in range(7):
+        keys = [(j, d - j) for d in range(degree + 1) for j in range(d, -1, -1)]
+        real = [
+            [Fraction(math.factorial(j + a), 2 ** (j + a)) if j + a == k + b else Fraction(0) for a, b in keys]
+            for j, k in keys
+        ]
+        if degree <= 2:
+            assert fraction_det(real) == leibniz_det([[ComplexRational(x) for x in row] for row in real]).re
+        assert moment_matrix(degree, TABLE).det_exact == ComplexRational(fraction_det(real)), degree
+
+
 def test_moment_matrix_faithfulness_witness():
     gram = moment_matrix(4, TABLE)
     assert gram.det_exact != ZERO

@@ -160,6 +160,43 @@ def test_schwinger_range():
         assert 0 < value <= 1
 
 
+def euclidean_reference(alphas, taus):
+    """exp(-1/2 sum (tau_(i) - tau_(i-1)) S_i^2) over the ascending taus, S_i the label sum from the i-th on."""
+    alphas = [Fraction(a) for a in alphas]
+    taus = [float(t) for t in taus]
+    if sum(alphas) != 0:
+        return 0.0
+    order = sorted(range(len(taus)), key=lambda i: taus[i])
+    exponent, suffix = 0.0, Fraction(0)
+    for pos in range(len(order) - 1, 0, -1):
+        suffix += alphas[order[pos]]
+        exponent += (taus[order[pos]] - taus[order[pos - 1]]) * float(suffix * suffix)
+    return math.exp(-0.5 * exponent)
+
+
+def test_schwinger_is_the_euclidean_closed_form_bit_for_bit():
+    # schwinger_npoint is the Wightman function at t_k = i tau_k: in exact arithmetic the phase
+    # exp(i/2 sum (t_i - t_(i-1)) S_i^2) is the decay above, and in floats the real parts of the
+    # imaginary times stay 0, so the sum and the exponential round as the real formula does; the
+    # Monte Carlo targets rest on it.  Charge zero and not, ties, and signed zeros.
+    rng = np.random.default_rng(44)
+    specials = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300, 7.25]
+    for trial in range(2000):
+        n = int(rng.integers(1, 7))
+        alphas = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n)]
+        if trial % 3:
+            alphas[-1] = -sum(alphas[:-1], Fraction(0))
+        if trial % 4 == 0:
+            taus = [specials[i] for i in rng.integers(0, len(specials), n)]
+        elif trial % 4 == 1:
+            taus = [float(t) for t in rng.integers(-3, 4, n)]
+        else:
+            taus = [float(t) for t in rng.uniform(-40, 40, n)]
+        value, reference = schwinger_npoint(alphas, taus), euclidean_reference(alphas, taus)
+        assert math.copysign(1.0, value) == math.copysign(1.0, reference)
+        assert value == reference, (alphas, taus)
+
+
 def test_wightman_continues_to_schwinger():
     # euclidean points sit at t_k = i tau_k for ascending tau: the phases
     # e^{i H t} between the symbols become the decaying e^{-(tau_i - tau_{i-1}) H}
