@@ -145,8 +145,6 @@ def _run_moments(args) -> tuple[dict, bool]:
 
 def _run_mc(args) -> tuple[dict, bool]:
     started = time.perf_counter()
-    if args.samples < 2:
-        raise UsageError("--samples must be >= 2: the standard error needs two samples")
     try:
         cfg = mc.McConfig(samples=args.samples, seed=args.seed, step=args.step)
     except ValueError as err:
@@ -169,10 +167,6 @@ def _run_mc(args) -> tuple[dict, bool]:
     elif args.mode == "krein":
         if args.alpha is None:
             raise UsageError("mode=krein needs --alpha")
-        try:
-            mc.check_krein_scale(args.alpha)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
         inputs["alpha"] = args.alpha
         target = partial(mc.krein_pair_moment, taus, args.alpha)
         sample = partial(mc.mc_krein_moment, taus, args.alpha, cfg)
@@ -180,8 +174,6 @@ def _run_mc(args) -> tuple[dict, bool]:
         if args.alphas is None:
             raise UsageError("mode=weyl needs --alphas")
         alphas = _float_list(args.alphas)
-        if len(alphas) != len(taus):
-            raise UsageError("--alphas and --taus must have equal length")
         inputs["alphas"] = alphas
         target = partial(wy.schwinger_npoint, alphas, taus)
         sample = partial(mc.mc_weyl_schwinger, alphas, taus, cfg)
@@ -189,17 +181,17 @@ def _run_mc(args) -> tuple[dict, bool]:
         if args.weights is None:
             raise UsageError("mode=characteristic needs --weights")
         weights = _float_list(args.weights)
-        if len(weights) != len(taus):
-            raise UsageError("--weights and --taus must have equal length")
         inputs["weights"] = weights
         inputs["step"] = args.step
         target = partial(mc.characteristic_target, taus, weights, cfg.step)
         sample = partial(mc.mc_characteristic, taus, weights, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        try:  # the target comes first, so an overflowing one is refused before sampling
+        try:  # the target comes first, so inputs it refuses or an overflowing one are refused before sampling
             analytic = target()
         except OverflowError:
             analytic = math.inf
+        except ValueError as err:
+            raise UsageError(str(err)) from None
         if not np.isfinite(analytic):
             raise UsageError(f"the analytic target of mode={args.mode} overflows for these inputs")
         estimate = sample()
@@ -249,7 +241,7 @@ def _gram_results(args) -> list[dict]:
             if kind_name != "probes" or not count_text.isdigit():
                 raise ValueError(f"kind=markov expects --family probes:N, got {args.family!r}")
             n_per_side = int(count_text)
-            _check_row_bytes(args.kind, 2 * (n_per_side + 2) + 2 + 15, grid)  # 2 bases, (d0, w), 15 probes
+            _check_row_bytes(args.kind, 2 * (n_per_side + 2) + 15, grid)  # 2 bases, 15 probes
         else:
             _check_row_bytes(args.kind, args.family.partition(":")[2], grid)
             vectors = ne.family(args.family, grid, args.seed)

@@ -58,8 +58,8 @@ class McConfig:
     step: float = 0.1
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if self.samples < 2:
+            raise ValueError("samples must be >= 2: the standard error needs two samples")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be in [0, 2**64)")
         if not 0 < self.step < math.inf:
@@ -341,7 +341,7 @@ def _estimate(taus, cfg: McConfig, integrand, uses_z: bool = True) -> tuple[McEs
         totals = [_merge(total, part) for total, part in zip(totals, stats)]
 
     def one(n, mean, m2) -> McEstimate:
-        return McEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0, samples=n)
+        return McEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1) / n), samples=n)
 
     return one(*totals[0]), one(*totals[1])
 
@@ -426,8 +426,8 @@ def mc_weyl_schwinger(alphas, taus, cfg: McConfig) -> McEstimate:
     charge-conservation delta, so label sums away from zero return an exact 0
     without sampling (samples == 0 marks the exact value); otherwise the mean
     over two-sided Brownian paths converges to the closed-form Schwinger
-    value.  Labels and taus of different lengths, or none, raise ValueError,
-    as in :func:`ccrlab.weyl.schwinger_npoint`.
+    value.  Labels and taus of different lengths, none, or a non-finite tau
+    raise ValueError, as in :func:`ccrlab.weyl.schwinger_npoint`.
     """
     labels = _neutral_labels(alphas, taus, "taus")
     if labels is None:

@@ -21,12 +21,12 @@ Real data keep real arithmetic throughout, by gram.real_or_complex.
 Every product goes through one kernel, _products, in the factored form
 W_u^H W_v - (A_u^* B_v + B_u^* A_v)/2: a Gram, a cross product, or a basis
 bordered by the vectors it projects, over row sets (_Rows) that hold the
-vectors' own grid arrays, (a, b) rows and their content (A, B).  W is summed
-over column blocks of at most FACTOR_BLOCK_BYTES, so a product holds
-O(k block + k^2) bytes besides its inputs; a W of one block is one matrix
-product, with the bits of the unblocked one, and its row set keeps it.  indefinite_inner and krein_inner take the same
-cross product, so they differ by the Krein term alone.  The Osterwalder-Schrader
-kernel c - (|tau| + |sigma|)/2 on positive times has rank two: its products are
+vectors' own grid arrays, (a, b) rows and their content (A, B).  W is formed one
+way: each side of 0 walked far to near in column blocks of at most
+FACTOR_BLOCK_BYTES, so a product holds O(k block + k^2) bytes besides its inputs,
+and sums one matrix product per block in walk order.  indefinite_inner and
+krein_inner take the same cross product, so they differ by the Krein term alone.
+The Osterwalder-Schrader kernel c - (|tau| + |sigma|)/2 on positive times has rank two: its products are
 c A_f^* A_g minus the singular part, from the content alone, O(n) per function.
 The Markov diagnostics hold a projection x as its coefficients c in its basis e:
 <x, x> = c^H G c and <kappa, x> = sum_j c_j <kappa, e_j>, so each residual and
@@ -163,16 +163,13 @@ class _Rows:
 
     ``values`` is the list of the vectors' own grid arrays, gathered row by row
     (no family is stacked).  Products run in the dtype of the (a, b) rows; the
-    content (A, B) is computed once.  W is walked in each product's column
-    blocks, except that a W that fits one block (at most FACTOR_BLOCK_BYTES) is
-    kept after its first walk and read again by every later product whose
-    blocks are one.
+    content (A, B) is computed once.  W is not kept: each product walks it
+    again through _tail_blocks, in its own column blocks.
     """
 
     def __init__(self, grid: Grid, values, coefficients: np.ndarray):
         self.grid, self.values, self.dtype = grid, values, coefficients.dtype
         self.content = _contents(grid, values, coefficients)
-        self._whole = None
 
     @classmethod
     def of(cls, vectors: list[ExtendedVector]) -> _Rows:
@@ -184,14 +181,6 @@ class _Rows:
     def __len__(self) -> int:
         return len(self.values)
 
-    def blocks(self, columns: int):
-        """W in blocks of at most `columns` columns, or whole when it fits one (see _tail_blocks)."""
-        if sum(ends.size for _, ends in self.grid.gap_tails) > columns:
-            return _tail_blocks(self.grid, self.values, self.dtype, columns)
-        if self._whole is None:
-            (self._whole,) = _tail_blocks(self.grid, self.values, self.dtype, None)
-        return (self._whole,)
-
 
 def _products(left: _Rows, *right: _Rows) -> np.ndarray:
     """Products <u_i, v_j>, u in left and v in right's row sets in turn: the one product kernel.
@@ -200,8 +189,9 @@ def _products(left: _Rows, *right: _Rows) -> np.ndarray:
     W_u^H W_v - (A_u^* B_v + B_u^* A_v)/2: W holds the grid part's tail sums over
     the Brownian gaps, A = a + h sum f and B = b + h sum |t| f the d0 and w content.
     A product is a Gram (rows, rows), a cross product (u, v), or a basis bordered
-    by the vectors it projects (basis, basis, probes).  W_u^H W_v is summed over
-    the column blocks that the row sets share; a row set on both sides is walked once.
+    by the vectors it projects (basis, basis, probes).  Each distinct row set is
+    walked once, straight through _tail_blocks in the column blocks the sets share,
+    and W_u^H W_v is the sum of one matrix product per block, in walk order.
     Each right row set takes its own matrix product, written into its columns, so a
     real pair stays in real BLAS (a Gram in syrk) and no product joins the sets'
     blocks into one wider one; a single right set's product is returned as it is.
@@ -220,8 +210,8 @@ def _products(left: _Rows, *right: _Rows) -> np.ndarray:
             out[:, start:stop] = conj @ w[sets.index(rows)].T
         return out
 
-    # the per-block terms added in place; a single block's term is returned as it is
-    products = reduce(operator.iadd, map(term, *(rows.blocks(columns) for rows in sets)))
+    walks = (_tail_blocks(rows.grid, rows.values, rows.dtype, columns) for rows in sets)
+    products = reduce(operator.iadd, map(term, *walks))  # the per-block terms added in place
     return products - _singular_part(left.content, [np.concatenate([rows.content[i] for rows in right]) for i in (0, 1)])
 
 
@@ -236,44 +226,27 @@ def _block_columns(rows: int, dtype) -> int:
     return max(1, FACTOR_BLOCK_BYTES // (rows * np.dtype(dtype).itemsize))
 
 
-def _tail_blocks(grid: Grid, values, dtype, columns: int | None):
+def _tail_blocks(grid: Grid, values, dtype, columns: int):
     """W, the tail sums of grid parts over the Brownian gaps, in blocks of at most `columns` columns.
 
-    Each side of 0 is walked from its far end; a block's cumsum starts from the
-    running sum of the blocks before it, put in front as a first column, and
-    cumsum is sequential, so the blocks hold the bits of one cumsum over the side.
-    With columns None the one block is both sides joined, near to far: the whole
-    W, with the bits of an unblocked factoring.
+    Each side of 0 is walked from its far end, and each block comes out near to
+    far.  A block's first column adds the running sum of the blocks before it,
+    and cumsum is sequential, so the blocks hold the bits of one cumsum over the
+    side.  The blocks come out column-major, the layout of a stack's
+    values[:, index] gather, which the matrix product sees.
     """
-    sides = grid.gap_tails
-    if columns is None:
-        yield np.concatenate([_side_tails(values, dtype, side, 0, side[1].size, None)[0] for side in sides], axis=1)
-        return
-    for side in sides:
-        carry = None
-        for start in range(0, side[1].size, columns):
-            block, carry = _side_tails(values, dtype, side, start, min(start + columns, side[1].size), carry)
-            yield block
-
-
-def _side_tails(values, dtype, side, start: int, stop: int, carry):
-    """One side's tails at positions start:stop of its far-to-near order, near to far, and the sum to carry.
-
-    The tails come out column-major, the layout of a stack's values[:, index] gather,
-    which row sums and the matrix product see.  The carry is None at the side's end.
-    """
-    scaled, ends = side
-    index = ends[start:stop]
-    lead = 0 if carry is None else 1
-    sums = np.empty((len(values), lead + index.size), dtype)
-    if lead:
-        sums[:, :1] = carry
-    for i, row in enumerate(values):
-        sums[i, lead:] = row[index]
-    np.add.accumulate(sums, axis=1, out=sums)  # a cumsum in place, with the bits of one into a new array
-    count = ends.size
-    tails = np.multiply(scaled[count - stop : count - start], sums[:, lead:][:, ::-1], order="F")
-    return tails, (sums[:, -1:].copy() if stop < count else None)
+    for scaled, ends in grid.gap_tails:
+        count = ends.size
+        for start in range(0, count, columns):
+            stop = min(start + columns, count)
+            sums = np.empty((len(values), stop - start), dtype)
+            for i, row in enumerate(values):
+                sums[i] = row[ends[start:stop]]
+            if start:
+                sums[:, 0] += carry
+            np.add.accumulate(sums, axis=1, out=sums)  # a cumsum in place, with the bits of one into a new array
+            carry = sums[:, -1].copy()
+            yield np.multiply(scaled[count - stop : count - start], sums[:, ::-1], order="F")
 
 
 def _contents(grid: Grid, values, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,14 +44,17 @@ def evolve_weyl(label: Label, t) -> Label:
 def _neutral_labels(alphas, points, name: str) -> list[Fraction] | None:
     """The labels of an n-point function as exact rationals, or None when their sum is not 0.
 
-    Refuses labels and points of different lengths, and no points at all; a
-    nonzero label sum (the charge) makes the n-point function vanish.
+    Refuses labels and points of different lengths, no points at all, and a
+    non-finite point, whatever the charge; a nonzero label sum (the charge)
+    makes the n-point function vanish.
     """
     labels = [to_label_fraction(a) for a in alphas]
     if len(labels) != len(points):
         raise ValueError(f"alphas and {name} must have equal length")
     if not labels:
         raise ValueError("need at least one point")
+    if not all(cmath.isfinite(complex(p)) for p in points):
+        raise ValueError(f"{name} must be finite")
     return labels if sum(labels) == 0 else None
 
 

@@ -1,7 +1,9 @@
-"""bench/ab.py's summary of paired runs, on made-up pairs, and the trees each side runs from."""
+"""bench/ab.py's summary of paired runs, on made-up pairs, and the trees each side runs from;
+under CCRLAB_LONG=1, an A/A run of the harness on real passes."""
 
 import importlib.util
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -173,3 +175,35 @@ def test_blas_core_reads_the_run_time_kernel(ab, monkeypatch):
 def test_blas_core_is_null_when_the_probe_finds_none(ab, monkeypatch):
     monkeypatch.setattr(ab, "BLAS_CORE_PROBE", "import sys; sys.exit(1)")
     assert ab.blas_core(ab.ROOT) is None
+
+
+@pytest.mark.skipif(not os.environ.get("CCRLAB_LONG"), reason="CI-long mode (set CCRLAB_LONG=1)")
+def test_an_a_a_run_reads_no_gap(ab, tmp_path):
+    # HEAD exported twice, so a dirty working tree cannot turn this into an A/B, and six
+    # alternating pairs of the exact workload (about 0.7 s a run) through ab's own run_once
+    # and summary; nothing is written to perfbench/results.
+    #
+    # False failures: under A/A each wall ratio falls below 1 with probability 1/2, and
+    # the percentile interval of the median misses 1 whenever all six fall on one side
+    # (2/64, about 3.1%).  With one ratio alone on its side (12/64) it misses 1 when that
+    # ratio lies nearer 1 than the others: about 0.15 of such draws for iid half-normal
+    # distances from 1 (400 draws through ab.bootstrap_median_ci).  The rate is then about
+    # 3.1% + 18.8% x 0.15, near 6%.
+    results = pathlib.Path(ab.ROOT) / "perfbench" / "results"
+    before = sorted(results.iterdir()) if results.exists() else None
+    roots = {}
+    for side in ("base", "change"):
+        ab.export_revision("HEAD", str(tmp_path / side))
+        roots[side] = str(tmp_path / side / "tree")
+    made = []
+    for index in range(6):
+        order = ("base", "change") if index % 2 == 0 else ("change", "base")
+        made.append({side: ab.run_once(roots[side], "exact", ab.DEFAULT_SEED) for side in order})
+    summary = ab.summarize(made)
+    low, high = summary["wall_s_ratio_ci95"]
+    assert low <= 1.0 <= high, summary["wall_s_ratio_ci95"]
+    sides = summary["sides"]
+    assert len(sides["base"]["source_sha256"]) == 1 and sides["base"]["source_sha256"] == sides["change"]["source_sha256"]
+    assert summary["digests_equal"] and len(sides["base"]["digests"]) == 1
+    assert sides["base"]["failed"] == sides["change"]["failed"] == 0
+    assert (sorted(results.iterdir()) if results.exists() else None) == before

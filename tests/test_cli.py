@@ -226,7 +226,8 @@ def test_mc_usage_errors(capsys):
     )
     one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--seed", "-1")
     one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--seed", str(2**64))
-    one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--samples", "1")
+    err = one_line_usage_error(capsys, "mc", "--mode", "indefinite", "--taus", "1,-1", "--samples", "1")
+    assert "the standard error needs two samples" in err
 
 
 def test_mc_weyl_refuses_empty_taus_before_the_target(capsys, monkeypatch):
@@ -462,18 +463,18 @@ def test_gram_refuses_a_family_over_the_byte_budget_before_building_it(capsys, m
 
 
 def test_gram_markov_refuses_rows_over_the_byte_budget_before_building_a_basis(capsys, monkeypatch):
-    # probes:2 on -1:1:0.5 stacks 2 x (2 + 2) basis rows, the time-zero pair and 15 probes of 5 points
-    monkeypatch.setattr(cli, "NELSON_FAMILY_BYTES", 25 * 5 * 16)
+    # probes:2 on -1:1:0.5 holds 2 x (2 + 2) basis rows and 15 probes of 5 points: 23 rows
+    monkeypatch.setattr(cli, "NELSON_FAMILY_BYTES", 23 * 5 * 16)
     code, _, _ = run_cli(capsys, "gram", "--kind", "markov", "--family", "probes:2", "--grid", "-1:1:0.5")
     assert code == 0
 
     def unbuilt(*args, **kwargs):
         raise AssertionError("a basis was built")
 
-    monkeypatch.setattr(cli, "NELSON_FAMILY_BYTES", 25 * 5 * 16 - 1)
+    monkeypatch.setattr(cli, "NELSON_FAMILY_BYTES", 23 * 5 * 16 - 1)
     monkeypatch.setattr(nelson, "ExtendedVector", unbuilt)
     err = one_line_usage_error(capsys, "gram", "--kind", "markov", "--family", "probes:2", "--grid", "-1:1:0.5")
-    assert "kind=markov" in err and "bytes" in err and "25 x 5" in err
+    assert "kind=markov" in err and "bytes" in err and "23 x 5" in err
 
 
 PEAK_SCRIPT = """
@@ -508,17 +509,17 @@ def test_gram_at_the_byte_budget_holds_about_the_family(kind):
     # adds four column blocks of W: (1 + 10/k) times the family bytes plus the blocks.
     # The unblocked factoring held about three more copies of the family.
     #
-    # markov: probes:2 counts 2 (N + 2) + 17 = 25 rows; on the most points they may take
-    # (odd, for a grid symmetric about 0; step 0.01 keeps the bases' Grams well
-    # conditioned) the run holds its k = 2 (N + 2) + 15 vectors' real values (the two
-    # bases and the probes; the time-zero pair is read from the bases), the same ten
-    # n-point arrays as nelson (the gap tails and their transients, or the content's
-    # complex row and its |t|-weighted copy) and four column blocks of W.  Its
+    # markov: probes:2 counts k = 2 (N + 2) + 15 = 23 rows; on the most points they may
+    # take (odd, for a grid symmetric about 0; step 0.01 keeps the bases' Grams well
+    # conditioned) the run holds their real values (the two bases and the probes; the
+    # time-zero pair is read from the bases), the same ten n-point arrays as nelson
+    # (the gap tails and their transients, or the content's complex row and its
+    # |t|-weighted copy) and four column blocks of W.  Its
     # projections are coefficients in the bases, not grid-length rows; with the stage
     # stacks they replace, the run peaked near nine times the bound.
     if kind == "markov":
-        spec, k, rows = "probes:2", 2 * (2 + 2) + 15, 2 * (2 + 2) + 17
-        n = cli.NELSON_FAMILY_BYTES // (rows * 16)
+        spec, k = "probes:2", 2 * (2 + 2) + 15
+        n = cli.NELSON_FAMILY_BYTES // (k * 16)
         half = (n - 1) // 2 / 100
         base_grid, grid = "-1:1:0.5", f"{-half:.2f}:{half:.2f}:0.01"
     else:

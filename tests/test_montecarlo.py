@@ -34,7 +34,7 @@ from ccrlab.montecarlo import (
     substream,
     wick_moment,
 )
-from ccrlab.weyl import schwinger_npoint
+from ccrlab.weyl import schwinger_npoint, wightman_npoint
 
 SAMPLES = 200_000
 
@@ -169,8 +169,9 @@ def test_mc_moment_imaginary_part_vanishes():
 
 
 def test_mc_config_validation():
-    with pytest.raises(ValueError):
-        McConfig(samples=0, seed=1)
+    for samples in (0, 1):  # the standard error needs two samples
+        with pytest.raises(ValueError, match="needs two samples"):
+            McConfig(samples=samples, seed=1)
     with pytest.raises(ValueError):
         McConfig(samples=10, seed=1, step=0.0)
     with pytest.raises(ValueError):
@@ -255,6 +256,22 @@ def test_weyl_schwinger_refuses_what_the_closed_form_refuses(alphas, taus):
     for value in (schwinger_npoint, lambda a, t: mc_weyl_schwinger(a, t, McConfig(samples=10, seed=55))):
         with pytest.raises(ValueError):
             value(alphas, taus)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("alphas", [[1, -1], [1, 1]], ids=["neutral", "charged"])
+def test_weyl_npoint_refuses_non_finite_times_whatever_the_charge(alphas, bad):
+    # a non-finite time would give nan (inf x 0 in an imaginary time), or the charge's exact 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value, times in (
+            (schwinger_npoint, [bad, 0.0]),
+            (lambda a, t: mc_weyl_schwinger(a, t, McConfig(samples=10, seed=55)), [0.0, bad]),
+            (wightman_npoint, [complex(0.0, bad), 0.0]),
+            (wightman_npoint, [0.0, complex(bad, 1.0)]),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                value(alphas, times)
 
 
 def test_weyl_schwinger_three_point():
@@ -496,7 +513,7 @@ def _assert_matches_serial(monkeypatch, taus, cfg, worker_counts=(1, 2, 3)):
             assert repr(run(taus, cfg)) == expected, (name, workers)
 
 
-@pytest.mark.parametrize("samples", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 10000, 3 * BLOCK + 7])
+@pytest.mark.parametrize("samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 10000, 3 * BLOCK + 7])
 def test_estimates_match_serial_loop(monkeypatch, samples):
     cfg = McConfig(samples=samples, seed=61)
     _assert_matches_serial(monkeypatch, TAUS_SETS["repeated"], cfg)

@@ -63,10 +63,9 @@ def krein_norms(grid, rows, alpha):
 
 
 def factors(grid, rows):
-    """(W, A, B) of a stack of coordinate rows: W whole, the one block a product sees when it fits one."""
+    """(W, A, B) of a stack of coordinate rows: W joined from a walk with one block per side."""
     rows = row_set(grid, rows)
-    (whole,) = rows.blocks(grid.n)
-    return (whole, *rows.content)
+    return (np.concatenate(list(nelson._tail_blocks(grid, rows.values, rows.dtype, grid.n)), axis=1), *rows.content)
 
 
 # -- reference operations that no criterion or command needs ---------------------------
@@ -604,33 +603,43 @@ def test_project_neutral_direction_errors():
 # -- factored once: the per-call route as the bit-for-bit reference ----------------------------
 
 
+def per_call_tails(grid, values):
+    """Each side's tails over its Brownian gaps, positive side first, as before the grid kept its gaps."""
+    tails = []
+    for sq, last in brownian_gaps(grid.points):
+        on = np.flatnonzero(last >= 0)
+        ends = on[np.argsort(last[on])]
+        tails.append(grid.step * sq * np.cumsum(values[:, ends[::-1]], axis=1)[:, ::-1])
+    return tails
+
+
 def per_call_factors(grid, rows):
     """factors as they were before the grid kept its gaps: brownian_gaps on every call."""
     h = grid.step
-    pts = grid.points
     values = rows[:, :-2]
-    tails = []
-    for sq, last in brownian_gaps(pts):
-        on = np.flatnonzero(last >= 0)
-        ends = on[np.argsort(last[on])]
-        tails.append(h * sq * np.cumsum(values[:, ends[::-1]], axis=1)[:, ::-1])
     a = rows[:, -2] + h * values.sum(axis=1)
-    b = rows[:, -1] + h * (np.abs(pts) * values).sum(axis=1)
-    return np.concatenate(tails, axis=1), a, b
+    b = rows[:, -1] + h * (np.abs(grid.points) * values).sum(axis=1)
+    return np.concatenate(per_call_tails(grid, values), axis=1), a, b
 
 
 def per_call_project(basis, u):
     """Restack the basis, factor the basis and u, check the Gram's cond, solve: every call.
 
     The basis stack keeps its dtype and u's row is cast to complex; each row-set
-    pair takes its own matrix product, as on project_onto's route.
+    pair takes its own matrix product per side, and the sides' products are
+    summed positive side first, as on project_onto's route.
     """
     coords = np.stack([v.coords() for v in basis])
-    w_left, a_left, b_left = per_call_factors(u.grid, coords)
-    w_u, a_u, b_u = per_call_factors(u.grid, u.coords()[None].astype(complex))
+    row = u.coords()[None].astype(complex)
+    _, a_left, b_left = per_call_factors(u.grid, coords)
+    _, a_u, b_u = per_call_factors(u.grid, row)
     a_right, b_right = np.concatenate((a_left, a_u)), np.concatenate((b_left, b_u))
     singular = np.outer(a_left.conj(), b_right) + np.outer(b_left.conj(), a_right)
-    products = np.hstack((w_left.conj() @ w_left.T, w_left.conj() @ w_u.T)) - singular / 2.0
+    positive, negative = (
+        np.hstack((w_left.conj() @ w_left.T, w_left.conj() @ w_u.T))
+        for w_left, w_u in zip(per_call_tails(u.grid, coords[:, :-2]), per_call_tails(u.grid, row[:, :-2]))
+    )
+    products = positive + negative - singular / 2.0
     gram, moments = products[:, :-1], products[:, -1]
     cond = np.linalg.cond(gram)
     assert np.isfinite(cond) and cond <= PROJECTION_CONDITION_LIMIT
@@ -664,7 +673,7 @@ def test_cached_gaps_give_the_per_call_factors_bit_for_bit(spec):
 @pytest.mark.parametrize("spec", ["-3:-1:0.25", "1:3:0.5", "-1.05:2.95:0.1", "-5:5:0.1"])
 @pytest.mark.parametrize("columns", [1, 2, 3])
 def test_column_blocks_join_to_the_unblocked_factors_bit_for_bit(spec, columns):
-    # each side's blocks come far to near; read back near to far, they are the one block
+    # each side's blocks come far to near; read back near to far, they join to the unblocked tails
     grid = Grid.parse(spec)
     rng = np.random.default_rng(19)
     for rows in (rng.standard_normal((5, grid.n + 2)), rng.standard_normal((5, grid.n + 2)) * (1 - 2j)):
@@ -712,8 +721,9 @@ def test_cached_points_are_read_only_and_outside_eq_and_hash():
 
 
 def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
-    # one walk per row set (the two bases and the probes), each read from the vectors'
-    # own arrays: no stage is stacked, and a projection held as coefficients needs no walk
+    # one walk per row set of each product: (minus, probes), (plus, minus, probes) and
+    # (probes), each read from the vectors' own arrays; no stage is stacked, and a
+    # projection held as coefficients needs no walk
     counts = {"brownian_gaps": 0, "_tail_blocks": 0}
 
     def counted(name):
@@ -728,7 +738,7 @@ def test_markov_diagnostics_builds_gaps_and_bases_once(monkeypatch):
     for name in counts:
         monkeypatch.setattr(nelson, name, counted(name))
     markov_diagnostics(Grid.parse("-5:5:0.2"), 25)
-    assert counts == {"brownian_gaps": 1, "_tail_blocks": 3}
+    assert counts == {"brownian_gaps": 1, "_tail_blocks": 6}
 
 
 def bits(values):
@@ -1083,7 +1093,7 @@ def test_column_blocks_keep_the_dense_metric_bounds(monkeypatch):
     # the checks of test_factored_product_matches_dense_metric with blocks of
     # max(1, n // 100) columns over 12 complex rows (krein_inner's 2 rows take six
     # times that), so the products, Krein norms and projections sum up to a hundred
-    # blocks a side; a projection whose bordered W is one block is checked too
+    # blocks a side; a projection whose bordered W is one block a side is checked too
     rng = np.random.default_rng(43)
     walks, tail_blocks = [], nelson._tail_blocks
     monkeypatch.setattr(
@@ -1130,12 +1140,13 @@ def test_column_blocks_keep_the_dense_metric_bounds(monkeypatch):
         inverse_norm, row_norm = np.linalg.norm(np.linalg.inv(gram), 2), np.linalg.norm(basis_coords, axis=1).max()
         probes = complex_rows[2:] + real_rows[2:]
         projected = []
-        # blocked, then with the k basis rows and the probe's complex row in one block of W
+        # blocked, then with the k basis rows and the probe's complex row in one block a side of W
         for block_bytes in (nelson.FACTOR_BLOCK_BYTES, (k + 1) * 16 * sum(ends.size for _, ends in grid.gap_tails)):
             monkeypatch.setattr(nelson, "FACTOR_BLOCK_BYTES", block_bytes)
             walks.clear()
             projected.append([project_onto(basis, u) for u in probes])
-            assert walks and all((columns is None) == (len(projected) == 2) for columns in walks), spec
+            one_block = max(ends.size for _, ends in grid.gap_tails)
+            assert walks and all((columns >= one_block) == (len(projected) == 2) for columns in walks), spec
         for u, *outs in zip(probes, *projected):
             moments = sized @ u.coords()
             want = np.linalg.solve(gram, moments) @ basis_coords
